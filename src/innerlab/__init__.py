@@ -54,7 +54,7 @@ from .gce import (  # noqa: F401
     solve_dirichlet,
     u_max,
 )
-from .outer import OuterSpec, eval_phi, subdivide, weights  # noqa: F401
+from .outer import OuterSpec, subdivide, weights  # noqa: F401
 from .bergman import (  # noqa: F401
     BergmanSpaceSpec,
     SubspaceProbe,

@@ -1,58 +1,9 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation, recorded in run metadata.
 
-The hot inner loops (potential sums, outer-function exponents, subset
-entropy scans) have two interchangeable implementations: numba @njit
-loops and vectorized numpy. The environment variable
-
-    INNERLAB_BACKEND = auto | numba | numpy
-
-picks one at import time (default "auto": numba if importable, numpy
-otherwise). INNERLAB_THREADS caps numba's thread pool; kernels here are
-sequential either way so results are bitwise reproducible per backend.
+The hot kernels in `kernels` are vectorized numpy; there is no other
+backend and nothing to configure.
 """
-
-import os
-
-_CHOICE = os.environ.get("INNERLAB_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy", ""):
-    raise ValueError(
-        f"INNERLAB_BACKEND must be 'auto', 'numba' or 'numpy', got {_CHOICE!r}"
-    )
-
-USING_NUMBA = False
-if _CHOICE in ("auto", "", "numba"):
-    try:
-        import numba
-
-        USING_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        USING_NUMBA = False
-
-if USING_NUMBA:
-    _threads = os.environ.get("INNERLAB_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, RuntimeError):
-            pass
-
-    def njit(func=None, **kw):
-        kw.setdefault("cache", True)
-        if func is None:
-            return numba.njit(**kw)
-        return numba.njit(**kw)(func)
-
-else:
-
-    def njit(func=None, **kw):
-        # fallback decorator: plain-python passthrough, numpy paths are
-        # selected in kernels.py so these bodies should never be hot
-        if func is None:
-            return lambda f: f
-        return func
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"

@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import betaln
 
 from .bc_sets import BCSet
-from .inner import InnerFunctionRep, log_abs_inner
+from .inner import InnerFunctionRep, doubling_circle_mean, log_abs_inner
 from .outer import OuterSpec
 
 TAU = 2.0 * math.pi
@@ -65,23 +65,6 @@ def bergman_norm(f, spec: BergmanSpaceSpec) -> float:
     return total ** (1.0 / spec.p)
 
 
-def _doubling_circle_mean(fn, tol=1e-12, cap=1 << 19, start=64):
-    n = start
-    prev, hits = None, 0
-    while n <= cap:
-        theta = (np.arange(n) + 0.23) * (TAU / n)
-        val = float(np.mean(fn(theta)))
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
-            hits += 1
-            if hits >= 2:
-                return val
-        else:
-            hits = 0
-        prev = val
-        n *= 2
-    raise RuntimeError("circle mean did not converge")
-
-
 def _radial_log_integral(fn, levels=40, order=16):
     """int_0^1 fn(rho) rho log(1/rho) drho on dyadic panels toward 0."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
@@ -112,7 +95,7 @@ def h2_norm_and_lp(f) -> tuple:
     def circ(theta):
         return np.abs(f(np.exp(1j * theta))) ** 2
 
-    h2_sq = _doubling_circle_mean(circ)
+    h2_sq = doubling_circle_mean(circ, 1e-12, 1 << 19, 0.23)
 
     def radial(r):
         out = np.empty_like(r)

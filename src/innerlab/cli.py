@@ -8,7 +8,6 @@ atomically (temp + rename) and carry no timestamps, so identical runs
 are byte-identical.
 
 Exit codes: 0 ok, 1 validation failure, 2 numerical failure.
-INNERLAB_THREADS caps kernel-backend parallelism (see backend module).
 """
 
 import hashlib
@@ -144,15 +143,20 @@ def _field(cfg: dict, name: str, kind, where: str):
     return val
 
 
+def _position(atom: dict, where: str) -> complex:
+    pos = _field(atom, "position", list, where)
+    if len(pos) != 2 or not all(isinstance(x, (int, float)) for x in pos):
+        raise ScenarioError(f"{where}: position needs [re, im]")
+    return pos[0] + 1j * pos[1]
+
+
 def _parse_measure(cfg: dict, where: str) -> DiskMeasure:
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{where}: measure must be an object")
     interior, boundary = [], []
     for i, atom in enumerate(cfg.get("interior", [])):
-        pos = _field(atom, "position", list, f"{where}.interior[{i}]")
-        if len(pos) != 2:
-            raise ScenarioError(f"{where}.interior[{i}]: position needs [re, im]")
-        interior.append((pos[0] + 1j * pos[1], _field(atom, "mass", float, f"{where}.interior[{i}]")))
+        at = f"{where}.interior[{i}]"
+        interior.append((_position(atom, at), _field(atom, "mass", float, at)))
     for i, atom in enumerate(cfg.get("boundary", [])):
         boundary.append(
             (
@@ -169,8 +173,7 @@ def _parse_measure(cfg: dict, where: str) -> DiskMeasure:
 def _parse_rep(cfg: dict, where: str) -> InnerFunctionRep:
     zeros = []
     for i, z in enumerate(cfg.get("zeros", [])):
-        pos = _field(z, "position", list, f"{where}.zeros[{i}]")
-        zeros.append((pos[0] + 1j * pos[1], int(z.get("multiplicity", 1))))
+        zeros.append((_position(z, f"{where}.zeros[{i}]"), int(z.get("multiplicity", 1))))
     atoms = [
         (_field(a, "angle", float, f"{where}.singular[{i}]"), _field(a, "mass", float, f"{where}.singular[{i}]"))
         for i, a in enumerate(cfg.get("singular_atoms", []))
@@ -203,7 +206,7 @@ def _entropy_rows(degree: int, seed: int, count: int):
     return rows
 
 
-def _run_entropy(params, out_dir, meta):
+def _run_entropy(params, meta):
     degree = int(params.get("degree", 6))
     seed = int(params.get("seed", 0))
     count = int(params.get("count", 20))
@@ -225,7 +228,7 @@ def _measure_payload(m: DiskMeasure):
     }
 
 
-def _run_roberts(params, out_dir, meta):
+def _run_roberts(params, meta):
     om = _parse_measure(_field(params, "measure", dict, "roberts"), "roberts.measure")
     p = RobertsParams(
         c=float(params.get("c", 1.0)),
@@ -268,7 +271,7 @@ def _run_roberts(params, out_dir, meta):
     }
 
 
-def _run_gce_dirichlet(params, out_dir, meta):
+def _run_gce_dirichlet(params, meta):
     radius = float(params.get("radius", 0.9))
     n_r = int(params.get("n_r", 64))
     n_theta = int(params.get("n_theta", 128))
@@ -308,7 +311,7 @@ def _run_gce_dirichlet(params, out_dir, meta):
     return {"gce.csv": csv, "gce.json": _json_text(payload)}, info
 
 
-def _run_nearly_maximal(params, out_dir, meta):
+def _run_nearly_maximal(params, meta):
     from .gce import nearly_maximal
 
     om = _parse_measure(_field(params, "measure", dict, "nearly-maximal"), "nearly-maximal.measure")
@@ -333,7 +336,7 @@ def _run_nearly_maximal(params, out_dir, meta):
     return {"nearly_maximal.csv": csv, "nearly_maximal.json": _json_text(payload)}, {}
 
 
-def _run_diffuse(params, out_dir, meta):
+def _run_diffuse(params, meta):
     ns = [int(n) for n in _field(params, "n", list, "diffuse-experiment")]
     ms = [float(m) for m in _field(params, "M", list, "diffuse-experiment")]
     rows = diffuse_experiment(
@@ -349,7 +352,7 @@ def _run_diffuse(params, out_dir, meta):
     return {"diffuse.csv": csv}, {"rows": len(rows)}
 
 
-def _run_outer(params, out_dir, meta):
+def _run_outer(params, meta):
     angles = _field(params, "set", dict, "outer-eval").get("points")
     if not angles:
         raise ScenarioError("outer-eval: set.points must be a nonempty angle list")
@@ -368,7 +371,7 @@ def _run_outer(params, out_dir, meta):
     return {"outer.csv": csv}, {"tail_mass": spec.tail_mass_total}
 
 
-def _run_bergman_distance(params, out_dir, meta):
+def _run_bergman_distance(params, meta):
     gen = _parse_rep(_field(params, "generator", dict, "bergman-distance"), "bergman-distance.generator")
     m = int(params.get("m", 20))
     spec = BergmanSpaceSpec(
@@ -385,7 +388,7 @@ def _run_bergman_distance(params, out_dir, meta):
     return {"bergman.csv": csv, "bergman.json": _json_text(payload)}, {}
 
 
-def _run_fund3(params, out_dir, meta):
+def _run_fund3(params, meta):
     om1 = _parse_measure(_field(params, "measure1", dict, "fund3-check"), "fund3-check.measure1")
     om2 = _parse_measure(_field(params, "measure2", dict, "fund3-check"), "fund3-check.measure2")
     rep = check_fund3(
@@ -424,7 +427,7 @@ def run_scenario(config: dict, out_dir: str) -> dict:
     if scenario.output:
         out_dir = os.path.join(out_dir, scenario.output)
     os.makedirs(out_dir, exist_ok=True)
-    files, info = RUNNERS[scenario.kind](scenario.params, out_dir, meta)
+    files, info = RUNNERS[scenario.kind](scenario.params, meta)
     written = []
     for name, text in sorted(files.items()):
         path = os.path.join(out_dir, name)
@@ -442,18 +445,22 @@ def main():
     """Numerical laboratory for inner functions and the curvature equation."""
 
 
-@main.command(name="run")
-@click.argument("scenario", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", default=".", show_default=True, help="output directory")
-def run_cmd(scenario, out_dir):
-    """Run a scenario file and write its CSV/JSON results."""
+def _load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _run_and_report(build_config, out_dir: str):
+    """Run the scenario `build_config()` returns and print the written paths.
+
+    Validation failures exit 1 and numerical failures exit 2, each with a
+    one-line message on stderr.
+    """
     try:
-        with open(scenario) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"{scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        result = run_scenario(config, out_dir)
+        result = run_scenario(build_config(), out_dir)
     except ScenarioError as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(1)
@@ -462,6 +469,14 @@ def run_cmd(scenario, out_dir):
         sys.exit(2)
     for path in result["written"]:
         click.echo(path)
+
+
+@main.command(name="run")
+@click.argument("scenario", type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", "out_dir", default=".", show_default=True, help="output directory")
+def run_cmd(scenario, out_dir):
+    """Run a scenario file and write its CSV/JSON results."""
+    _run_and_report(lambda: _load_json(scenario), out_dir)
 
 
 @main.command()
@@ -489,20 +504,10 @@ def selftest():
 @click.option("--out", "out_dir", default=".", show_default=True)
 def entropy(degree, seed, count, out_dir):
     """Entropy formula vs quadrature table for seeded Blaschke products."""
-    config = {
-        "kind": "entropy",
-        "params": {"degree": degree, "seed": seed, "count": count},
-    }
-    try:
-        result = run_scenario(config, out_dir)
-    except ScenarioError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(1)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(2)
-    for path in result["written"]:
-        click.echo(path)
+    _run_and_report(
+        lambda: {"kind": "entropy", "params": {"degree": degree, "seed": seed, "count": count}},
+        out_dir,
+    )
 
 
 @main.command()
@@ -513,27 +518,11 @@ def entropy(degree, seed, count, out_dir):
 @click.option("--out", "out_dir", default=".", show_default=True)
 def roberts(measure_file, c_par, n2, gens, out_dir):
     """Decompose a measure file and write the audit."""
-    try:
-        with open(measure_file) as fh:
-            try:
-                measure = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(
-                    f"{measure_file}:{exc.lineno}:{exc.colno}: {exc.msg}"
-                ) from exc
-        config = {
-            "kind": "roberts",
-            "params": {"measure": measure, "c": c_par, "n2": n2, "generations": gens},
-        }
-        result = run_scenario(config, out_dir)
-    except ScenarioError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(1)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(2)
-    for path in result["written"]:
-        click.echo(path)
+    def config():
+        params = {"measure": _load_json(measure_file), "c": c_par, "n2": n2, "generations": gens}
+        return {"kind": "roberts", "params": params}
+
+    _run_and_report(config, out_dir)
 
 
 if __name__ == "__main__":

@@ -150,7 +150,21 @@ def _singular_part(atoms, z):
     return kernels.green_sum(np.ascontiguousarray(z), a, m)
 
 
-class GridFunction:
+class _SplitField:
+    """Evaluation shared by fields stored as smooth part w plus atoms:
+    u(z) = w(z) - sum mt G(z, a), with `smooth` supplied by the subclass."""
+
+    __slots__ = ()
+
+    def __call__(self, z):
+        z_arr = np.asarray(z, dtype=np.complex128)
+        shape = z_arr.shape
+        s = _singular_part(self.atoms, np.atleast_1d(z_arr).ravel())
+        out = np.atleast_1d(self.smooth(z_arr)).ravel() - s
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+
+class GridFunction(_SplitField):
     """Smooth nodal values w plus an analytic singular part -sum mt G(., a).
 
     Total field u = w - s. Interpolation happens on the smooth part in
@@ -170,10 +184,6 @@ class GridFunction:
         self._spline = None
 
     # -- nodal access --------------------------------------------------------
-
-    def smooth_nodes(self):
-        """(center, rings) of the smooth part w."""
-        return self.center, self.rings
 
     def total_nodes(self):
         """(center, rings) of u = w - s; -inf where a node sits on an atom."""
@@ -212,18 +222,11 @@ class GridFunction:
         out = self._ensure_spline()(t, th, grid=False)
         return float(out[0]) if shape == () else out.reshape(shape)
 
-    def __call__(self, z):
-        z_arr = np.asarray(z, dtype=np.complex128)
-        shape = z_arr.shape
-        s = _singular_part(self.atoms, np.atleast_1d(z_arr).ravel())
-        out = np.atleast_1d(self.smooth(z_arr)).ravel() - s
-        return float(out[0]) if shape == () else out.reshape(shape)
-
     def __repr__(self):
         return f"GridFunction({self.grid!r}, atoms={len(self.atoms)})"
 
 
-class AnalyticField:
+class AnalyticField(_SplitField):
     """Closed-form field with the same protocol as GridFunction."""
 
     __slots__ = ("_fn", "atoms")
@@ -234,13 +237,6 @@ class AnalyticField:
 
     def smooth(self, z):
         return self._fn(np.asarray(z, dtype=np.complex128))
-
-    def __call__(self, z):
-        z_arr = np.asarray(z, dtype=np.complex128)
-        shape = z_arr.shape
-        s = _singular_part(self.atoms, np.atleast_1d(z_arr).ravel())
-        out = np.atleast_1d(self.smooth(z_arr)).ravel() - s
-        return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def maximal_field() -> AnalyticField:
@@ -517,9 +513,6 @@ class NearlyMaximalResult:
             u_prev = self.previous(z)
             u = u + (u - u_prev) * (q / (1.0 - q))
         return u
-
-    def boundary_deficiency_limit(self) -> float:
-        return self.deficiency[-1]
 
 
 def _probe_points(r_max: float = 0.8, n_ang: int = 48):

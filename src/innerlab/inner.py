@@ -96,31 +96,43 @@ def log_abs_inner(omega: DiskMeasure, z):
 # function representations
 
 
+def _checked_zeros(zeros, rotation):
+    """((a, m), ...) with |a| < 1 and integer m >= 1, and the unimodular rotation."""
+    zs = []
+    for a, m in zeros:
+        a = complex(a)
+        m = int(m)
+        if abs(a) >= 1.0:
+            raise ValueError("zeros must lie strictly inside the disk")
+        if m < 1:
+            raise ValueError("multiplicities must be >= 1")
+        zs.append((a, m))
+    r = complex(rotation)
+    if abs(abs(r) - 1.0) > 1e-9:
+        raise ValueError("rotation must be unimodular")
+    return tuple(zs), r / abs(r)
+
+
+def _blaschke_values(zeros, rotation, z):
+    """rotation * prod ((z - a)/(1 - conj(a) z))^m as an array shaped like z."""
+    out = np.full(z.shape, rotation, dtype=np.complex128)
+    for a, m in zeros:
+        out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
+    return out
+
+
 class InnerFunctionRep:
     """B*S_mu with integer zero multiplicities plus singular boundary atoms."""
 
     __slots__ = ("zeros", "singular_atoms", "rotation")
 
     def __init__(self, zeros=(), singular_atoms=(), rotation=1.0 + 0j):
-        zs = []
-        for a, m in zeros:
-            a = complex(a)
-            m = int(m)
-            if abs(a) >= 1.0:
-                raise ValueError("zeros must lie strictly inside the disk")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
-            zs.append((a, m))
-        self.zeros = tuple(zs)
+        self.zeros, self.rotation = _checked_zeros(zeros, rotation)
         self.singular_atoms = tuple(
             (float(t) % TAU, float(m)) for t, m in singular_atoms
         )
         if any(m <= 0 for _, m in self.singular_atoms):
             raise ValueError("singular masses must be positive")
-        r = complex(rotation)
-        if abs(abs(r) - 1.0) > 1e-9:
-            raise ValueError("rotation must be unimodular")
-        self.rotation = r / abs(r)
 
     @property
     def zero_structure(self) -> DiskMeasure:
@@ -132,9 +144,7 @@ class InnerFunctionRep:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        out = np.full(z.shape, self.rotation, dtype=np.complex128)
-        for a, m in self.zeros:
-            out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
+        out = _blaschke_values(self.zeros, self.rotation, z)
         for t, m in self.singular_atoms:
             zeta = np.exp(1j * t)
             out = out * np.exp(-m * (zeta + z) / (zeta - z))
@@ -143,9 +153,6 @@ class InnerFunctionRep:
     def log_abs(self, z):
         return log_abs_inner(self.zero_structure, z)
 
-    def singular_mass(self) -> float:
-        return math.fsum(m for _, m in self.singular_atoms)
-
 
 class FiniteBlaschke:
     """rot * prod ((z - a)/(1 - conj(a) z))^m, finitely many zeros."""
@@ -153,25 +160,8 @@ class FiniteBlaschke:
     __slots__ = ("zeros", "rotation", "_numden")
 
     def __init__(self, zeros=(), rotation=1.0 + 0j):
-        zs = []
-        for a, m in zeros:
-            a = complex(a)
-            m = int(m)
-            if abs(a) >= 1.0:
-                raise ValueError("zeros must lie strictly inside the disk")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
-            zs.append((a, m))
-        self.zeros = tuple(zs)
-        r = complex(rotation)
-        if abs(abs(r) - 1.0) > 1e-9:
-            raise ValueError("rotation must be unimodular")
-        self.rotation = r / abs(r)
+        self.zeros, self.rotation = _checked_zeros(zeros, rotation)
         self._numden = None
-
-    @classmethod
-    def from_zero_list(cls, zero_list, rotation=1.0 + 0j) -> "FiniteBlaschke":
-        return cls(cluster_roots(zero_list, radius=1e-7), rotation)
 
     @classmethod
     def monomial(cls, d: int) -> "FiniteBlaschke":
@@ -199,10 +189,7 @@ class FiniteBlaschke:
         return self._numden
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.full(z.shape, self.rotation, dtype=np.complex128)
-        for a, m in self.zeros:
-            out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
+        out = _blaschke_values(self.zeros, self.rotation, np.asarray(z, dtype=np.complex128))
         return complex(out) if out.ndim == 0 else out
 
     def deriv_poly(self):
@@ -219,10 +206,6 @@ class FiniteBlaschke:
     def log_abs(self, z):
         zs = DiskMeasure(interior=[(a, float(m)) for a, m in self.zeros])
         return log_abs_inner(zs, z)
-
-    def compose_mobius(self, x: complex, rotation=1.0 + 0j) -> "FiniteBlaschke":
-        """T_x o F as a finite Blaschke product (the Frostman shift)."""
-        return frostman_shift(self, x, rotation)
 
     def __repr__(self):
         return f"FiniteBlaschke(degree={self.degree})"
@@ -314,13 +297,18 @@ def jensen_entropy(f: FiniteBlaschke) -> float:
     return s_crit - s_zero
 
 
-def _doubling_circle_mean(fn, tol: float, cap: int = 1 << 20, start: int = 64):
-    """Trapezoid mean of a smooth periodic function with doubling control."""
-    n = start
+def doubling_circle_mean(fn, tol: float, cap: int, offset: float):
+    """Trapezoid mean of a smooth periodic function with doubling control.
+
+    Nodes sit at (k + offset) * 2pi/n; n doubles from 64 until two
+    successive means agree to `tol` relative twice in a row, and
+    QuadratureError is raised once n would exceed `cap`.
+    """
+    n = 64
     prev = None
     hits = 0
     while n <= cap:
-        theta = (np.arange(n) + 0.318) * (TAU / n)
+        theta = (np.arange(n) + offset) * (TAU / n)
         val = float(np.mean(fn(theta)))
         if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
             hits += 1
@@ -342,7 +330,7 @@ def circle_entropy_quadrature(f: FiniteBlaschke, tol: float = 1e-9, cap: int = 1
         z = np.exp(1j * theta)
         return np.log(np.abs(polyval(p, z))) - 2.0 * np.log(np.abs(polyval(den, z)))
 
-    return _doubling_circle_mean(fn, tol, cap)
+    return doubling_circle_mean(fn, tol, cap, 0.318)
 
 
 def nevanlinna_gap(
@@ -368,7 +356,7 @@ def nevanlinna_gap(
                 la = la - m * poisson(z, t)
             return la
 
-        return _doubling_circle_mean(fn, 1e-11)
+        return doubling_circle_mean(fn, 1e-11, 1 << 20, 0.318)
 
     vals = [avg(1.0 - 2.0 ** (-k)) for k in ladder]
     # A(r) = A_inf + c1 (1-r) + c2 (1-r)^2 + ...: two Richardson levels

@@ -1,18 +1,15 @@
-"""Hot numerical kernels, in numba and numpy flavours.
+"""Hot numerical kernels, vectorized with numpy.
 
-Every kernel has a vectorized numpy implementation `<name>_np` and a
-numba loop implementation `<name>_nb`; the public name binds to one of
-them according to backend.USING_NUMBA. The two flavours agree to float
-roundoff and are cross-checked in the test suite; benchmarks/bench_kernels.py
-compares their throughput.
+Each kernel broadcasts probe points against atoms and reduces over the
+atom axis, so the work is a few array operations per call. The test
+suite checks each against an independent reference: the pointwise
+potentials of `inner`, a direct sum, and a brute-force subset search.
 
 Conventions: probe points are complex128 arrays, atom locations either
 complex128 (interior) or float64 angles (boundary), masses float64.
 """
 
 import numpy as np
-
-from .backend import USING_NUMBA, njit
 
 TAU = 2.0 * np.pi
 
@@ -21,7 +18,7 @@ TAU = 2.0 * np.pi
 # Green potential sum:  out[p] = sum_k m[k] * G(z[p], a[k])
 # with G(z,a) = log|1 - z*conj(a)| - log|z - a|  (>= 0 on the disk).
 
-def green_sum_np(z, atoms, masses):
+def green_sum(z, atoms, masses):
     if atoms.size == 0:
         return np.zeros(z.shape, dtype=np.float64)
     zc = z[..., None]
@@ -32,28 +29,11 @@ def green_sum_np(z, atoms, masses):
     return g @ masses if g.ndim > 1 else float(np.dot(g, masses))
 
 
-@njit
-def green_sum_nb(z, atoms, masses):
-    out = np.zeros(z.shape, dtype=np.float64)
-    flat = out.ravel()
-    zf = z.ravel()
-    for p in range(zf.size):
-        acc = 0.0
-        zp = zf[p]
-        for k in range(atoms.size):
-            a = atoms[k]
-            num = abs(1.0 - zp * np.conj(a))
-            den = abs(zp - a)
-            acc += masses[k] * (np.log(num) - np.log(den))
-        flat[p] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Poisson kernel sum:  out[p] = sum_k m[k] * (1-|z|^2) / |zeta_k - z|^2
 # with zeta_k = exp(i*angle_k) on the unit circle.
 
-def poisson_sum_np(z, angles, masses):
+def poisson_sum(z, angles, masses):
     if angles.size == 0:
         return np.zeros(z.shape, dtype=np.float64)
     zeta = np.exp(1j * angles)
@@ -62,47 +42,16 @@ def poisson_sum_np(z, angles, masses):
     return k @ masses if k.ndim > 1 else float(np.dot(k, masses))
 
 
-@njit
-def poisson_sum_nb(z, angles, masses):
-    out = np.zeros(z.shape, dtype=np.float64)
-    flat = out.ravel()
-    zf = z.ravel()
-    for p in range(zf.size):
-        zp = zf[p]
-        w = 1.0 - (zp.real * zp.real + zp.imag * zp.imag)
-        acc = 0.0
-        for k in range(angles.size):
-            zeta = complex(np.cos(angles[k]), np.sin(angles[k]))
-            d = zeta - zp
-            acc += masses[k] * w / (d.real * d.real + d.imag * d.imag)
-        flat[p] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Outer-function exponent:  out[p] = sum_J m[J] * u[J] / (a[J] - z[p])
 # (complex; u[J] unimodular direction, a[J] anchor outside or on the circle).
 
-def outer_exponent_np(z, anchors, dirs, masses):
+def outer_exponent(z, anchors, dirs, masses):
     if anchors.size == 0:
         return np.zeros(z.shape, dtype=np.complex128)
     zc = z[..., None]
     terms = (dirs * masses) / (anchors - zc)
     return terms.sum(axis=-1)
-
-
-@njit
-def outer_exponent_nb(z, anchors, dirs, masses):
-    out = np.zeros(z.shape, dtype=np.complex128)
-    flat = out.ravel()
-    zf = z.ravel()
-    for p in range(zf.size):
-        acc = complex(0.0, 0.0)
-        zp = zf[p]
-        for k in range(anchors.size):
-            acc += dirs[k] * masses[k] / (anchors[k] - zp)
-        flat[p] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,39 +63,7 @@ def outer_exponent_nb(z, anchors, dirs, masses):
 ENTROPY_SLACK = 1e-12
 
 
-@njit
-def subset_entropy_scan_nb(angles, masses, budget):
-    n = angles.size
-    best_mass = 0.0
-    best_mask = 0
-    sel = np.empty(n, dtype=np.int64)
-    for mask in range(1, 1 << n):
-        cnt = 0
-        total = 0.0
-        for i in range(n):
-            if (mask >> i) & 1:
-                sel[cnt] = i
-                cnt += 1
-                total += masses[i]
-        if total <= best_mass:
-            continue
-        ent = 0.0
-        if cnt > 1:
-            for s in range(cnt):
-                i = sel[s]
-                j = sel[(s + 1) % cnt]
-                d = angles[j] - angles[i]
-                if d <= 0.0:
-                    d += TAU
-                ell = d / TAU
-                ent -= ell * np.log(ell)
-        if ent <= budget + ENTROPY_SLACK:
-            best_mass = total
-            best_mask = mask
-    return best_mass, best_mask
-
-
-def subset_entropy_scan_np(angles, masses, budget):
+def subset_entropy_scan(angles, masses, budget):
     n = angles.size
     nmask = 1 << n
     masks = np.arange(nmask, dtype=np.int64)
@@ -179,14 +96,3 @@ def subset_entropy_scan_np(angles, masses, budget):
         return 0.0, 0
     return float(total[best]), int(masks[best])
 
-
-if USING_NUMBA:
-    green_sum = green_sum_nb
-    poisson_sum = poisson_sum_nb
-    outer_exponent = outer_exponent_nb
-    subset_entropy_scan = subset_entropy_scan_nb
-else:
-    green_sum = green_sum_np
-    poisson_sum = poisson_sum_np
-    outer_exponent = outer_exponent_np
-    subset_entropy_scan = subset_entropy_scan_np

@@ -158,10 +158,6 @@ class OuterSpec:
         return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def eval_phi(spec: OuterSpec, z):
-    return spec(z)
-
-
 def decay_profile(spec: OuterSpec, orders=(1, 2, 3), n_side: int = 40):
     """sup over a near-E probe sweep of |Phi(z)| * dist(z, E)^(-N).
 

@@ -47,18 +47,24 @@ def test_criterion_06_subadditivity():
     _check(acceptance.criterion_06())
 
 
+@pytest.fixture(scope="module")
+def criterion_07_record():
+    """One criterion-07 run, shared by its strict-xfail and feasible-clause tests."""
+    return acceptance.criterion_07()
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="theta_n with n*theta*log(1/theta) = 10 has no solution for n in {8, 16} "
     "(the product is capped at n/e); the monotone clause over {8,16,32,64} is "
     "mathematically infeasible as stated - see the decisions ledger",
 )
-def test_criterion_07_diffuse_direction():
-    _check(acceptance.criterion_07())
+def test_criterion_07_diffuse_direction(criterion_07_record):
+    _check(criterion_07_record)
 
 
-def test_criterion_07_feasible_clauses():
-    rec = acceptance.criterion_07()
+def test_criterion_07_feasible_clauses(criterion_07_record):
+    rec = criterion_07_record
     details = "\n".join(rec["details"])
     print(details)
     assert "n=64 gaps" in details and ": True" in rec["details"][0]

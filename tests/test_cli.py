@@ -159,6 +159,24 @@ class TestRunCommand:
         assert payload["u_at_0"] < 0.0
         assert payload["deficiency"] == sorted(payload["deficiency"])
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "bergman-distance",
+             "params": {"generator": {"zeros": [{"position": [0.5]}]}}},
+            {"kind": "nearly-maximal",
+             "params": {"measure": {"interior": [{"position": [0.5], "mass": 1.0}]}}},
+        ],
+        ids=["zero", "interior-atom"],
+    )
+    def test_short_position_exits_1(self, workdir, config):
+        (workdir / "s.json").write_text(json.dumps(config))
+        res = run_cli(["run", "s.json", "--out", "o"], workdir)
+        assert res.returncode == 1
+        assert "validation error" in res.stderr
+        assert "position needs [re, im]" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestGceScenario:
     def test_dirichlet_scenario_grid_payload(self, workdir):

@@ -8,8 +8,10 @@ from innerlab import kernels
 from innerlab.inner import (
     FiniteBlaschke,
     InnerFunctionRep,
+    QuadratureError,
     circle_entropy_quadrature,
     critical_points,
+    doubling_circle_mean,
     frostman_shift,
     gamma,
     green,
@@ -45,19 +47,44 @@ class TestGreen:
         with pytest.raises(ValueError):
             green(0.3 + 0.1j, 0.3 + 0.1j)
 
-    def test_kernel_flavours_agree(self):
-        rng = np.random.default_rng(3)
-        z = rng.uniform(-0.7, 0.7, 50) + 1j * rng.uniform(-0.7, 0.7, 50)
+
+class TestKernels:
+    """Each potential kernel against a pointwise formula summed atom by atom."""
+
+    _xy = np.random.default_rng(3).uniform(-0.7, 0.7, (2, 50))
+    z = _xy[0] + 1j * _xy[1]
+
+    def test_green_sum_matches_green(self):
+        rng = np.random.default_rng(4)
         atoms = rng.uniform(-0.6, 0.6, 7) + 1j * rng.uniform(-0.6, 0.6, 7)
         masses = rng.uniform(0.1, 2.0, 7)
-        a = kernels.green_sum_np(z, atoms, masses)
-        b = kernels.green_sum_nb(z, atoms, masses)
-        assert np.allclose(a, b, atol=1e-13)
+        want = sum(m * green(self.z, a) for a, m in zip(atoms, masses))
+        assert np.allclose(kernels.green_sum(self.z, atoms, masses), want, rtol=0, atol=1e-13)
+        assert kernels.green_sum(self.z[0], atoms, masses) == pytest.approx(want[0], abs=1e-13)
+
+    def test_poisson_sum_matches_poisson(self):
+        rng = np.random.default_rng(5)
         angs = rng.uniform(0, TAU, 5)
-        m2 = rng.uniform(0.1, 2.0, 5)
-        assert np.allclose(
-            kernels.poisson_sum_np(z, angs, m2), kernels.poisson_sum_nb(z, angs, m2), atol=1e-13
-        )
+        masses = rng.uniform(0.1, 2.0, 5)
+        want = sum(m * poisson(self.z, t) for t, m in zip(angs, masses))
+        assert np.allclose(kernels.poisson_sum(self.z, angs, masses), want, rtol=0, atol=1e-13)
+
+    def test_outer_exponent_matches_direct_sum(self):
+        rng = np.random.default_rng(6)
+        dirs = np.exp(1j * rng.uniform(0, TAU, 6))
+        anchors = rng.uniform(1.0, 1.5, 6) * dirs
+        masses = rng.uniform(0.1, 2.0, 6)
+        got = kernels.outer_exponent(self.z, anchors, dirs, masses)
+        for zp, g in zip(self.z, got):
+            want = sum(m * u / (a - zp) for a, u, m in zip(anchors, dirs, masses))
+            assert abs(g - want) <= 1e-13 * (1.0 + abs(want))
+
+    def test_empty_atom_sets(self):
+        empty = np.array([])
+        assert np.array_equal(kernels.green_sum(self.z, empty.astype(complex), empty), np.zeros(50))
+        assert np.array_equal(kernels.poisson_sum(self.z, empty, empty), np.zeros(50))
+        out = kernels.outer_exponent(self.z, empty.astype(complex), empty.astype(complex), empty)
+        assert out.dtype == np.complex128 and not out.any()
 
 
 class TestHyperbolic:
@@ -259,6 +286,16 @@ class TestEntropy:
             jensen_entropy(FiniteBlaschke([(0.5, 1)]))
         with pytest.raises(ValueError):
             jensen_entropy(FiniteBlaschke.monomial(2))  # F'(0) = 0
+
+    def test_circle_mean_raises_when_unsettled(self):
+        # a level that depends on the node count (1, 2, 4, 1, 2 at n = 64..1024)
+        # never repeats between doublings, so the cap is reached
+        def noise(theta):
+            return np.full(theta.size, float(theta.size % 7))
+
+        with pytest.raises(QuadratureError, match="within 1024 nodes"):
+            doubling_circle_mean(noise, 1e-12, 1024, 0.318)
+        assert issubclass(QuadratureError, RuntimeError)
 
 
 class TestNevanlinnaGap:

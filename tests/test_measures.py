@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -107,17 +108,25 @@ class TestMaxStarMass:
         with pytest.raises(ValueError):
             max_star_mass(om, 1.0, mode="exact")
 
-    def test_kernel_flavours_agree(self):
+    def test_subset_scan_matches_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             k = int(rng.integers(1, 11))
             ang = np.sort(rng.uniform(0, TAU, k))
             mas = rng.uniform(0.1, 1.0, k)
             budget = float(rng.uniform(0.0, math.log(max(k, 2))))
-            got_nb = kernels.subset_entropy_scan_nb(ang, mas, budget)
-            got_np = kernels.subset_entropy_scan_np(ang, mas, budget)
-            assert got_nb[1] == got_np[1]
-            assert got_nb[0] == pytest.approx(got_np[0], abs=1e-12)
+            limit = budget + kernels.ENTROPY_SLACK
+            best = max(
+                math.fsum(mas[list(sub)])
+                for size in range(1, k + 1)
+                for sub in itertools.combinations(range(k), size)
+                if BCSet.from_points(ang[list(sub)]).entropy() <= limit
+            )
+            got_mass, got_mask = kernels.subset_entropy_scan(ang, mas, budget)
+            assert got_mass == pytest.approx(best, abs=1e-12)
+            chosen = [i for i in range(k) if (got_mask >> i) & 1]
+            assert got_mass == pytest.approx(math.fsum(mas[chosen]), abs=1e-12)
+            assert BCSet.from_points(ang[chosen]).entropy() <= limit
 
 
 class TestTheta:
