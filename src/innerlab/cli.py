@@ -7,6 +7,11 @@ floats) plus a JSON result with full metadata. Outputs are written
 atomically (temp + rename) and carry no timestamps, so identical runs
 are byte-identical.
 
+Each scenario kind is declared once, in SCENARIOS: its runner and its
+parameters, name -> (parser, default or REQUIRED). The parsers check
+JSON types and object keys; value ranges stay with the constructors that
+own them.
+
 Exit codes: 0 ok, 1 validation failure, 2 numerical failure.
 """
 
@@ -15,7 +20,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -24,7 +30,8 @@ from . import __version__
 from .backend import backend_name
 from .bc_sets import BCSet
 from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one
-from .gce import GceProblem, NewtonError, PolarGrid, diffuse_experiment, check_fund3, solve_dirichlet, u_max
+from .gce import NEWTON_TOL, GceProblem, NewtonError, PolarGrid, check_fund3, diffuse_experiment, nearly_maximal
+from .gce import solve_dirichlet, u_max
 from .inner import FiniteBlaschke, InnerFunctionRep, QuadratureError, circle_entropy_quadrature, jensen_entropy
 from .measures import DiskMeasure, ThetaUnsolvableError
 from .outer import OuterSpec
@@ -42,24 +49,126 @@ NUMERICAL_ERRORS = (
 
 
 class ScenarioError(ValueError):
-    """Schema or parameter validation failure (exit code 1)."""
+    """A scenario that does not match its kind's declared parameters (exit code 1)."""
 
 
-KINDS = (
-    "entropy",
-    "roberts",
-    "gce-dirichlet",
-    "nearly-maximal",
-    "diffuse-experiment",
-    "outer-eval",
-    "bergman-distance",
-    "fund3-check",
+# ---------------------------------------------------------------------------
+# parameter parsers: parser(value, where) returns the parsed value, where
+# being the JSON path used in error messages
+
+
+REQUIRED = object()  # default of a parameter the scenario must supply
+
+
+def _show(value) -> str:
+    return json.dumps(value)[:40]
+
+
+def _int(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {_show(value)}")
+    return value
+
+
+def _float(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{where} must be a finite number, got {_show(value)}")
+    return float(value)
+
+
+def _position(value, where) -> complex:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{where} needs [re, im], got {_show(value)}")
+    re, im = (_float(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return re + 1j * im
+
+
+def _list(item):
+    """Parser for a JSON list whose entries `item` parses."""
+
+    def parse(value, where):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where} must be a list, got {_show(value)}")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+    return parse
+
+
+def _choice(*options):
+    def parse(value, where):
+        if not isinstance(value, str) or value not in options:
+            raise ScenarioError(f"{where} must be one of {', '.join(options)}, got {_show(value)}")
+        return value
+
+    return parse
+
+
+def _object(fields, build=None):
+    """Parser for a JSON object with no keys beyond those of `fields`.
+
+    `fields` maps each key to (parser, default or REQUIRED). The parsed
+    values form a dict, or the keyword arguments of `build` if given.
+    """
+
+    def parse(value, where):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{where} must be an object, got {_show(value)}")
+        for key in value:
+            if key not in fields:
+                raise ScenarioError(
+                    f"{where} has unknown key {_show(key)} (expected {', '.join(fields)})"
+                )
+        out = {}
+        for key, (parser, default) in fields.items():
+            if key in value:
+                out[key] = parser(value[key], f"{where}.{key}")
+            elif default is REQUIRED:
+                raise ScenarioError(f"{where}.{key} is required")
+            else:
+                out[key] = default
+        return out if build is None else build(**out)
+
+    return parse
+
+
+def _values(**parsed) -> tuple:
+    return tuple(parsed.values())
+
+
+_POINT_ATOM = _object({"position": (_position, REQUIRED), "mass": (_float, REQUIRED)}, _values)
+_ARC_ATOM = _object({"angle": (_float, REQUIRED), "mass": (_float, REQUIRED)}, _values)
+_ZERO = _object({"position": (_position, REQUIRED), "multiplicity": (_int, 1)}, _values)
+_MEASURE = _object(
+    {"interior": (_list(_POINT_ATOM), ()), "boundary": (_list(_ARC_ATOM), ())}, DiskMeasure
+)
+_GENERATOR = _object(
+    {"zeros": (_list(_ZERO), ()), "singular_atoms": (_list(_ARC_ATOM), ())}, InnerFunctionRep
+)
+_CIRCLE_SET = _object({"points": (_list(_float), REQUIRED)}, lambda points: BCSet.from_points(points))
+_GCE_BOUNDARY = _object({"kind": (_choice("maximal", "constant"), "maximal"), "value": (_float, None)})
+_LADDER = (_list(_int), (2, 3, 4, 5, 6))
+
+
+def _kind(value, where):
+    if not isinstance(value, str) or value not in SCENARIOS:
+        raise ScenarioError(f"unknown kind {_show(value)} (expected one of {', '.join(SCENARIOS)})")
+    return value
+
+
+def _subpath(value, where):
+    if not isinstance(value, str) or os.path.isabs(value) or ".." in value:
+        raise ScenarioError(f"{where} must be a relative subpath, got {_show(value)}")
+    return value
+
+
+_SCENARIO = _object(
+    {"kind": (_kind, REQUIRED), "params": (lambda value, where: value, {}), "output": (_subpath, "")}
 )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: kind, structured parameters, output subpath, hash."""
+    """A validated scenario: kind, parsed parameters, output subpath, hash."""
 
     kind: str
     params: dict
@@ -68,32 +177,9 @@ class Scenario:
 
     @classmethod
     def from_config(cls, config) -> "Scenario":
-        if not isinstance(config, dict):
-            raise ScenarioError("scenario root must be a JSON object")
-        kind = _field(config, "kind", str, "scenario")
-        if kind not in KINDS:
-            raise ScenarioError(
-                f"scenario: unknown kind '{kind}' (expected one of {', '.join(KINDS)})"
-            )
-        params = config.get("params", {})
-        if not isinstance(params, dict):
-            raise ScenarioError("scenario: params must be an object")
-        output = config.get("output", "")
-        if not isinstance(output, str) or os.path.isabs(output) or ".." in output:
-            raise ScenarioError("scenario: output must be a relative subpath")
-        return cls(kind, params, output, _scenario_hash(config))
-
-
-@dataclass
-class ResultTable:
-    """Column schema + numeric rows + run metadata, serialized as CSV."""
-
-    header: list
-    rows: list
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        return _csv_text(self.header, self.rows, self.meta)
+        root = _SCENARIO(config, "scenario")
+        params = _object(SCENARIOS[root["kind"]].params)(root["params"], "params")
+        return cls(root["kind"], params, root["output"], _scenario_hash(config))
 
 
 # ---------------------------------------------------------------------------
@@ -127,61 +213,11 @@ def _csv_text(header, rows, meta: dict) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _field(cfg: dict, name: str, kind, where: str):
-    if name not in cfg:
-        raise ScenarioError(f"{where}: missing field '{name}'")
-    val = cfg[name]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ScenarioError(
-            f"{where}: field '{name}' must be {getattr(kind, '__name__', kind)}"
-        )
-    return val
-
-
-def _position(atom: dict, where: str) -> complex:
-    pos = _field(atom, "position", list, where)
-    if len(pos) != 2 or not all(isinstance(x, (int, float)) for x in pos):
-        raise ScenarioError(f"{where}: position needs [re, im]")
-    return pos[0] + 1j * pos[1]
-
-
-def _parse_measure(cfg: dict, where: str) -> DiskMeasure:
-    if not isinstance(cfg, dict):
-        raise ScenarioError(f"{where}: measure must be an object")
-    interior, boundary = [], []
-    for i, atom in enumerate(cfg.get("interior", [])):
-        at = f"{where}.interior[{i}]"
-        interior.append((_position(atom, at), _field(atom, "mass", float, at)))
-    for i, atom in enumerate(cfg.get("boundary", [])):
-        boundary.append(
-            (
-                _field(atom, "angle", float, f"{where}.boundary[{i}]"),
-                _field(atom, "mass", float, f"{where}.boundary[{i}]"),
-            )
-        )
+    """Strict JSON; a non-finite value is a numerical failure."""
     try:
-        return DiskMeasure(interior, boundary)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _parse_rep(cfg: dict, where: str) -> InnerFunctionRep:
-    zeros = []
-    for i, z in enumerate(cfg.get("zeros", [])):
-        zeros.append((_position(z, f"{where}.zeros[{i}]"), int(z.get("multiplicity", 1))))
-    atoms = [
-        (_field(a, "angle", float, f"{where}.singular[{i}]"), _field(a, "mass", float, f"{where}.singular[{i}]"))
-        for i, a in enumerate(cfg.get("singular_atoms", []))
-    ]
-    try:
-        return InnerFunctionRep(zeros, atoms)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise FloatingPointError(f"result is not finite: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +242,11 @@ def _entropy_rows(degree: int, seed: int, count: int):
     return rows
 
 
-def _run_entropy(params, meta):
-    degree = int(params.get("degree", 6))
-    seed = int(params.get("seed", 0))
-    count = int(params.get("count", 20))
-    if degree < 2 or count < 1:
-        raise ScenarioError("entropy: need degree >= 2 and count >= 1")
-    rows = _entropy_rows(degree, seed, count)
-    csv = ResultTable(
-        ["degree", "formula_entropy", "quadrature_entropy", "abs_diff"], rows, meta
-    ).to_csv()
+def _run_entropy(p, meta):
+    if p["degree"] < 2 or p["count"] < 1:
+        raise ValueError("need degree >= 2 and count >= 1")
+    rows = _entropy_rows(p["degree"], p["seed"], p["count"])
+    csv = _csv_text(["degree", "formula_entropy", "quadrature_entropy", "abs_diff"], rows, meta)
     return {"entropy.csv": csv}, {"rows": len(rows)}
 
 
@@ -228,18 +259,14 @@ def _measure_payload(m: DiskMeasure):
     }
 
 
-def _run_roberts(params, meta):
-    om = _parse_measure(_field(params, "measure", dict, "roberts"), "roberts.measure")
-    p = RobertsParams(
-        c=float(params.get("c", 1.0)),
-        n2=int(params.get("n2", 16)),
-        max_generation=int(params.get("generations", 3)),
-    )
-    d = decompose(om, p)
-    rep = verify(d, om, p)
+def _run_roberts(p, meta):
+    om = p["measure"]
+    rp = RobertsParams(c=p["c"], n2=p["n2"], max_generation=p["generations"])
+    d = decompose(om, rp)
+    rep = verify(d, om, rp)
     star_loc, cone_loc = local_entropy_bounds(d)
     payload = {
-        "params": {"c": p.c, "n2": p.n2, "generations": p.max_generation},
+        "params": {"c": rp.c, "n2": rp.n2, "generations": rp.max_generation},
         "layers": [
             {"generation": j, "mass": m.blaschke_mass(), "measure": _measure_payload(m)}
             for j, m in d.layers
@@ -247,57 +274,34 @@ def _run_roberts(params, meta):
         "cone": {"mass": d.cone.blaschke_mass(), "measure": _measure_payload(d.cone)},
         "cone_set_entropy": d.cone_set.entropy(),
         "local_entropies": {"star_core": star_loc, "cone": cone_loc},
-        "verify": {"ok": rep.ok, "failures": rep.failures, "metrics": rep.metrics},
-        "audit": [
-            {
-                "generation": a.generation,
-                "arc_index": a.arc_index,
-                "column_mass": a.column_mass,
-                "classification": a.classification,
-                "action": a.action,
-                "moved_to_layer": a.moved_to_layer,
-                "moved_to_cone": a.moved_to_cone,
-            }
-            for a in d.audit
-        ],
+        "verify": asdict(rep),
+        "audit": [asdict(a) for a in d.audit],
     }
     rows = [(j, m.blaschke_mass()) for j, m in d.layers]
     rows.append(("cone", d.cone.blaschke_mass()))
-    csv = ResultTable(
-        ["component", "mass"], rows, meta
-    ).to_csv()
+    csv = _csv_text(["component", "mass"], rows, meta)
     return {"roberts.json": _json_text(payload), "roberts.csv": csv}, {
         "verify_ok": rep.ok
     }
 
 
-def _run_gce_dirichlet(params, meta):
-    radius = float(params.get("radius", 0.9))
-    n_r = int(params.get("n_r", 64))
-    n_theta = int(params.get("n_theta", 128))
-    grid = PolarGrid(radius, n_r, n_theta)
-    bnd = params.get("boundary", {"kind": "maximal"})
-    kind = bnd.get("kind", "maximal")
-    if kind == "maximal":
-        h = u_max(radius * np.exp(1j * grid.theta))
-    elif kind == "constant":
-        h = np.full(n_theta, _field(bnd, "value", float, "gce-dirichlet.boundary"))
+def _run_gce_dirichlet(p, meta):
+    grid = PolarGrid(p["radius"], p["n_r"], p["n_theta"])
+    bnd = p["boundary"]
+    if bnd["kind"] == "maximal":
+        h = u_max(p["radius"] * np.exp(1j * grid.theta))
+    elif bnd["value"] is None:
+        raise ScenarioError("params.boundary.value is required when its kind is constant")
     else:
-        raise ScenarioError("gce-dirichlet: boundary.kind must be 'maximal' or 'constant'")
-    atoms = tuple(
-        (a, m)
-        for a, m in _parse_measure(
-            {"interior": params.get("atoms", [])}, "gce-dirichlet"
-        ).interior
-    )
+        h = np.full(grid.n_theta, bnd["value"])
+    atoms = DiskMeasure(p["atoms"]).interior
     gf, info = solve_dirichlet(GceProblem(grid, atoms, h))
     center, rings = gf.total_nodes()
     rows = [(float(r), float(np.mean(vals))) for r, vals in zip(grid.rho, rings)]
-    csv = ResultTable(
-        ["radius", "mean_u"], rows, meta
-    ).to_csv()
+    csv = _csv_text(["radius", "mean_u"], rows, meta)
     payload = {
-        "center": center,
+        # u is -infinity at an atom on the center node
+        "center": center if math.isfinite(center) else None,
         "newton_iters": info["newton_iters"],
         "residual": info["residual"],
         "radial_means": rows,
@@ -311,22 +315,12 @@ def _run_gce_dirichlet(params, meta):
     return {"gce.csv": csv, "gce.json": _json_text(payload)}, info
 
 
-def _run_nearly_maximal(params, meta):
-    from .gce import nearly_maximal
-
-    om = _parse_measure(_field(params, "measure", dict, "nearly-maximal"), "nearly-maximal.measure")
-    ladder = tuple(params.get("ladder", [2, 3, 4, 5, 6]))
+def _run_nearly_maximal(p, meta):
     res = nearly_maximal(
-        om,
-        ladder=ladder,
-        n_r=int(params.get("n_r", 64)),
-        n_theta=int(params.get("n_theta", 128)),
-        stop_tol=float(params.get("stop_tol", 0.0)),
+        p["measure"], ladder=p["ladder"], n_r=p["n_r"], n_theta=p["n_theta"], stop_tol=p["stop_tol"]
     )
     rows = list(zip([float(r) for r in res.ladder_radii], res.deficiency))
-    csv = ResultTable(
-        ["radius", "deficiency"], rows, meta
-    ).to_csv()
+    csv = _csv_text(["radius", "deficiency"], rows, meta)
     payload = {
         "u_at_0": float(res(0j, extrapolate=False)),
         "increments": res.increments,
@@ -336,81 +330,70 @@ def _run_nearly_maximal(params, meta):
     return {"nearly_maximal.csv": csv, "nearly_maximal.json": _json_text(payload)}, {}
 
 
-def _run_diffuse(params, meta):
-    ns = [int(n) for n in _field(params, "n", list, "diffuse-experiment")]
-    ms = [float(m) for m in _field(params, "M", list, "diffuse-experiment")]
-    rows = diffuse_experiment(
-        ns,
-        ms,
-        ladder=tuple(params.get("ladder", [2, 3, 4, 5, 6])),
-        n_r=int(params.get("n_r", 64)),
-        n_theta=int(params.get("n_theta", 192)),
-    )
-    csv = ResultTable(
-        ["n", "M", "theta_n", "u_at_0", "u_D_gap", "status"], rows, meta
-    ).to_csv()
+def _run_diffuse(p, meta):
+    rows = diffuse_experiment(p["n"], p["M"], ladder=p["ladder"], n_r=p["n_r"], n_theta=p["n_theta"])
+    csv = _csv_text(["n", "M", "theta_n", "u_at_0", "u_D_gap", "status"], rows, meta)
     return {"diffuse.csv": csv}, {"rows": len(rows)}
 
 
-def _run_outer(params, meta):
-    angles = _field(params, "set", dict, "outer-eval").get("points")
-    if not angles:
-        raise ScenarioError("outer-eval: set.points must be a nonempty angle list")
-    e = BCSet.from_points([float(a) for a in angles])
-    spec = OuterSpec(e, int(params.get("depth", 20)))
-    pts = params.get("points") or [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
-    z = np.array([p[0] + 1j * p[1] for p in pts])
+def _run_outer(p, meta):
+    spec = OuterSpec(p["set"], p["depth"])
+    z = np.array(p["points"], dtype=np.complex128)
     vals = spec(z)
     rows = [
-        (float(p.real), float(p.imag), float(abs(v)), float(spec.log_abs(p)))
-        for p, v in zip(z, vals)
+        (float(q.real), float(q.imag), float(abs(v)), float(spec.log_abs(q)))
+        for q, v in zip(z, vals)
     ]
-    csv = ResultTable(
-        ["re", "im", "abs_phi", "log_abs_phi"], rows, meta
-    ).to_csv()
+    csv = _csv_text(["re", "im", "abs_phi", "log_abs_phi"], rows, meta)
     return {"outer.csv": csv}, {"tail_mass": spec.tail_mass_total}
 
 
-def _run_bergman_distance(params, meta):
-    gen = _parse_rep(_field(params, "generator", dict, "bergman-distance"), "bergman-distance.generator")
-    m = int(params.get("m", 20))
-    spec = BergmanSpaceSpec(
-        alpha=float(params.get("alpha", 0.0)),
-        n_r=int(params.get("n_r", 200)),
-        n_theta=int(params.get("n_theta", 512)),
-    )
-    dist, rep = distance_to_one(SubspaceProbe(gen, m), spec)
+def _run_bergman_distance(p, meta):
+    spec = BergmanSpaceSpec(alpha=p["alpha"], n_r=p["n_r"], n_theta=p["n_theta"])
+    dist, rep = distance_to_one(SubspaceProbe(p["generator"], p["m"]), spec)
     rows = [(cap, val) for cap, val in rep["trend"]]
-    csv = ResultTable(
-        ["degree_cap", "distance"], rows, meta
-    ).to_csv()
+    csv = _csv_text(["degree_cap", "distance"], rows, meta)
     payload = {"distance": dist, "regularized": rep["regularized"], "trend": rows}
     return {"bergman.csv": csv, "bergman.json": _json_text(payload)}, {}
 
 
-def _run_fund3(params, meta):
-    om1 = _parse_measure(_field(params, "measure1", dict, "fund3-check"), "fund3-check.measure1")
-    om2 = _parse_measure(_field(params, "measure2", dict, "fund3-check"), "fund3-check.measure2")
+def _run_fund3(p, meta):
     rep = check_fund3(
-        om1,
-        om2,
-        ladder=tuple(params.get("ladder", [2, 3, 4, 5, 6])),
-        n_r=int(params.get("n_r", 48)),
-        n_theta=int(params.get("n_theta", 96)),
+        p["measure1"], p["measure2"], ladder=p["ladder"], n_r=p["n_r"], n_theta=p["n_theta"]
     )
     payload = {"sup_difference": rep["sup_difference"]}
     return {"fund3.json": _json_text(payload)}, payload
 
 
-RUNNERS = {
-    "entropy": _run_entropy,
-    "roberts": _run_roberts,
-    "gce-dirichlet": _run_gce_dirichlet,
-    "nearly-maximal": _run_nearly_maximal,
-    "diffuse-experiment": _run_diffuse,
-    "outer-eval": _run_outer,
-    "bergman-distance": _run_bergman_distance,
-    "fund3-check": _run_fund3,
+class Kind(NamedTuple):
+    """A scenario kind: its runner and its parameters, name -> (parser, default or REQUIRED)."""
+
+    runner: Callable
+    params: dict
+
+
+SCENARIOS = {
+    "entropy": Kind(_run_entropy, {"degree": (_int, 6), "seed": (_int, 0), "count": (_int, 20)}),
+    "roberts": Kind(_run_roberts, {
+        "measure": (_MEASURE, REQUIRED), "c": (_float, 1.0), "n2": (_int, 16), "generations": (_int, 3)}),
+    "gce-dirichlet": Kind(_run_gce_dirichlet, {
+        "radius": (_float, 0.9), "n_r": (_int, 64), "n_theta": (_int, 128),
+        "boundary": (_GCE_BOUNDARY, {"kind": "maximal", "value": None}), "atoms": (_list(_POINT_ATOM), ())}),
+    "nearly-maximal": Kind(_run_nearly_maximal, {
+        "measure": (_MEASURE, REQUIRED), "ladder": _LADDER, "n_r": (_int, 64), "n_theta": (_int, 128),
+        "stop_tol": (_float, 0.0)}),
+    "diffuse-experiment": Kind(_run_diffuse, {
+        "n": (_list(_int), REQUIRED), "M": (_list(_float), REQUIRED), "ladder": _LADDER,
+        "n_r": (_int, 64), "n_theta": (_int, 192)}),
+    "outer-eval": Kind(_run_outer, {
+        "set": (_CIRCLE_SET, REQUIRED), "depth": (_int, 20),
+        "points": (_list(_position), (0j, 0.5 + 0j, 0.5j))}),
+    "bergman-distance": Kind(_run_bergman_distance, {
+        "generator": (_GENERATOR, REQUIRED), "m": (_int, 20), "alpha": (_float, 0.0),
+        "n_r": (_int, 200), "n_theta": (_int, 512)}),
+    "fund3-check": Kind(_run_fund3, {
+        "measure1": (_MEASURE, REQUIRED), "measure2": (_MEASURE, REQUIRED), "ladder": _LADDER,
+        "n_r": (_int, 48), "n_theta": (_int, 96)}),
 }
 
 
@@ -421,13 +404,13 @@ def run_scenario(config: dict, out_dir: str) -> dict:
         "backend": backend_name(),
         "scenario_hash": scenario.digest,
         "kind": scenario.kind,
-        "newton_tol": "1e-10",
+        "newton_tol": f"{NEWTON_TOL:g}",
         "mass_tol": "1e-12",
     }
+    files, info = SCENARIOS[scenario.kind].runner(scenario.params, meta)
     if scenario.output:
         out_dir = os.path.join(out_dir, scenario.output)
     os.makedirs(out_dir, exist_ok=True)
-    files, info = RUNNERS[scenario.kind](scenario.params, meta)
     written = []
     for name, text in sorted(files.items()):
         path = os.path.join(out_dir, name)
@@ -451,22 +434,34 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ScenarioError(f"{path}: JSON nested too deeply") from exc
+
+
+def _label(config) -> str:
+    """The scenario's kind for error messages, or 'scenario' when it has none."""
+    kind = config.get("kind") if isinstance(config, dict) else None
+    return kind if isinstance(kind, str) and kind in SCENARIOS else "scenario"
 
 
 def _run_and_report(build_config, out_dir: str):
     """Run the scenario `build_config()` returns and print the written paths.
 
-    Validation failures exit 1 and numerical failures exit 2, each with a
-    one-line message on stderr.
+    A numerical failure exits 2. Every other ValueError the package raises
+    is an input check and exits 1. Each prints a one-line message on
+    stderr. The numerical clause comes first because ThetaUnsolvableError
+    is a ValueError.
     """
+    config = None
     try:
-        result = run_scenario(build_config(), out_dir)
-    except ScenarioError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(1)
+        config = build_config()
+        result = run_scenario(config, out_dir)
     except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
+    except ValueError as exc:
+        click.echo(f"validation error: {_label(config)}: {exc}", err=True)
+        sys.exit(1)
     for path in result["written"]:
         click.echo(path)
 
@@ -497,10 +492,14 @@ def selftest():
         sys.exit(1)
 
 
+def _default(kind: str, name: str):
+    return SCENARIOS[kind].params[name][1]
+
+
 @main.command()
-@click.option("--degree", type=int, default=6, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=20, show_default=True)
+@click.option("--degree", type=int, default=_default("entropy", "degree"), show_default=True)
+@click.option("--seed", type=int, default=_default("entropy", "seed"), show_default=True)
+@click.option("--count", type=int, default=_default("entropy", "count"), show_default=True)
 @click.option("--out", "out_dir", default=".", show_default=True)
 def entropy(degree, seed, count, out_dir):
     """Entropy formula vs quadrature table for seeded Blaschke products."""
@@ -512,9 +511,9 @@ def entropy(degree, seed, count, out_dir):
 
 @main.command()
 @click.option("--measure", "measure_file", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--c", "c_par", type=float, default=1.0, show_default=True)
-@click.option("--n2", type=int, default=16, show_default=True)
-@click.option("--gens", type=int, default=3, show_default=True)
+@click.option("--c", "c_par", type=float, default=_default("roberts", "c"), show_default=True)
+@click.option("--n2", type=int, default=_default("roberts", "n2"), show_default=True)
+@click.option("--gens", type=int, default=_default("roberts", "generations"), show_default=True)
 @click.option("--out", "out_dir", default=".", show_default=True)
 def roberts(measure_file, c_par, n2, gens, out_dir):
     """Decompose a measure file and write the audit."""

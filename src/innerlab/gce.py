@@ -25,6 +25,9 @@ from . import kernels
 from .measures import DiskMeasure, diffuse_family
 
 TAU = 2.0 * math.pi
+NEWTON_TOL = 1e-10  # scaled residual at which the Newton iteration stops
+NEWTON_MAX_ITER = 60
+SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
 
 
 class NewtonError(RuntimeError):
@@ -329,7 +332,7 @@ class GceProblem:
         return b
 
 
-def _newton_solve(grid, q, w_bc, w0, tol=1e-10, max_iter=60):
+def _newton_solve(grid, q, w_bc, w0):
     L, B = grid.operators()
     bc = B @ w_bc
     absL, abs_bc = abs(L), np.abs(B) @ np.abs(w_bc)
@@ -345,9 +348,9 @@ def _newton_solve(grid, q, w_bc, w0, tol=1e-10, max_iter=60):
         return float(np.max(np.abs(rv) / rs))
 
     r = residual(w)
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         err = scaled_err(w, r)
-        if err <= tol:
+        if err <= NEWTON_TOL:
             return w, {"newton_iters": it, "residual": err}
         J = L - sp.diags(8.0 * q * np.exp(2.0 * np.minimum(w, 150.0)))
         delta = splu(J.tocsc()).solve(-r)
@@ -361,18 +364,18 @@ def _newton_solve(grid, q, w_bc, w0, tol=1e-10, max_iter=60):
                 break
             lam *= 0.5
         if not ok:
-            if scaled_err(w, r) <= 50.0 * tol:
+            if scaled_err(w, r) <= 50.0 * NEWTON_TOL:
                 return w, {"newton_iters": it, "residual": scaled_err(w, r)}
             raise NewtonError(f"line search stalled at iteration {it}")
         w, r = w_new, r_new
-    raise NewtonError(f"no convergence in {max_iter} Newton steps (residual {err:.3g})")
+    raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} Newton steps (residual {err:.3g})")
 
 
-def solve_dirichlet(problem: GceProblem, tol: float = 1e-10):
+def solve_dirichlet(problem: GceProblem):
     """Unique solution of the curvature equation with Dirichlet data.
 
     Returns (GridFunction carrying the atoms, info dict). The discrete
-    residual of the smooth system is driven below `tol` relative to
+    residual of the smooth system is driven below NEWTON_TOL relative to
     1 + |source| at every interior node.
     """
     grid = problem.grid
@@ -394,7 +397,7 @@ def solve_dirichlet(problem: GceProblem, tol: float = 1e-10):
         raise ValueError("an atom sits on a boundary node")
     w0_field = harmonic_extension(w_bc, grid)
     w0 = np.concatenate([[w0_field.center], w0_field.rings[:-1].ravel()])
-    w, info = _newton_solve(grid, q, w_bc, w0, tol=tol)
+    w, info = _newton_solve(grid, q, w_bc, w0)
     rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), w_bc])
     info["flagged_nodes"] = int(np.sum(flagged))
     return GridFunction(grid, w[0], rings, atoms), info
@@ -427,8 +430,6 @@ def perron_hull_r(
     n_r: int = 64,
     n_theta: int = 128,
     check_subsolution: bool = True,
-    sub_tol: float = 0.05,
-    tol: float = 1e-10,
 ):
     """Minimal solution on D_r dominating the subsolution, matching it on dD_r.
 
@@ -445,9 +446,8 @@ def perron_hull_r(
 
     if check_subsolution:
         h_nodal = np.asarray(sub(r * np.exp(1j * grid.theta)), dtype=np.float64)
-        _check_discrete_subsolution(sub, grid, atoms, h_nodal, sub_tol)
-    gf, info = solve_dirichlet(problem, tol=tol)
-    return gf, info
+        _check_discrete_subsolution(sub, grid, atoms, h_nodal)
+    return solve_dirichlet(problem)
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -470,7 +470,7 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
-def _check_discrete_subsolution(sub, grid, inside_atoms, h, sub_tol):
+def _check_discrete_subsolution(sub, grid, inside_atoms, h):
     nodes = grid.ring_nodes()
     interior = np.concatenate([[0j], nodes[:-1].ravel()])
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -487,9 +487,9 @@ def _check_discrete_subsolution(sub, grid, inside_atoms, h, sub_tol):
     resid = L @ w_sub + B @ w_bc - src
     viol = np.where(good, -resid / (1.0 + src), 0.0)
     worst = float(np.max(viol))
-    if worst > sub_tol:
+    if worst > SUBSOLUTION_TOL:
         raise SubsolutionError(
-            f"discrete subsolution check violated by {worst:.3g} (tol {sub_tol})"
+            f"discrete subsolution check violated by {worst:.3g} (tol {SUBSOLUTION_TOL})"
         )
 
 
@@ -528,7 +528,6 @@ def nearly_maximal(
     n_r: int = 96,
     n_theta: int = 192,
     stop_tol: float = 1e-4,
-    tol: float = 1e-10,
 ) -> NearlyMaximalResult:
     """Solution with boundary deficiency mu and singularity nu-tilde.
 
@@ -536,6 +535,8 @@ def nearly_maximal(
     stopping early once the probe increment drops below stop_tol, and
     extrapolates geometrically when the increments contract cleanly.
     """
+    if not ladder:
+        raise ValueError("need at least one ladder rung")
     b_ang = np.array([t for t, _ in omega.boundary])
     b_mas = np.array([m for _, m in omega.boundary])
 
@@ -549,7 +550,7 @@ def nearly_maximal(
     # resolution of the data's boundary kernels
     sub = AnalyticField(smooth_part, atoms=omega.interior)
     final, previous, radii, increments, ratio = _ladder_hulls(
-        sub, omega.interior, ladder, n_r, n_theta, stop_tol, tol, check_first=False
+        sub, omega.interior, ladder, n_r, n_theta, stop_tol
     )
     deficiency = []
     for r in radii:
@@ -558,16 +559,14 @@ def nearly_maximal(
     return NearlyMaximalResult(final, previous, radii, increments, deficiency, ratio)
 
 
-def _ladder_hulls(sub, atoms, ladder, n_r, n_theta, stop_tol, tol, check_first=False):
+def _ladder_hulls(sub, atoms, ladder, n_r, n_theta, stop_tol):
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
     hulls, increments, radii = [], [], []
     prev_vals = None
-    for idx, k in enumerate(ladder):
+    for k in ladder:
         r = 1.0 - 2.0 ** (-k)
-        gf, _ = perron_hull_r(
-            sub, atoms, r, n_r, n_theta, check_subsolution=(check_first and idx == 0), tol=tol
-        )
+        gf, _ = perron_hull_r(sub, atoms, r, n_r, n_theta, check_subsolution=False)
         vals = gf(probes)
         hulls.append(gf)
         radii.append(r)
@@ -711,7 +710,7 @@ def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder=(2, 3, 4, 5, 6), n_r=
     # the composite subsolution lives on u1's disk: run rungs up to there,
     # and extrapolate both routes with their own measured contraction
     rhs_final, rhs_prev, _, rhs_inc, rhs_ratio = _ladder_hulls(
-        sub2, atoms_rhs, ladder[:-1], n_r, n_theta, stop_tol=0.0, tol=1e-10
+        sub2, atoms_rhs, ladder[:-1], n_r, n_theta, stop_tol=0.0
     )
     rhs = NearlyMaximalResult(rhs_final, rhs_prev, [], rhs_inc, [], rhs_ratio)
     probes = _probe_points(r_max=0.8)

@@ -1,13 +1,25 @@
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from conftest import child_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from innerlab import cli
 
 RUN = [sys.executable, "-m", "innerlab.cli"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"output JSON holds {token}")
 
 
 def run_cli(args, cwd):
@@ -192,7 +204,8 @@ class TestGceScenario:
         (workdir / "s.json").write_text(json.dumps(config))
         res = run_cli(["run", "s.json", "--out", "o"], workdir)
         assert res.returncode == 0, res.stderr
-        payload = json.loads((workdir / "o" / "gce.json").read_text())
+        payload = json.loads((workdir / "o" / "gce.json").read_text(), parse_constant=_reject_constant)
+        assert payload["center"] is None  # u is -infinity at the atom on the center node
         assert len(payload["grid"]["values"]) == 16
         assert len(payload["grid"]["values"][0]) == 32
         assert payload["residual"] < 1e-9
@@ -217,3 +230,191 @@ def test_scenario_output_escapes_rejected(tmp_path):
     assert res.returncode == 1
     assert "validation error" in res.stderr
     assert "output" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed scenarios, run in process
+
+
+def run_in_process(config, out):
+    """`innerlab run` on `config` in this process; returns the click result."""
+    path = out.parent / f"{out.name}.json"
+    path.write_text(json.dumps(config))
+    return CliRunner().invoke(cli.main, ["run", str(path), "--out", str(out)])
+
+
+def assert_rejected(result, out):
+    assert result.exit_code == 1, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.stderr.startswith("validation error:"), result.stderr
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+MALFORMED = {
+    "n_r-string": ("gce-dirichlet", {"n_r": "abc"}),
+    "boundary-string": ("gce-dirichlet", {"boundary": "maximal"}),
+    "n_r-below-8": ("gce-dirichlet", {"n_r": 4}),
+    "radius-above-1": ("gce-dirichlet", {"radius": 1.5}),
+    "atom-on-boundary-node": (
+        "gce-dirichlet",
+        {"radius": 0.9, "n_r": 8, "n_theta": 8, "atoms": [{"position": [0.9, 0.0], "mass": 1.0}]},
+    ),
+    "constant-boundary-without-value": ("gce-dirichlet", {"boundary": {"kind": "constant"}}),
+    "n2-not-power-of-2": ("roberts", {"measure": {}, "n2": 6}),
+    "unknown-param": ("entropy", {"degre": 6}),
+    "bool-int": ("entropy", {"degree": True}),
+    "string-int": ("entropy", {"count": "3"}),
+    "float-int": ("entropy", {"count": 8.0}),
+    "multiplicity-string": (
+        "bergman-distance",
+        {"generator": {"zeros": [{"position": [0.5, 0.0], "multiplicity": "two"}]}},
+    ),
+    "atom-not-object": ("nearly-maximal", {"measure": {"interior": [5]}}),
+    "unknown-atom-key": (
+        "nearly-maximal",
+        {"measure": {"interior": [{"position": [0.1, 0.0], "mass": 1.0, "weight": 2}]}},
+    ),
+    "empty-ladder": ("nearly-maximal", {"measure": {}, "ladder": []}),
+    "ladder-not-list": ("nearly-maximal", {"measure": {}, "ladder": 5}),
+    "short-outer-point": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "points": [[0.5]]}),
+    "set-point-string": ("outer-eval", {"set": {"points": ["a"]}}),
+    "depth-0": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "depth": 0}),
+    "M-string": ("diffuse-experiment", {"n": [8], "M": ["x"]}),
+    "m-above-60": ("bergman-distance", {"generator": {}, "m": 100}),
+    "alpha-below-minus-1": ("bergman-distance", {"generator": {}, "alpha": -2}),
+    "fund3-one-rung": ("fund3-check", {"measure1": {}, "measure2": {}, "ladder": [2]}),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"kind": kind, "params": params} for kind, params in MALFORMED.values()]
+    + [{"kind": "entropy", "params": {}, "extra": 1}],
+    ids=list(MALFORMED) + ["unknown-top-level-key"],
+)
+def test_malformed_scenario_exits_1(tmp_path, config):
+    out = tmp_path / "o"
+    assert_rejected(run_in_process(config, out), out)
+
+
+def test_deeply_nested_json_exits_1(tmp_path):
+    (tmp_path / "s.json").write_text("[" * 100_000)
+    out = tmp_path / "o"
+    assert_rejected(CliRunner().invoke(cli.main, ["run", str(tmp_path / "s.json"), "--out", str(out)]), out)
+
+
+# one small valid scenario per kind; the fuzz test below breaks each in one place
+SMALL = {
+    "entropy": {"degree": 3, "seed": 1, "count": 2},
+    "roberts": {
+        "measure": {"interior": [{"position": [0.5, 0.3], "mass": 0.8}],
+                    "boundary": [{"angle": 1.0, "mass": 0.5}]},
+        "c": 1.0, "n2": 16, "generations": 3,
+    },
+    "gce-dirichlet": {
+        "radius": 0.9, "n_r": 8, "n_theta": 8, "boundary": {"kind": "constant", "value": 0.5},
+        "atoms": [{"position": [0.1, 0.2], "mass": 1.0}],
+    },
+    "nearly-maximal": {
+        "measure": {"boundary": [{"angle": 0.0, "mass": 1.0}]},
+        "ladder": [2, 3], "n_r": 8, "n_theta": 8, "stop_tol": 0.0,
+    },
+    "diffuse-experiment": {"n": [8], "M": [10.0], "ladder": [2, 3], "n_r": 8, "n_theta": 8},
+    "outer-eval": {"set": {"points": [0.0, 3.0]}, "depth": 3, "points": [[0.1, 0.2]]},
+    "bergman-distance": {
+        "generator": {"zeros": [{"position": [0.5, 0.0], "multiplicity": 1}],
+                      "singular_atoms": [{"angle": 1.0, "mass": 0.5}]},
+        "m": 4, "alpha": 0.0, "n_r": 16, "n_theta": 32,
+    },
+    "fund3-check": {
+        "measure1": {"interior": [{"position": [0.1, 0.0], "mass": 0.5}]},
+        "measure2": {"boundary": [{"angle": 1.0, "mass": 0.2}]},
+        "ladder": [2, 3, 4], "n_r": 8, "n_theta": 8,
+    },
+}
+
+# (name of the enclosing key, key) of every required key in SMALL
+REQUIRED_KEYS = {
+    ("", "kind"),
+    ("params", "measure"), ("params", "measure1"), ("params", "measure2"),
+    ("params", "n"), ("params", "M"), ("params", "set"), ("params", "generator"),
+    ("set", "points"), ("boundary", "value"),
+    ("interior", "position"), ("interior", "mass"), ("atoms", "position"), ("atoms", "mass"),
+    ("zeros", "position"), ("boundary", "angle"), ("boundary", "mass"),
+    ("singular_atoms", "angle"), ("singular_atoms", "mass"),
+}
+
+# one JSON value of each type; a value is only replaced by one of another type
+OTHER_TYPES = {"bool": True, "number": 1.5, "null": None, "string": "x", "list": [], "object": {}}
+
+
+def json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "list", dict: "object"}[type(value)]
+
+
+def small_scenario(kind):
+    return {"kind": kind, "params": copy.deepcopy(SMALL[kind]), "output": "sub"}
+
+
+def mutations(node, path=(), name=""):
+    """Every single-place change of `node` that no scenario kind accepts."""
+    out = []
+    if isinstance(node, dict):
+        out.append(("add", path, "bogus"))
+        for key, child in node.items():
+            if (name, key) in REQUIRED_KEYS:
+                out.append(("drop", path, key))
+            out += [("set", path + (key,), v) for t, v in OTHER_TYPES.items() if t != json_type(child)]
+            out += mutations(child, path + (key,), key)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            out += [("set", path + (i,), v) for t, v in OTHER_TYPES.items() if t != json_type(child)]
+            out += mutations(child, path + (i,), name)
+    return out
+
+
+def mutated(config, mutation):
+    op, path, arg = mutation
+    config = copy.deepcopy(config)
+    parent = config
+    for step in path[:-1] if op == "set" else path:
+        parent = parent[step]
+    if op == "add":
+        parent[arg] = 0
+    elif op == "drop":
+        del parent[arg]
+    else:
+        parent[path[-1]] = copy.deepcopy(arg)
+    return config
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_small_scenarios_run(tmp_path, kind):
+    result = run_in_process(small_scenario(kind), tmp_path / "o")
+    assert result.exit_code == 0, result.output
+    assert os.listdir(tmp_path / "o" / "sub")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzz_one_mutation_exits_1(data):
+    config = small_scenario(data.draw(st.sampled_from(sorted(SMALL)), label="kind"))
+    config = mutated(config, data.draw(st.sampled_from(mutations(config)), label="mutation"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        assert_rejected(run_in_process(config, out), out)
+
+
+def test_readme_lists_every_parameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {ln.split("|")[1].strip(): ln for ln in section.splitlines() if ln.startswith("| `")}
+    assert sorted(rows) == sorted(f"`{kind}`" for kind in cli.SCENARIOS)
+    for kind, spec in cli.SCENARIOS.items():
+        for name in spec.params:
+            assert f"`{name}`" in rows[f"`{kind}`"], (kind, name)
