@@ -405,17 +405,19 @@ def run_scenario(config: dict, out_dir: str) -> dict:
         "scenario_hash": scenario.digest,
         "kind": scenario.kind,
         "newton_tol": f"{NEWTON_TOL:g}",
-        "mass_tol": "1e-12",
     }
     files, info = SCENARIOS[scenario.kind].runner(scenario.params, meta)
     if scenario.output:
         out_dir = os.path.join(out_dir, scenario.output)
-    os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name, text in sorted(files.items()):
-        path = os.path.join(out_dir, name)
-        _write_atomic(path, text)
-        written.append(path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in sorted(files.items()):
+            path = os.path.join(out_dir, name)
+            _write_atomic(path, text)
+            written.append(path)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output: {exc}") from exc
     return {"written": written, "info": info}
 
 

@@ -71,6 +71,14 @@ class PolarGrid:
         """Complex nodes, shape (n_r, n_theta); row i-1 is ring i."""
         return self.rho[:, None] * np.exp(1j * self.theta)[None, :]
 
+    def rim_nodes(self) -> np.ndarray:
+        """Complex nodes of the boundary ring, where the data is prescribed."""
+        return self.radius * np.exp(1j * self.theta)
+
+    def interior_nodes(self) -> np.ndarray:
+        """Complex nodes of the unknowns: the center, then rings 1..n_r-1."""
+        return np.concatenate([[0j], self.ring_nodes()[:-1].ravel()])
+
     def interior_count(self) -> int:
         return 1 + (self.n_r - 1) * self.n_theta
 
@@ -86,60 +94,42 @@ class PolarGrid:
 
 
 def _assemble_laplacian(grid: PolarGrid):
+    """Five-point polar Laplacian, assembled from per-ring coefficients."""
     n_r, n_t = grid.n_r, grid.n_theta
     rho = grid.rho
     dth2 = (TAU / n_t) ** 2
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []
+    # rings 1..n_r-1 carry unknowns; ring 1's inner neighbour is the center
+    r = rho[:-1]
+    hm, hp = r - np.concatenate([[0.0], rho[:-2]]), rho[1:] - r
+    # nonuniform 3-point second derivative + first derivative
+    c_m = 2.0 / (hm * (hm + hp))
+    c_p = 2.0 / (hp * (hm + hp))
+    c_0 = -2.0 / (hm * hp)
+    d_m = -hp / (hm * (hm + hp))
+    d_p = hm / (hp * (hm + hp))
+    d_0 = (hp - hm) / (hm * hp)
+    a_m = c_m + d_m / r
+    a_p = c_p + d_p / r
+    a_0 = c_0 + d_0 / r - 2.0 / (r * r * dth2)
+    a_t = 1.0 / (r * r * dth2)
 
-    def idx(i, j):  # ring i (1..n_r-1), angle j
-        return 1 + (i - 1) * n_t + (j % n_t)
-
-    # center row: mean over the first ring
-    c = 4.0 / rho[0] ** 2
-    rows.append(0), cols.append(0), vals.append(-c)
-    for j in range(n_t):
-        rows.append(0), cols.append(idx(1, j)), vals.append(c / n_t)
-
-    j_all = np.arange(n_t)
-    for i in range(1, n_r):
-        r = rho[i - 1]
-        r_m = 0.0 if i == 1 else rho[i - 2]
-        r_p = rho[i]
-        hm, hp = r - r_m, r_p - r
-        # nonuniform 3-point second derivative + first derivative
-        c_m = 2.0 / (hm * (hm + hp))
-        c_p = 2.0 / (hp * (hm + hp))
-        c_0 = -2.0 / (hm * hp)
-        d_m = -hp / (hm * (hm + hp))
-        d_p = hm / (hp * (hm + hp))
-        d_0 = (hp - hm) / (hm * hp)
-        a_m = c_m + d_m / r
-        a_p = c_p + d_p / r
-        a_0 = c_0 + d_0 / r - 2.0 / (r * r * dth2)
-        a_t = 1.0 / (r * r * dth2)
-        me = idx(i, j_all)
-        rows.extend(me), cols.extend(me), vals.extend(np.full(n_t, a_0))
-        rows.extend(me), cols.extend(idx(i, j_all + 1)), vals.extend(np.full(n_t, a_t))
-        rows.extend(me), cols.extend(idx(i, j_all - 1)), vals.extend(np.full(n_t, a_t))
-        if i == 1:
-            rows.extend(me), cols.extend(np.zeros(n_t, dtype=int)), vals.extend(
-                np.full(n_t, a_m)
-            )
-        else:
-            rows.extend(me), cols.extend(idx(i - 1, j_all)), vals.extend(
-                np.full(n_t, a_m)
-            )
-        if i == n_r - 1:
-            brows.extend(me), bcols.extend(j_all), bvals.extend(np.full(n_t, a_p))
-        else:
-            rows.extend(me), cols.extend(idx(i + 1, j_all)), vals.extend(
-                np.full(n_t, a_p)
-            )
-
+    j = np.arange(n_t)
+    me = 1 + np.arange((n_r - 1) * n_t).reshape(n_r - 1, n_t)  # unknown index of (ring, angle)
+    below = np.vstack([np.zeros((1, n_t), dtype=me.dtype), me[:-1]])
+    arms = [  # (rows, columns, per-ring coefficient); the last ring's outer arm is B
+        (me, me, a_0),
+        (me, me[:, (j + 1) % n_t], a_t),
+        (me, me[:, (j - 1) % n_t], a_t),
+        (me, below, a_m),
+        (me[:-1], me[1:], a_p[:-1]),
+    ]
+    c = 4.0 / rho[0] ** 2  # center row: mean over the first ring
+    rows = np.concatenate([np.zeros(1 + n_t, dtype=me.dtype)] + [rw.ravel() for rw, _, _ in arms])
+    cols = np.concatenate([[0], me[0]] + [cl.ravel() for _, cl, _ in arms])
+    vals = np.concatenate([[-c], np.full(n_t, c / n_t)] + [np.repeat(a, n_t) for _, _, a in arms])
     n = grid.interior_count()
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    B = sp.csr_matrix((bvals, (brows, bcols)), shape=(n, n_t))
+    B = sp.csr_matrix((np.full(n_t, a_p[-1]), (me[-1], j)), shape=(n, n_t))
     return L, B
 
 
@@ -195,8 +185,9 @@ class GridFunction(_SplitField):
             s_r = _singular_part(self.atoms, self.grid.ring_nodes())
         return self.center - s_c, self.rings - s_r
 
-    def boundary_values(self):
-        return self.rings[-1]
+    def interior_values(self) -> np.ndarray:
+        """Values at PolarGrid.interior_nodes(): the center, then rings 1..n_r-1."""
+        return np.concatenate([[self.center], self.rings[:-1].ravel()])
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -250,18 +241,23 @@ def maximal_field() -> AnalyticField:
 # linear pieces
 
 
+def _boundary_samples(h, grid: PolarGrid) -> np.ndarray:
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (grid.n_theta,):
+        raise ValueError("boundary data must sample every grid angle")
+    return h
+
+
 def harmonic_extension(h, grid: PolarGrid) -> GridFunction:
     """Poisson extension of boundary samples via modal decay.
 
-    h: array of n_theta samples or callable(theta). The extension is the
-    exact harmonic function matching the trigonometric interpolant of the
-    samples: mode m decays like (rho/R)^|m|. Constants and harmonic
-    polynomials extend exactly; for smooth data the discrete maximum
-    principle min h <= P_h <= max h holds to interpolation accuracy.
+    h: array of n_theta samples. The extension is the exact harmonic
+    function matching the trigonometric interpolant of the samples: mode m
+    decays like (rho/R)^|m|. Constants and harmonic polynomials extend
+    exactly; for smooth data the discrete maximum principle
+    min h <= P_h <= max h holds to interpolation accuracy.
     """
-    h = np.asarray(h(grid.theta) if callable(h) else h, dtype=np.float64)
-    if h.shape != (grid.n_theta,):
-        raise ValueError("boundary data must sample every grid angle")
+    h = _boundary_samples(h, grid)
     R = grid.radius
     fh = np.fft.rfft(h)
     m = np.arange(fh.size)
@@ -281,17 +277,14 @@ def green_potential(atoms, grid: PolarGrid):
     for a, _ in atoms:
         if abs(a) >= grid.radius:
             raise ValueError("atoms must lie strictly inside the grid disk")
-    nodes = grid.ring_nodes()
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = _singular_part(atoms, nodes) / TAU
+        vals = _singular_part(atoms, grid.ring_nodes()) / TAU
         center = float(_singular_part(atoms, np.array([0j]))[0]) / TAU
     flagged = int(np.sum(~np.isfinite(vals)))
     gf = GridFunction(grid, center, vals)
     # discrete Laplacian residual away from the atoms
-    L, B = grid.operators()
-    w = np.concatenate([[gf.center], vals[:-1].ravel()])
-    resid = L @ w + B @ vals[-1]
-    pos = np.concatenate([[0j], nodes[:-1].ravel()])
+    resid = _SmoothSystem(grid, (), vals[-1]).laplacian(gf.interior_values())
+    pos = grid.interior_nodes()
     dist = np.full(pos.shape, np.inf)
     for a, _ in atoms:
         dist = np.minimum(dist, np.abs(pos - a))
@@ -319,53 +312,75 @@ class GceProblem:
     """
 
     grid: PolarGrid
-    atoms: tuple = ()  # (a, mt) pairs with |a| < 1
-    boundary: object = 0.0  # callable(theta) or array of n_theta values
-
-    def boundary_values(self):
-        b = self.boundary
-        if callable(b):
-            return np.asarray(b(self.grid.theta), dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 0:
-            return np.full(self.grid.n_theta, float(b))
-        return b
+    atoms: tuple  # (a, mt) pairs with |a| < 1
+    boundary: np.ndarray  # h at the n_theta rim nodes
 
 
-def _newton_solve(grid, q, w_bc, w0):
-    L, B = grid.operators()
-    bc = B @ w_bc
-    absL, abs_bc = abs(L), np.abs(B) @ np.abs(w_bc)
-    w = w0.copy()
+class _SmoothSystem:
+    """The discrete smooth system Delta_h w = 4 q e^{2w} on a grid.
 
-    def residual(wv):
-        return L @ wv + bc - 4.0 * q * np.exp(2.0 * np.clip(wv, -np.inf, 150.0))
+    With u = w - s and s the atoms' singular part, q = e^{-2s} on the
+    interior nodes and w = w_bc on the rim. A node sitting on an atom is
+    flagged and gets q = 0: w stays smooth there.
+    """
 
-    def scaled_err(wv, rv):
-        # backward-stable scale: the residual floor is eps * |L||w| anyway
-        src = 4.0 * q * np.exp(2.0 * np.minimum(wv, 150.0))
-        rs = absL @ np.abs(wv) + abs_bc + src + 1.0
-        return float(np.max(np.abs(rv) / rs))
+    def __init__(self, grid: PolarGrid, atoms, w_bc):
+        self.L, self.B = grid.operators()
+        self.abs_L = abs(self.L)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.s = _singular_part(atoms, grid.interior_nodes())
+            self.q = np.exp(-2.0 * self.s)
+        self.flagged = ~np.isfinite(self.s)
+        self.q[self.flagged] = 0.0
+        self.w_bc = w_bc
+        self.bc = self.B @ w_bc
+        self.abs_bc = np.abs(self.B) @ np.abs(w_bc)
 
-    r = residual(w)
+    @classmethod
+    def with_data(cls, grid: PolarGrid, atoms, h) -> "_SmoothSystem":
+        """The system for u = h on the rim, so w_bc = h + s there."""
+        w_bc = _boundary_samples(h, grid) + _singular_part(atoms, grid.rim_nodes())
+        if not np.all(np.isfinite(w_bc)):
+            raise ValueError("an atom sits on a boundary node")
+        return cls(grid, atoms, w_bc)
+
+    def source(self, w):
+        return 4.0 * self.q * np.exp(2.0 * np.minimum(w, 150.0))
+
+    def laplacian(self, w):
+        return self.L @ w + self.bc
+
+    def residual(self, w):
+        return self.laplacian(w) - self.source(w)
+
+    def scaled_error(self, w, r) -> float:
+        """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1:
+        backward stable, as the residual floor is eps * |L||w| anyway."""
+        scale = self.abs_L @ np.abs(w) + self.abs_bc + self.source(w) + 1.0
+        return float(np.max(np.abs(r) / scale))
+
+
+def _newton_solve(system: _SmoothSystem, w):
+    """Damped Newton iteration on the smooth system from the interior values w."""
+    r = system.residual(w)
     for it in range(NEWTON_MAX_ITER):
-        err = scaled_err(w, r)
+        err = system.scaled_error(w, r)
         if err <= NEWTON_TOL:
             return w, {"newton_iters": it, "residual": err}
-        J = L - sp.diags(8.0 * q * np.exp(2.0 * np.minimum(w, 150.0)))
+        J = system.L - sp.diags(2.0 * system.source(w))
         delta = splu(J.tocsc()).solve(-r)
         lam, ok = 1.0, False
         nr0 = float(np.linalg.norm(r))
         for _ in range(40):
             w_new = w + lam * delta
-            r_new = residual(w_new)
+            r_new = system.residual(w_new)
             if float(np.linalg.norm(r_new)) <= (1.0 - 1e-4 * lam) * nr0:
                 ok = True
                 break
             lam *= 0.5
         if not ok:
-            if scaled_err(w, r) <= 50.0 * NEWTON_TOL:
-                return w, {"newton_iters": it, "residual": scaled_err(w, r)}
+            if err <= 50.0 * NEWTON_TOL:
+                return w, {"newton_iters": it, "residual": err}
             raise NewtonError(f"line search stalled at iteration {it}")
         w, r = w_new, r_new
     raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} Newton steps (residual {err:.3g})")
@@ -383,40 +398,19 @@ def solve_dirichlet(problem: GceProblem):
     for a, _ in atoms:
         if abs(a) >= 1.0:
             raise ValueError("atoms must lie strictly inside the unit disk")
-    nodes = grid.ring_nodes()
-    interior = np.concatenate([[0j], nodes[:-1].ravel()])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s_int = _singular_part(atoms, interior)
-        q = np.exp(-2.0 * s_int)
-    flagged = ~np.isfinite(s_int)  # node exactly on an atom; w stays smooth there
-    q[flagged] = 0.0
-
-    h = problem.boundary_values()
-    w_bc = h + _singular_part(atoms, grid.radius * np.exp(1j * grid.theta))
-    if not np.all(np.isfinite(w_bc)):
-        raise ValueError("an atom sits on a boundary node")
-    w0_field = harmonic_extension(w_bc, grid)
-    w0 = np.concatenate([[w0_field.center], w0_field.rings[:-1].ravel()])
-    w, info = _newton_solve(grid, q, w_bc, w0)
-    rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), w_bc])
-    info["flagged_nodes"] = int(np.sum(flagged))
+    system = _SmoothSystem.with_data(grid, atoms, problem.boundary)
+    w0 = harmonic_extension(system.w_bc, grid).interior_values()
+    w, info = _newton_solve(system, w0)
+    rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), system.w_bc])
+    info["flagged_nodes"] = int(np.sum(system.flagged))
     return GridFunction(grid, w[0], rings, atoms), info
 
 
 def pde_residual(gf: GridFunction) -> float:
     """Backward-stable sup residual of the smooth system for a solved field."""
-    grid = gf.grid
-    L, B = grid.operators()
-    nodes = grid.ring_nodes()
-    interior = np.concatenate([[0j], nodes[:-1].ravel()])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.exp(-2.0 * _singular_part(gf.atoms, interior))
-    q[~np.isfinite(q)] = 0.0
-    w = np.concatenate([[gf.center], gf.rings[:-1].ravel()])
-    src = 4.0 * q * np.exp(2.0 * w)
-    r = L @ w + B @ gf.rings[-1] - src
-    rs = abs(L) @ np.abs(w) + np.abs(B) @ np.abs(gf.rings[-1]) + src + 1.0
-    return float(np.max(np.abs(r) / rs))
+    system = _SmoothSystem(gf.grid, gf.atoms, gf.rings[-1])
+    w = gf.interior_values()
+    return system.scaled_error(w, system.residual(w))
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +434,11 @@ def perron_hull_r(
     an analytic subsolution guarantee may pass check_subsolution=False.
     """
     grid = PolarGrid(r, n_r, n_theta)
-    atoms = [(complex(a), float(m)) for a, m in nu_atoms]
+    atoms = tuple((complex(a), float(m)) for a, m in nu_atoms)
     h = _cell_averaged_boundary(sub, grid)
-    problem = GceProblem(grid, tuple(atoms), h)
-
     if check_subsolution:
-        h_nodal = np.asarray(sub(r * np.exp(1j * grid.theta)), dtype=np.float64)
-        _check_discrete_subsolution(sub, grid, atoms, h_nodal)
-    return solve_dirichlet(problem)
+        _check_discrete_subsolution(sub, grid, atoms)
+    return solve_dirichlet(GceProblem(grid, atoms, h))
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -470,22 +461,16 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
-def _check_discrete_subsolution(sub, grid, inside_atoms, h):
-    nodes = grid.ring_nodes()
-    interior = np.concatenate([[0j], nodes[:-1].ravel()])
+def _check_discrete_subsolution(sub, grid, atoms):
+    """Raise SubsolutionError where Delta_h sub falls below 4 e^{2 sub} by
+    more than SUBSOLUTION_TOL, relative to 1 + the source, with sub's nodal
+    values as the rim data."""
+    system = _SmoothSystem.with_data(grid, atoms, sub(grid.rim_nodes()))
     with np.errstate(invalid="ignore", divide="ignore"):
-        s_in = _singular_part(inside_atoms, interior)
-        u_tot = np.concatenate([[float(sub(0j))], np.asarray(sub(nodes[:-1].ravel()))])
-        w_sub = u_tot + s_in
+        w_sub = np.asarray(sub(grid.interior_nodes())) + system.s
     good = np.isfinite(w_sub)
     w_sub = np.where(good, w_sub, 0.0)
-    q = np.exp(-2.0 * s_in)
-    q[~np.isfinite(q)] = 0.0
-    L, B = grid.operators()
-    w_bc = h + _singular_part(inside_atoms, grid.radius * np.exp(1j * grid.theta))
-    src = 4.0 * q * np.exp(2.0 * np.minimum(w_sub, 150.0))
-    resid = L @ w_sub + B @ w_bc - src
-    viol = np.where(good, -resid / (1.0 + src), 0.0)
+    viol = np.where(good, -system.residual(w_sub) / (1.0 + system.source(w_sub)), 0.0)
     worst = float(np.max(viol))
     if worst > SUBSOLUTION_TOL:
         raise SubsolutionError(
@@ -522,6 +507,21 @@ def _probe_points(r_max: float = 0.8, n_ang: int = 48):
     return (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
 
 
+def _plus_log_inner(u, omega: DiskMeasure) -> AnalyticField:
+    """The field u + log|I_omega|: omega's interior atoms join u's atoms,
+    merged as in a measure sum, and the Poisson sum of its boundary atoms
+    comes off u's smooth part."""
+    b_ang = np.array([t for t, _ in omega.boundary])
+    b_mas = np.array([m for _, m in omega.boundary])
+
+    def smooth(z):
+        z = np.ascontiguousarray(z)
+        pois = kernels.poisson_sum(np.atleast_1d(z), b_ang, b_mas).reshape(z.shape)
+        return np.asarray(u.smooth(z)) - pois
+
+    return AnalyticField(smooth, atoms=(DiskMeasure(u.atoms) + omega).interior)
+
+
 def nearly_maximal(
     omega: DiskMeasure,
     ladder=(2, 3, 4, 5, 6, 7),
@@ -537,36 +537,26 @@ def nearly_maximal(
     """
     if not ladder:
         raise ValueError("need at least one ladder rung")
-    b_ang = np.array([t for t, _ in omega.boundary])
-    b_mas = np.array([m for _, m in omega.boundary])
-
-    def smooth_part(z):
-        z = np.ascontiguousarray(z)
-        return u_max(z) - kernels.poisson_sum(np.atleast_1d(z), b_ang, b_mas).reshape(z.shape)
-
     # u_D + log|I_omega| is a subsolution identically (the curvature of the
     # maximal metric dominates after multiplying by |I| <= 1), so the ladder
     # skips the discrete check, which would only re-measure its own
     # resolution of the data's boundary kernels
-    sub = AnalyticField(smooth_part, atoms=omega.interior)
-    final, previous, radii, increments, ratio = _ladder_hulls(
-        sub, omega.interior, ladder, n_r, n_theta, stop_tol
-    )
-    deficiency = []
-    for r in radii:
+    res = _ladder_hulls(_plus_log_inner(maximal_field(), omega), ladder, n_r, n_theta, stop_tol)
+    for r in res.ladder_radii:
         ring = (r - 1e-12) * np.exp(1j * np.linspace(0, TAU, 256, endpoint=False))
-        deficiency.append(float(np.mean(u_max(ring) - final(ring))))
-    return NearlyMaximalResult(final, previous, radii, increments, deficiency, ratio)
+        res.deficiency.append(float(np.mean(u_max(ring) - res.solution(ring))))
+    return res
 
 
-def _ladder_hulls(sub, atoms, ladder, n_r, n_theta, stop_tol):
+def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
+    """Hulls of `sub` along the ladder; the result's deficiency is left empty."""
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
     hulls, increments, radii = [], [], []
     prev_vals = None
     for k in ladder:
         r = 1.0 - 2.0 ** (-k)
-        gf, _ = perron_hull_r(sub, atoms, r, n_r, n_theta, check_subsolution=False)
+        gf, _ = perron_hull_r(sub, sub.atoms, r, n_r, n_theta, check_subsolution=False)
         vals = gf(probes)
         hulls.append(gf)
         radii.append(r)
@@ -586,9 +576,8 @@ def _ladder_hulls(sub, atoms, ladder, n_r, n_theta, stop_tol):
         q = float(np.median(tail))
         if 0.05 <= q <= 0.85 and max(tail) / min(tail) <= 1.25:
             ratio = q
-    final = hulls[-1]
     previous = hulls[-2] if len(hulls) >= 2 else None
-    return final, previous, radii, increments, ratio
+    return NearlyMaximalResult(hulls[-1], previous, radii, increments, [], ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +681,17 @@ def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder=(2, 3, 4, 5, 6), n_r=
     over |z| <= 0.8 measures the identity, not the solver reproducing
     itself.
     """
-    if len(ladder) < 2:
-        raise ValueError("need at least two ladder rungs")
+    # the right side's last hull has radius 1 - 2^-k for the second-to-last
+    # rung k, and it is probed out to |z| = 0.8
+    if len(ladder) < 2 or 1.0 - 2.0 ** -ladder[-2] < 0.8:
+        raise ValueError(
+            "need at least two ladder rungs, the second-to-last with 1 - 2^-k >= 0.8 (k >= 3)"
+        )
     lhs = nearly_maximal(om1 + om2, ladder=ladder, n_r=n_r, n_theta=n_theta)
     u1 = nearly_maximal(om1, ladder=ladder, n_r=n_r, n_theta=n_theta)
-
-    b_ang = np.array([t for t, _ in om2.boundary])
-    b_mas = np.array([m for _, m in om2.boundary])
-    atoms_rhs = (om1 + om2).interior
-
-    def smooth_part(z):
-        z = np.ascontiguousarray(z)
-        pois = kernels.poisson_sum(np.atleast_1d(z), b_ang, b_mas).reshape(z.shape)
-        return np.asarray(u1.solution.smooth(z)) - pois
-
-    sub2 = AnalyticField(smooth_part, atoms=atoms_rhs)
     # the composite subsolution lives on u1's disk: run rungs up to there,
     # and extrapolate both routes with their own measured contraction
-    rhs_final, rhs_prev, _, rhs_inc, rhs_ratio = _ladder_hulls(
-        sub2, atoms_rhs, ladder[:-1], n_r, n_theta, stop_tol=0.0
-    )
-    rhs = NearlyMaximalResult(rhs_final, rhs_prev, [], rhs_inc, [], rhs_ratio)
+    rhs = _ladder_hulls(_plus_log_inner(u1.solution, om2), ladder[:-1], n_r, n_theta, stop_tol=0.0)
     probes = _probe_points(r_max=0.8)
     lhs_val = lhs(probes, extrapolate=True)
     rhs_val = rhs(probes, extrapolate=True)

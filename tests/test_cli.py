@@ -13,7 +13,7 @@ from conftest import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerlab import cli
+from innerlab import cli, gce
 
 RUN = [sys.executable, "-m", "innerlab.cli"]
 
@@ -40,7 +40,9 @@ class TestEntropyCommand:
         path = workdir / "o" / "entropy.csv"
         text = path.read_text()
         assert text.startswith("#")
-        assert "scenario_hash" in text
+        meta = dict(ln[2:].split(" = ", 1) for ln in text.splitlines() if ln.startswith("#"))
+        assert sorted(meta) == ["backend", "innerlab_version", "kind", "newton_tol", "scenario_hash"]
+        assert meta["newton_tol"] == f"{gce.NEWTON_TOL:g}"
         header = [ln for ln in text.splitlines() if not ln.startswith("#")][0]
         assert header == "degree,formula_entropy,quadrature_entropy,abs_diff"
         rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
@@ -232,6 +234,19 @@ def test_scenario_output_escapes_rejected(tmp_path):
     assert "output" in res.stderr
 
 
+@pytest.mark.parametrize("output,out", [(None, "f"), ("f/sub", ".")], ids=["out-is-file", "output-under-file"])
+def test_unwritable_output_exits_1(tmp_path, output, out):
+    (tmp_path / "f").write_text("")
+    config = {"kind": "entropy", "params": {"degree": 3, "seed": 1, "count": 2}}
+    if output is not None:
+        config["output"] = output
+    (tmp_path / "s.json").write_text(json.dumps(config))
+    res = run_cli(["run", "s.json", "--out", out], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: entropy: cannot write output:"), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # malformed scenarios, run in process
 
@@ -284,6 +299,7 @@ MALFORMED = {
     "m-above-60": ("bergman-distance", {"generator": {}, "m": 100}),
     "alpha-below-minus-1": ("bergman-distance", {"generator": {}, "alpha": -2}),
     "fund3-one-rung": ("fund3-check", {"measure1": {}, "measure2": {}, "ladder": [2]}),
+    "fund3-short-right-route": ("fund3-check", {"measure1": {}, "measure2": {}, "ladder": [2, 3]}),
 }
 
 

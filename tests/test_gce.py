@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from innerlab import gce
 from innerlab.gce import (
     AnalyticField,
     GceProblem,
@@ -35,6 +37,77 @@ def monomial_pullback(d):
             return np.log(d * np.abs(z) ** (d - 1) / (1.0 - np.abs(z) ** (2 * d)))
 
     return fn
+
+
+def loop_laplacian(grid):
+    """Reference (L, B): the five-point polar Laplacian assembled node by node."""
+    n_r, n_t, rho = grid.n_r, grid.n_theta, grid.rho
+    dth2 = (TAU / n_t) ** 2
+    entries, rim = {}, {}
+
+    def idx(i, j):  # ring i (1..n_r-1), angle j
+        return 1 + (i - 1) * n_t + j % n_t
+
+    c = 4.0 / rho[0] ** 2
+    entries[0, 0] = -c
+    for j in range(n_t):
+        entries[0, idx(1, j)] = c / n_t
+    for i in range(1, n_r):
+        r, r_m, r_p = rho[i - 1], (0.0 if i == 1 else rho[i - 2]), rho[i]
+        hm, hp = r - r_m, r_p - r
+        a_m = 2.0 / (hm * (hm + hp)) + (-hp / (hm * (hm + hp))) / r
+        a_p = 2.0 / (hp * (hm + hp)) + (hm / (hp * (hm + hp))) / r
+        a_0 = -2.0 / (hm * hp) + ((hp - hm) / (hm * hp)) / r - 2.0 / (r * r * dth2)
+        a_t = 1.0 / (r * r * dth2)
+        for j in range(n_t):
+            me = idx(i, j)
+            entries[me, me] = a_0
+            entries[me, idx(i, j + 1)] = a_t
+            entries[me, idx(i, j - 1)] = a_t
+            entries[me, 0 if i == 1 else idx(i - 1, j)] = a_m
+            if i == n_r - 1:
+                rim[me, j] = a_p
+            else:
+                entries[me, idx(i + 1, j)] = a_p
+
+    def csr(d, n_cols):
+        rows, cols = zip(*d)
+        return sp.csr_matrix((list(d.values()), (rows, cols)), shape=(grid.interior_count(), n_cols))
+
+    return csr(entries, grid.interior_count()), csr(rim, n_t)
+
+
+class TestOperators:
+    @pytest.mark.parametrize(
+        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
+    )
+    def test_equals_node_by_node_assembly(self, radius, n_r, n_theta):
+        grid = PolarGrid(radius, n_r, n_theta)
+        for got, want in zip(grid.operators(), loop_laplacian(grid)):
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
+    )
+    def test_discrete_symbol(self, radius, n_r, n_theta, m):
+        # u = rho^2 e^{i m theta}: the nonuniform three-point radial
+        # differences are exact on rho^2 (radial part 2 + 2 = 4), the angular
+        # second difference has symbol (2 cos(m dth) - 2) / dth^2, and the
+        # center row is 4 / rho_1^2 times (ring-1 mean - center value)
+        grid = PolarGrid(radius, n_r, n_theta)
+        L, B = grid.operators()
+        dth = TAU / n_theta
+        mode = np.exp(1j * m * grid.theta)
+        u = grid.rho[:, None] ** 2 * mode[None, :]
+        u_int, u_rim = np.concatenate([[0j], u[:-1].ravel()]), u[-1]
+        ring_target = (4.0 + (2.0 * math.cos(m * dth) - 2.0) / dth**2) * mode
+        target = np.concatenate([[4.0 if m == 0 else 0.0], np.tile(ring_target, n_r - 1)])
+        r = L @ u_int + B @ u_rim - target
+        scale = abs(L) @ np.abs(u_int) + abs(B) @ np.abs(u_rim) + np.abs(target)
+        assert float(np.max(np.abs(r) / scale)) <= 1e-13
 
 
 class TestHarmonicExtension:
@@ -94,6 +167,11 @@ class TestGreenPotential:
 
 
 class TestDirichlet:
+    @pytest.mark.parametrize("boundary", [0.5, np.zeros(7), np.zeros((2, 8))])
+    def test_boundary_must_sample_every_angle(self, boundary):
+        with pytest.raises(ValueError, match="boundary data must sample every grid angle"):
+            solve_dirichlet(GceProblem(PolarGrid(0.9, 8, 8), (), boundary))
+
     def test_reproduces_maximal_solution(self):
         grid = PolarGrid(0.9, 64, 128)
         h = u_max(0.9 * np.exp(1j * grid.theta))
@@ -278,6 +356,21 @@ class TestLiouvillePullback:
 
 
 class TestFund3:
+    def test_short_right_route_rejected_before_any_solve(self, monkeypatch):
+        # the right side stops at the second-to-last rung, 1 - 2^-k, and is
+        # probed out to |z| = 0.8: k = 2 (r = 0.75) falls short, k = 3 reaches
+        class Solved(Exception):
+            pass
+
+        def no_solve(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(gce, "nearly_maximal", no_solve)
+        with pytest.raises(ValueError, match="second-to-last"):
+            check_fund3(DiskMeasure(), DiskMeasure(), ladder=[2, 3])
+        with pytest.raises(Solved):
+            check_fund3(DiskMeasure(), DiskMeasure(), ladder=[3, 4])
+
     def test_zero_second_measure(self):
         om1 = DiskMeasure(interior=[(0.3, 0.5)])
         rep = check_fund3(om1, DiskMeasure(), ladder=(2, 3, 4, 5, 6), n_r=48, n_theta=96)
