@@ -2,10 +2,10 @@
 
 Interior delta-atoms are removed analytically: writing u = w - s with
 s(z) = sum mt * G(z, a), the smooth remainder solves Delta w = 4 q e^{2w}
-with q = exp(-2s) in [0, 1], which a damped Newton iteration handles on
-a five-point polar grid (radial nodes graded toward the boundary as
-rho = R * t(2-t), boundary data exact). The maximal solution is
-u_D = -log(1 - |z|^2).
+with q = exp(-2s) in [0, 1], which a damped Newton-GMRES iteration handles
+on a five-point polar grid (radial nodes graded toward the boundary as
+rho = R * t(2-t), boundary data exact), preconditioned by a fast polar
+solver. The maximal solution is u_D = -log(1 - |z|^2).
 
 Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r};
 nearly-maximal solutions follow the ladder r_k = 1 - 2^{-k} applied to
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RectBivariateSpline
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from . import kernels
 from .measures import DiskMeasure, diffuse_family
@@ -28,6 +28,8 @@ TAU = 2.0 * math.pi
 NEWTON_TOL = 1e-10  # scaled residual at which the Newton iteration stops
 NEWTON_MAX_ITER = 60
 SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
+KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 36)
+KRYLOV_CYCLES = 1  # GMRES cycles; the line search absorbs an unfinished correction
 
 
 class NewtonError(RuntimeError):
@@ -93,12 +95,15 @@ class PolarGrid:
         return f"PolarGrid(R={self.radius}, {self.n_r}x{self.n_theta})"
 
 
-def _assemble_laplacian(grid: PolarGrid):
-    """Five-point polar Laplacian, assembled from per-ring coefficients."""
-    n_r, n_t = grid.n_r, grid.n_theta
+def _ring_coefficients(grid: PolarGrid):
+    """Per-ring stencil coefficients of the five-point polar Laplacian.
+
+    Ring i (1..n_r-1) weighs its inner, outer and own node by a_m, a_p, a_0
+    and each angular neighbour by a_t (arrays indexed i-1; ring 1's inner
+    neighbour is the center). The center row is c * (ring-1 mean - center).
+    """
     rho = grid.rho
-    dth2 = (TAU / n_t) ** 2
-    # rings 1..n_r-1 carry unknowns; ring 1's inner neighbour is the center
+    dth2 = (TAU / grid.n_theta) ** 2
     r = rho[:-1]
     hm, hp = r - np.concatenate([[0.0], rho[:-2]]), rho[1:] - r
     # nonuniform 3-point second derivative + first derivative
@@ -112,7 +117,13 @@ def _assemble_laplacian(grid: PolarGrid):
     a_p = c_p + d_p / r
     a_0 = c_0 + d_0 / r - 2.0 / (r * r * dth2)
     a_t = 1.0 / (r * r * dth2)
+    return a_m, a_p, a_0, a_t, 4.0 / rho[0] ** 2
 
+
+def _assemble_laplacian(grid: PolarGrid):
+    """Five-point polar Laplacian, assembled from per-ring coefficients."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    a_m, a_p, a_0, a_t, c = _ring_coefficients(grid)
     j = np.arange(n_t)
     me = 1 + np.arange((n_r - 1) * n_t).reshape(n_r - 1, n_t)  # unknown index of (ring, angle)
     below = np.vstack([np.zeros((1, n_t), dtype=me.dtype), me[:-1]])
@@ -123,7 +134,6 @@ def _assemble_laplacian(grid: PolarGrid):
         (me, below, a_m),
         (me[:-1], me[1:], a_p[:-1]),
     ]
-    c = 4.0 / rho[0] ** 2  # center row: mean over the first ring
     rows = np.concatenate([np.zeros(1 + n_t, dtype=me.dtype)] + [rw.ravel() for rw, _, _ in arms])
     cols = np.concatenate([[0], me[0]] + [cl.ravel() for _, cl, _ in arms])
     vals = np.concatenate([[-c], np.full(n_t, c / n_t)] + [np.repeat(a, n_t) for _, _, a in arms])
@@ -325,6 +335,7 @@ class _SmoothSystem:
     """
 
     def __init__(self, grid: PolarGrid, atoms, w_bc):
+        self.grid = grid
         self.L, self.B = grid.operators()
         self.abs_L = abs(self.L)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -360,15 +371,75 @@ class _SmoothSystem:
         return float(np.max(np.abs(r) / scale))
 
 
+def _polar_preconditioner(grid: PolarGrid, d):
+    """Solver for L - diag(d) with d replaced by its mean over each ring.
+
+    The center keeps its own d. An FFT in angle then splits the operator
+    into one real tridiagonal system along the rings per angular mode m,
+    whose angular term is a_t * 2cos(2 pi m / n_theta); mode 0 is bordered
+    by the center row. With the center first and then each mode's rings,
+    mode by mode, the whole system is a single tridiagonal matrix, factored
+    once. It inverts the Jacobian exactly when d is constant on each ring.
+    """
+    n_r, n_t = grid.n_r, grid.n_theta
+    a_m, a_p, a_0, a_t, c = _ring_coefficients(grid)
+    n_modes = n_t // 2 + 1
+    d_ring = d[1:].reshape(n_r - 1, n_t).mean(axis=1)
+    symbol = 2.0 * np.cos(TAU * np.arange(n_modes) / n_t)
+    main = (a_0 - d_ring)[None, :] + symbol[:, None] * a_t[None, :]
+    # a mode's rings couple through a_m and a_p, never to another mode's.
+    # The center couples to mode 0 of ring 1 only: its row reads the ring
+    # mean, mode 0 over n_theta, and ring 1 sees the center as a constant,
+    # whose mode 0 is n_theta times it
+    lower = np.tile(np.concatenate([[0.0], a_m[1:]]), n_modes)
+    lower[0] = a_m[0] * n_t
+    upper = np.tile(np.concatenate([a_p[:-1], [0.0]]), n_modes)[:-1]
+    P = sp.diags(
+        [lower, np.concatenate([[-c - d[0]], main.ravel()]), np.concatenate([[c / n_t], upper])],
+        [-1, 0, 1],
+        format="csc",
+    )
+    lu = splu(P, permc_spec="NATURAL")  # keeps the factor banded
+
+    def solve(b):
+        f = np.fft.rfft(b[1:].reshape(n_r - 1, n_t), axis=1).T.ravel()
+        rhs = np.empty((f.size + 1, 2))
+        rhs[0] = b[0], 0.0
+        rhs[1:, 0], rhs[1:, 1] = f.real, f.imag
+        x = lu.solve(rhs)
+        modes = (x[1:, 0] + 1j * x[1:, 1]).reshape(n_modes, n_r - 1).T
+        return np.concatenate([[x[0, 0]], np.fft.irfft(modes, n_t, axis=1).ravel()])
+
+    return solve
+
+
 def _newton_solve(system: _SmoothSystem, w):
-    """Damped Newton iteration on the smooth system from the interior values w."""
+    """Damped Newton iteration on the smooth system from the interior values w.
+
+    Each correction solves J delta = -r, J = L - diag(2 source(w)), by GMRES
+    preconditioned with _polar_preconditioner, to an Eisenstat-Walker type
+    forcing term: loose far from the root, tightening as the scaled error
+    err falls (a fixed tight tolerance spends the full GMRES cycle on every
+    correction). The info dict counts Newton steps and GMRES iterations and
+    keeps the final scaled residual and the smallest line-search step.
+    """
+    n = w.size
     r = system.residual(w)
+    krylov_iters, min_step = 0, 1.0
     for it in range(NEWTON_MAX_ITER):
         err = system.scaled_error(w, r)
         if err <= NEWTON_TOL:
-            return w, {"newton_iters": it, "residual": err}
-        J = system.L - sp.diags(2.0 * system.source(w))
-        delta = splu(J.tocsc()).solve(-r)
+            break
+        d = 2.0 * system.source(w)
+        precond = LinearOperator((n, n), _polar_preconditioner(system.grid, d))
+        forcing = min(1e-2, max(1e-12, 1e-3 * math.sqrt(err)))
+        iters = []
+        delta, _ = gmres(
+            system.L - sp.diags(d), -r, rtol=forcing, atol=0.0,
+            restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES, M=precond,
+            callback=iters.append, callback_type="pr_norm",
+        )
+        krylov_iters += len(iters)
         lam, ok = 1.0, False
         nr0 = float(np.linalg.norm(r))
         for _ in range(40):
@@ -380,16 +451,27 @@ def _newton_solve(system: _SmoothSystem, w):
             lam *= 0.5
         if not ok:
             if err <= 50.0 * NEWTON_TOL:
-                return w, {"newton_iters": it, "residual": err}
-            raise NewtonError(f"line search stalled at iteration {it}")
+                break
+            raise NewtonError(
+                f"{system.grid!r}: line search stalled at Newton step {it} "
+                f"(scaled residual {err:.3g})"
+            )
+        min_step = min(min_step, lam)
         w, r = w_new, r_new
-    raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} Newton steps (residual {err:.3g})")
+    else:
+        raise NewtonError(
+            f"{system.grid!r}: no convergence in {NEWTON_MAX_ITER} Newton steps "
+            f"(scaled residual {err:.3g})"
+        )
+    info = {"newton_iters": it, "residual": err, "krylov_iters": krylov_iters, "min_step": min_step}
+    return w, info
 
 
 def solve_dirichlet(problem: GceProblem):
     """Unique solution of the curvature equation with Dirichlet data.
 
-    Returns (GridFunction carrying the atoms, info dict). The discrete
+    Returns (GridFunction carrying the atoms, info dict: newton_iters,
+    residual, krylov_iters, min_step, flagged_nodes). The discrete
     residual of the smooth system is driven below NEWTON_TOL relative to
     1 + |source| at every interior node.
     """
@@ -535,8 +617,6 @@ def nearly_maximal(
     stopping early once the probe increment drops below stop_tol, and
     extrapolates geometrically when the increments contract cleanly.
     """
-    if not ladder:
-        raise ValueError("need at least one ladder rung")
     # u_D + log|I_omega| is a subsolution identically (the curvature of the
     # maximal metric dominates after multiplying by |I| <= 1), so the ladder
     # skips the discrete check, which would only re-measure its own
@@ -550,6 +630,11 @@ def nearly_maximal(
 
 def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     """Hulls of `sub` along the ladder; the result's deficiency is left empty."""
+    if not ladder:
+        raise ValueError("need at least one ladder rung")
+    # the probes are sized from the first rung, the innermost disk
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("ladder rungs must strictly increase")
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
     hulls, increments, radii = [], [], []

@@ -292,6 +292,7 @@ MALFORMED = {
     ),
     "empty-ladder": ("nearly-maximal", {"measure": {}, "ladder": []}),
     "ladder-not-list": ("nearly-maximal", {"measure": {}, "ladder": 5}),
+    "ladder-decreasing": ("nearly-maximal", {"measure": {}, "ladder": [5, 2], "n_r": 8, "n_theta": 8}),
     "short-outer-point": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "points": [[0.5]]}),
     "set-point-string": ("outer-eval", {"set": {"points": ["a"]}}),
     "depth-0": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "depth": 0}),
@@ -300,6 +301,10 @@ MALFORMED = {
     "alpha-below-minus-1": ("bergman-distance", {"generator": {}, "alpha": -2}),
     "fund3-one-rung": ("fund3-check", {"measure1": {}, "measure2": {}, "ladder": [2]}),
     "fund3-short-right-route": ("fund3-check", {"measure1": {}, "measure2": {}, "ladder": [2, 3]}),
+    "fund3-ladder-not-increasing": (
+        "fund3-check",
+        {"measure1": {}, "measure2": {}, "ladder": [3, 4, 2], "n_r": 8, "n_theta": 8},
+    ),
 }
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from innerlab import gce
 from innerlab.gce import (
     AnalyticField,
     GceProblem,
+    NewtonError,
     PolarGrid,
     SubsolutionError,
     check_fund3,
@@ -108,6 +110,72 @@ class TestOperators:
         r = L @ u_int + B @ u_rim - target
         scale = abs(L) @ np.abs(u_int) + abs(B) @ np.abs(u_rim) + np.abs(target)
         assert float(np.max(np.abs(r) / scale)) <= 1e-13
+
+
+def exact_newton(system, w):
+    """Reference damped Newton: the solver's iteration and line search, with
+    each correction solved exactly by a sparse direct solve of the Jacobian."""
+    r = system.residual(w)
+    for it in range(gce.NEWTON_MAX_ITER):
+        err = system.scaled_error(w, r)
+        if err <= gce.NEWTON_TOL:
+            return w, it
+        J = (system.L - sp.diags(2.0 * system.source(w))).tocsc()
+        delta = spsolve(J, -r)
+        lam, nr0 = 1.0, float(np.linalg.norm(r))
+        while float(np.linalg.norm(system.residual(w + lam * delta))) > (1.0 - 1e-4 * lam) * nr0:
+            lam *= 0.5
+            assert lam > 2.0**-40, "reference line search stalled"
+        w = w + lam * delta
+        r = system.residual(w)
+    raise AssertionError("reference Newton did not converge")
+
+
+def spiky_problem():
+    # two interior atoms, and rim data with two Poisson spikes of width ~ 0.1
+    grid = PolarGrid(0.9, 24, 32)
+    rim = grid.rim_nodes()
+    h = u_max(rim) - 0.5 * poisson(rim, 0.3) - 0.8 * poisson(rim, 2.0 + TAU / 64)
+    return GceProblem(grid, ((0.3 + 0.2j, 0.7), (-0.45j, 1.2)), h)
+
+
+class TestNewtonKrylov:
+    @pytest.mark.parametrize(
+        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
+    )
+    def test_preconditioner_inverts_ring_constant_jacobian(self, radius, n_r, n_theta):
+        # with the Jacobian's diagonal constant on each ring, the ring mean
+        # changes nothing and the preconditioner is the exact inverse
+        grid = PolarGrid(radius, n_r, n_theta)
+        rng = np.random.default_rng(n_r * n_theta)
+        rings = np.repeat(rng.uniform(0.0, 50.0, n_r - 1), n_theta)
+        d = np.concatenate([[rng.uniform(0.0, 5.0)], rings])
+        J = grid.operators()[0] - sp.diags(d)
+        x = rng.standard_normal(grid.interior_count())
+        y = gce._polar_preconditioner(grid, d)(J @ x)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_matches_exact_newton(self):
+        problem = spiky_problem()
+        gf, info = solve_dirichlet(problem)
+        system = gce._SmoothSystem.with_data(problem.grid, problem.atoms, problem.boundary)
+        w0 = harmonic_extension(system.w_bc, problem.grid).interior_values()
+        want, iters = exact_newton(system, w0)
+        got = gf.interior_values()
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+        assert info["newton_iters"] == iters
+
+    def test_solve_accounting(self):
+        _, info = solve_dirichlet(spiky_problem())
+        assert info["newton_iters"] > 0
+        assert info["krylov_iters"] >= info["newton_iters"]
+        assert 0.0 < info["min_step"] <= 1.0
+        assert info["residual"] <= gce.NEWTON_TOL
+
+    def test_newton_error_names_grid_and_residual(self, monkeypatch):
+        monkeypatch.setattr(gce, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NewtonError, match=r"^PolarGrid\(R=0\.9, 24x32\): .*scaled residual \d"):
+            solve_dirichlet(spiky_problem())
 
 
 class TestHarmonicExtension:
@@ -288,6 +356,23 @@ class TestNearlyMaximal:
         om = DiskMeasure(interior=[(0.4j, 1.0)])
         res = nearly_maximal(om, ladder=(2, 3, 4), n_r=32, n_theta=64)
         assert pde_residual(res.solution) < 1e-9
+
+
+class TestLadder:
+    @pytest.mark.parametrize("ladder", [[5, 2], [3, 3], [3, 4, 2]])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda ladder: nearly_maximal(DiskMeasure(), ladder=ladder, n_r=8, n_theta=8),
+         lambda ladder: check_fund3(DiskMeasure(), DiskMeasure(), ladder=ladder, n_r=8, n_theta=8)],
+        ids=["nearly_maximal", "check_fund3"],
+    )
+    def test_non_increasing_ladder_rejected_before_any_solve(self, monkeypatch, run, ladder):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rung was solved")
+
+        monkeypatch.setattr(gce, "perron_hull_r", no_solve)
+        with pytest.raises(ValueError, match="ladder rungs must strictly increase"):
+            run(ladder)
 
 
 class TestRadial:
