@@ -8,10 +8,7 @@ from .bc_sets import (  # noqa: F401
     BCSet,
     CircleArc,
     StarSpec,
-    dist_to_set,
-    hausdorff_distance,
     hyperbolic_dist_to_star,
-    merge,
     star_area_integral,
     star_contains,
 )
@@ -29,14 +26,9 @@ from .inner import (  # noqa: F401
     InnerFunctionRep,
     circle_entropy_quadrature,
     critical_points,
-    frostman_shift,
-    gamma,
     green,
-    green_truncated,
-    hyperbolic_dist,
     jensen_entropy,
     log_abs_inner,
-    nevanlinna_gap,
 )
 from .roberts import RobertsDecomposition, RobertsParams, decompose, verify  # noqa: F401
 from .gce import (  # noqa: F401
@@ -58,9 +50,6 @@ from .outer import OuterSpec, subdivide, weights  # noqa: F401
 from .bergman import (  # noqa: F401
     BergmanSpaceSpec,
     SubspaceProbe,
-    bergman_norm,
-    d_recursion,
     distance_to_one,
-    divide,
     h2_norm_and_lp,
 )

@@ -151,27 +151,6 @@ class BCSet:
                 return g
         return None
 
-    def components(self):
-        """Closed intervals [a,b] (angles, b possibly unwrapped past 2*pi)
-        making up the set; a == b for isolated points. Empty for E = S^1
-        (the whole circle is one component without endpoints)."""
-        if not self.gaps:
-            return []
-        out = []
-        n = len(self.gaps)
-        for i in range(n):
-            g = self.gaps[i]
-            nxt = self.gaps[(i + 1) % n]
-            a = _norm_angle(g.end)
-            if n == 1:
-                ln = TAU - g.rad_length
-            else:
-                ln = (nxt.start - g.end) % TAU
-                if ln >= TAU - 1e-12:  # zero advance blurred by endpoint noise
-                    ln = 0.0
-            out.append((a, a + ln))
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BCSet):
             return NotImplemented
@@ -187,19 +166,11 @@ class BCSet:
 
 
 # ---------------------------------------------------------------------------
-# distance and Hausdorff geometry
-
-
-def dist_to_set(zeta: complex, e: BCSet) -> float:
-    """Euclidean distance from a circle point to the closed set."""
-    if abs(abs(zeta) - 1.0) > 1e-9:
-        raise ValueError("point must lie on the unit circle")
-    phi = _norm_angle(math.atan2(zeta.imag, zeta.real))
-    return dist_angle_to_set(phi, e)
+# distance and arc entropy
 
 
 def dist_angle_to_set(phi: float, e: BCSet) -> float:
-    """Same as dist_to_set but takes the angle directly."""
+    """Euclidean distance from the circle point at angle phi to the closed set."""
     g = e.gap_containing(phi)
     if g is None:
         return 0.0
@@ -207,91 +178,6 @@ def dist_angle_to_set(phi: float, e: BCSet) -> float:
     d_cw = p - g.start
     d_ccw = g.end - p
     return min(chord(d_cw), chord(d_ccw))
-
-
-def _max_tent_over_components(components, a: float, b: float) -> float:
-    """Max over x in (closed set components) intersected with [a,b] of the
-    chord distance from x to {a, b}; -inf if the intersection is empty."""
-    mid = 0.5 * (a + b)
-
-    def tent(x):
-        return min(chord(x - a), chord(b - x))
-
-    best = -math.inf
-    for (p, q) in components:
-        # realign component to overlap window [a,b] (angles unwrapped)
-        for shift in (-TAU, 0.0, TAU):
-            lo, hi = p + shift, q + shift
-            lo2, hi2 = max(lo, a), min(hi, b)
-            if lo2 > hi2 + _EPS:
-                continue
-            x = min(max(mid, lo2), hi2)
-            best = max(best, tent(x))
-    return best
-
-
-def hausdorff_distance(e1: BCSet, e2: BCSet) -> float:
-    """Symmetric Hausdorff distance between the two closed sets."""
-
-    def one_sided(src: BCSet, dst: BCSet) -> float:
-        # sup over x in src of dist(x, dst): only x inside gaps of dst matter
-        comps = src.components()
-        if not comps:  # src = S^1
-            comps = [(0.0, TAU)]
-        best = 0.0
-        for g in dst.gaps:
-            a, b = g.start, g.end
-            m = _max_tent_over_components(comps, a, b)
-            if m > best:
-                best = m
-        return best
-
-    d = max(one_sided(e1, e2), one_sided(e2, e1))
-    return 0.0 if d < 1e-12 else d  # endpoint representation noise floor
-
-
-# ---------------------------------------------------------------------------
-# merge (union of closed sets) and arc entropy
-
-
-def merge(e1: BCSet, e2: BCSet) -> BCSet:
-    """BCSet of the union of the two closed sets.
-
-    The complement of the union is the intersection of the gap unions;
-    every candidate component endpoint is a gap endpoint of e1 or e2 and
-    those points always belong to the union, so each accepted interval
-    between consecutive candidates is exactly one merged gap.
-    """
-    if not e1.gaps:
-        return BCSet([])
-    if not e2.gaps:
-        return BCSet([])
-    raw = []
-    for e in (e1, e2):
-        for g in e.gaps:
-            raw.append(g.start)
-            raw.append(_norm_angle(g.end))
-    raw.sort()
-    pts = []
-    for p in raw:  # collapse float-noise duplicates (including across the wrap)
-        if not pts or p - pts[-1] > 1e-12:
-            pts.append(p)
-    if len(pts) > 1 and (pts[0] + TAU) - pts[-1] <= 1e-12:
-        pts.pop()
-    gaps = []
-    n = len(pts)
-    for i in range(n):
-        a = pts[i]
-        b = pts[(i + 1) % n]
-        span = (b - a) % TAU
-        if span == 0.0 and n == 1:
-            span = TAU
-        if span <= 1e-12:
-            continue
-        mid = _norm_angle(a + 0.5 * span)
-        if e1.gap_containing(mid) is not None and e2.gap_containing(mid) is not None:
-            gaps.append(CircleArc(a, span / TAU))
-    return BCSet(gaps)
 
 
 def arc_gap_entropy(points, arc_start: float, arc_end: float) -> float:
@@ -399,6 +285,13 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
     return total
 
 
+def hyperbolic_dist(x, y):
+    """Distance in the curvature -4 metric: artanh |x-y|/|1-x*conj(y)|."""
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    out = np.arctanh(np.minimum(np.abs(x - y) / np.abs(1.0 - x * np.conj(y)), 1.0 - 1e-15))
+    return float(out) if out.ndim == 0 else out
+
+
 def hyperbolic_dist_to_star(z: complex, spec: StarSpec, n_samples: int = 2048) -> float:
     """Approximate hyperbolic distance from z to the star (0 if inside).
 
@@ -418,8 +311,5 @@ def hyperbolic_dist_to_star(z: complex, spec: StarSpec, n_samples: int = 2048) -
     rho = 1.0 - spec.aperture * d ** spec.order
     m = rho > 0.0
     if m.any():
-        w = rho[m] * np.exp(1j * phis[m])
-        num = np.abs(z - w)
-        den = np.abs(1.0 - z * np.conj(w))
-        best = min(best, float(np.min(np.arctanh(np.minimum(num / den, 1.0 - 1e-15)))))
+        best = min(best, float(np.min(hyperbolic_dist(z, rho[m] * np.exp(1j * phis[m])))))
     return max(best, 0.0)

@@ -1,8 +1,9 @@
-"""Weighted Bergman norms, subspace distances, division, D-recursion.
+"""Weighted Bergman subspace distances and the Littlewood-Paley identity.
 
-Norms use a tensor polar rule: Gauss-Legendre in a graded radial variable
-(rho = 1 - (1-t)^q with q matched to the weight exponent so the factor
-(1-rho)^alpha folds into a polynomial) times a uniform angular grid.
+Subspace distances use a tensor polar rule: Gauss-Legendre in a graded
+radial variable (rho = 1 - (1-t)^q with q matched to the weight exponent
+so the factor (1-rho)^alpha folds into a polynomial) times a uniform
+angular grid.
 
 distance_to_one computes the exact A^2_alpha distance from the constant 1
 to span{I, zI, ..., z^m I} through Gram matrices; the angular reductions
@@ -14,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import betaln
 
-from .bc_sets import BCSet
-from .inner import InnerFunctionRep, doubling_circle_mean, log_abs_inner
-from .outer import OuterSpec
+from .inner import doubling_circle_mean
 
 TAU = 2.0 * math.pi
 
@@ -52,17 +50,6 @@ class BergmanSpaceSpec:
         rho, wr = self.radial_rule()
         theta = np.arange(self.n_theta) * (TAU / self.n_theta)
         return rho, wr, theta
-
-
-def bergman_norm(f, spec: BergmanSpaceSpec) -> float:
-    """||f||_{A^p_alpha} by the tensor polar rule; f maps complex arrays."""
-    rho, wr, theta = spec.nodes()
-    z = rho[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(np.asarray(f(z))) ** spec.p
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand is not finite on the quadrature grid")
-    total = float((wr @ vals.mean(axis=1)) * TAU)
-    return total ** (1.0 / spec.p)
 
 
 def _radial_log_integral(fn, levels=40, order=16):
@@ -172,79 +159,3 @@ def distance_to_one(probe: SubspaceProbe, spec: BergmanSpaceSpec):
         trend.append((cap, math.sqrt(max(d_sq, 0.0))))
     report = {"trend": trend, "regularized": regularized}
     return trend[-1][1], report
-
-
-def division_evaluator(f, rep: InnerFunctionRep, e_set: BCSet, delta: float, depth: int = 20):
-    """Pointwise log-modulus of f^delta = (Phi_E^delta / I) f."""
-    phi = OuterSpec(e_set, depth)
-    zeros = rep.zero_structure
-
-    def log_abs(z):
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lf = np.log(np.abs(np.asarray(f(z))))
-        return delta * phi.log_abs(z) + lf - log_abs_inner(zeros, z)
-
-    return log_abs
-
-
-def divide(f, rep: InnerFunctionRep, e_set: BCSet, delta: float, spec: BergmanSpaceSpec,
-           depth: int = 20, atom_clearance: float = 1e-9):
-    """Korenblum division: f^delta = (Phi_E^delta / I) f with a norm report.
-
-    The caller supplies f in the subspace generated by I (f = q*I by
-    construction); quadrature nodes closer than `atom_clearance` to a zero
-    of I are skipped and counted.
-    """
-    log_abs = division_evaluator(f, rep, e_set, delta, depth)
-    rho, wr, theta = spec.nodes()
-    z = rho[:, None] * np.exp(1j * theta)[None, :]
-    keep = np.ones(z.shape, dtype=bool)
-    for a, _ in rep.zeros:
-        keep &= np.abs(z - a) > atom_clearance
-    la = np.where(keep, log_abs(z), -np.inf)
-    vals = np.exp(spec.p * la)
-    norm_div = float((wr @ vals.mean(axis=1)) * TAU) ** (1.0 / spec.p)
-    norm_f = bergman_norm(f, spec)
-    return log_abs, {
-        "norm_f_delta": norm_div,
-        "norm_f": norm_f,
-        "ratio": norm_div / norm_f if norm_f > 0 else math.inf,
-        "skipped_nodes": int(np.sum(~keep)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# the D-recursion
-
-
-def d_recursion(ns, beta: float) -> float:
-    """D[{n1,...,nk}] = n1^(beta/3) D[{n2,...}] + n1^(-2beta/3), D[[]] = 0."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if any(n < 1 for n in ns):
-        raise ValueError("entries must be positive integers")
-    d = 0.0
-    for n in reversed(list(ns)):
-        d = n ** (beta / 3.0) * d + n ** (-2.0 * beta / 3.0)
-        if d > 1e300:
-            raise OverflowError("recursion value overflows")
-    return d
-
-
-def admissible_beta(p: float = 2.0, alpha: float = 0.0, n_max: int = 4096) -> float:
-    """Largest safe beta with ||z^n|| / ||1|| <= n^-beta for 2 <= n <= n_max.
-
-    Monomial norms are exact Beta-function values. The raw (unnormalized)
-    norms exceed 1 at small n for e.g. (p, alpha) = (2, 0), so no raw-norm
-    exponent exists; normalizing by ||1|| gives the scale-free decay the
-    recursion needs.
-    """
-    log_one = betaln(2.0, alpha + 1.0) / p
-    worst = (1.0 + alpha) / p  # the n -> infinity exponent, approached from above
-    n = 2
-    while n <= n_max:
-        log_norm = betaln(n * p + 2.0, alpha + 1.0) / p
-        worst = min(worst, (log_one - log_norm) / math.log(n))
-        n = n + 1 if n < 256 else n * 2
-    return worst - 1e-9

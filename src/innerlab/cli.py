@@ -83,6 +83,13 @@ def _position(value, where) -> complex:
     return re + 1j * im
 
 
+def _disk_position(value, where) -> complex:
+    z = _position(value, where)
+    if abs(z) > 1.0:
+        raise ScenarioError(f"{where} must lie in the closed unit disk, got {_show(value)}")
+    return z
+
+
 def _list(item):
     """Parser for a JSON list whose entries `item` parses."""
 
@@ -387,7 +394,7 @@ SCENARIOS = {
         "n_r": (_int, 64), "n_theta": (_int, 192)}),
     "outer-eval": Kind(_run_outer, {
         "set": (_CIRCLE_SET, REQUIRED), "depth": (_int, 20),
-        "points": (_list(_position), (0j, 0.5 + 0j, 0.5j))}),
+        "points": (_list(_disk_position), (0j, 0.5 + 0j, 0.5j))}),
     "bergman-distance": Kind(_run_bergman_distance, {
         "generator": (_GENERATOR, REQUIRED), "m": (_int, 20), "alpha": (_float, 0.0),
         "n_r": (_int, 200), "n_theta": (_int, 512)}),

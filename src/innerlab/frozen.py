@@ -26,6 +26,3 @@ OUTER_DECAY_ORDER3 = 0.000215492521039
 
 # distance floor for the prototype singular generator (m = 20, alpha = 0)
 SINGULAR_DISTANCE_FLOOR = 1.0
-
-# Korenblum division ratio bound over the (I, q*I) corpus, delta in {0.5, 0.25}
-DIVISION_RATIO_BOUND = 0.20374186386160725

@@ -350,10 +350,13 @@ class _SmoothSystem:
     @classmethod
     def with_data(cls, grid: PolarGrid, atoms, h) -> "_SmoothSystem":
         """The system for u = h on the rim, so w_bc = h + s there."""
-        w_bc = _boundary_samples(h, grid) + _singular_part(atoms, grid.rim_nodes())
-        if not np.all(np.isfinite(w_bc)):
+        s_bc = _singular_part(atoms, grid.rim_nodes())
+        if not np.all(np.isfinite(s_bc)):
             raise ValueError("an atom sits on a boundary node")
-        return cls(grid, atoms, w_bc)
+        h = _boundary_samples(h, grid)
+        if not np.all(np.isfinite(h)):
+            raise ValueError("boundary data must be finite")
+        return cls(grid, atoms, h + s_bc)
 
     def source(self, w):
         return 4.0 * self.q * np.exp(2.0 * np.minimum(w, 150.0))
@@ -471,9 +474,11 @@ def solve_dirichlet(problem: GceProblem):
     """Unique solution of the curvature equation with Dirichlet data.
 
     Returns (GridFunction carrying the atoms, info dict: newton_iters,
-    residual, krylov_iters, min_step, flagged_nodes). The discrete
-    residual of the smooth system is driven below NEWTON_TOL relative to
-    1 + |source| at every interior node.
+    residual, krylov_iters, min_step, flagged_nodes). Newton stops once the
+    discrete residual of the smooth system is below NEWTON_TOL at every
+    interior node, relative to that row's scale |L||w| + |B||w_bc| +
+    source + 1 (_SmoothSystem.scaled_error). A line search that stalls is
+    accepted when that scaled residual is already at most 50 * NEWTON_TOL.
     """
     grid = problem.grid
     atoms = tuple((complex(a), float(m)) for a, m in problem.atoms)

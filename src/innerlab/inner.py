@@ -1,15 +1,14 @@
 """Blaschke products, singular inner functions, disk potentials.
 
 Green's function G(z,a) = log|1 - z*conj(a)| - log|z - a|, Poisson
-kernel P(z,zeta) = (1-|z|^2)/|zeta - z|^2, hyperbolic metric of
-curvature -4 (density 1/(1-|z|^2), so d(0,r) = artanh r).
+kernel P(z,zeta) = (1-|z|^2)/|zeta - z|^2.
 
 log|I_omega(z)| = -sum mt*G(z,a) - sum m*P(z,zeta) for a zero structure
 omega with interior atoms (a, mt) and boundary atoms (zeta, m); finite
 Blaschke products additionally evaluate as complex functions, with
-derivatives, critical points (Aberth on the numerator of F'), Frostman
-shifts, the Mobius-deviation characteristic, and the entropy identities
-relating critical points, zeros and circle averages of log|F'|.
+derivatives, critical points (Aberth on the numerator of F'), and the
+entropy identities relating critical points, zeros and circle averages
+of log|F'|.
 """
 
 import math
@@ -36,7 +35,7 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# potentials and hyperbolic geometry
+# potentials
 
 
 def green(z, a):
@@ -52,25 +51,11 @@ def green(z, a):
     return g
 
 
-def green_truncated(z, a):
-    """min(G, 1), the truncated Green's function in [0, 1]."""
-    return np.minimum(green(z, a), 1.0)
-
-
 def poisson(z, angle):
     """Poisson kernel (1-|z|^2)/|e^{i*angle} - z|^2."""
     z = np.asarray(z, dtype=np.complex128)
     zeta = np.exp(1j * np.asarray(angle, dtype=np.float64))
     out = (1.0 - np.abs(z) ** 2) / np.abs(zeta - z) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def hyperbolic_dist(x, y):
-    """Distance in the curvature -4 metric: artanh |x-y|/|1-x*conj(y)|."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    rho = np.abs(x - y) / np.abs(1.0 - x * np.conj(y))
-    out = np.arctanh(np.minimum(rho, 1.0 - 1e-16))
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,48 +214,6 @@ def critical_points(f: FiniteBlaschke):
     return clustered
 
 
-def frostman_shift(f: FiniteBlaschke, x: complex, rotation=1.0 + 0j) -> FiniteBlaschke:
-    """T_x o F: zeros are the d preimages of x, found by the root solver."""
-    x = complex(x)
-    if abs(x) >= 1.0:
-        raise ValueError("shift target must lie inside the disk")
-    if x == 0:
-        return FiniteBlaschke(f.zeros, rotation * f.rotation)
-    num, den = f.numden()
-    pre = all_roots(polyadd(num, -x * np.asarray(den)))
-    if pre.size != f.degree or np.any(np.abs(pre) >= 1.0):
-        raise RootFindingError("preimage solving lost roots or left the disk")
-    zeros = cluster_roots([complex(r) for r in pre])
-    shifted = FiniteBlaschke(zeros, 1.0)
-    # fix the unimodular factor by matching values at a probe point
-    for probe in (0.0, 0.371 + 0.219j, -0.42 + 0.13j):
-        ref = shifted(probe)
-        if abs(ref) > 1e-6:
-            tgt = (f(probe) - x) / (1.0 - np.conj(x) * f(probe))
-            c = tgt / ref
-            break
-    else:
-        raise RootFindingError("no usable probe point for the rotation")
-    if abs(abs(c) - 1.0) > 1e-6:
-        raise RootFindingError(f"rotation match has modulus {abs(c)}")
-    return FiniteBlaschke(zeros, complex(rotation) * c / abs(c))
-
-
-def gamma(f: FiniteBlaschke, z):
-    """Mobius-deviation characteristic: sum of G(z, c) over critical points."""
-    crits = critical_points(f)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.zeros(z_arr.shape)
-    for c, m in crits:
-        out = out + m * np.asarray(green(z_arr, c))
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        val = float(out[0])
-        if not math.isfinite(val):
-            raise ValueError("gamma is infinite at a critical point")
-        return val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # entropy identities
 
@@ -331,39 +274,3 @@ def circle_entropy_quadrature(f: FiniteBlaschke, tol: float = 1e-9, cap: int = 1
         return np.log(np.abs(polyval(p, z))) - 2.0 * np.log(np.abs(polyval(den, z)))
 
     return doubling_circle_mean(fn, tol, cap, 0.318)
-
-
-def nevanlinna_gap(
-    f: FiniteBlaschke,
-    singular_atoms=(),
-    ladder=(4, 5, 6, 7, 8, 9, 10),
-    tol: float = 1e-6,
-) -> float:
-    """Circle average of log|f| at r=1 minus its extrapolated r->1 limit.
-
-    f = (finite Blaschke) * (atomic singular inner); the average at r=1
-    is 0 (unimodular radial limits), so the gap is -lim_r avg log|f|,
-    which equals the total singular mass. Averages are quadratures; the
-    limit is a Richardson extrapolation in 1-r.
-    """
-    atoms = tuple((float(t) % TAU, float(m)) for t, m in singular_atoms)
-
-    def avg(r):
-        def fn(theta):
-            z = r * np.exp(1j * theta)
-            la = np.asarray(f.log_abs(z)) if f.degree else np.zeros_like(theta)
-            for t, m in atoms:
-                la = la - m * poisson(z, t)
-            return la
-
-        return doubling_circle_mean(fn, 1e-11, 1 << 20, 0.318)
-
-    vals = [avg(1.0 - 2.0 ** (-k)) for k in ladder]
-    # A(r) = A_inf + c1 (1-r) + c2 (1-r)^2 + ...: two Richardson levels
-    ext = [2.0 * b - a for a, b in zip(vals[:-1], vals[1:])]
-    ext2 = [(4.0 * b - a) / 3.0 for a, b in zip(ext[:-1], ext[1:])]
-    if len(ext2) >= 2 and abs(ext2[-1] - ext2[-2]) > tol:
-        raise QuadratureError(
-            f"Nevanlinna average extrapolation moved {abs(ext2[-1] - ext2[-2]):.3g}"
-        )
-    return -ext2[-1]

@@ -8,10 +8,10 @@ from innerlab.inner import FiniteBlaschke
 TAU = 2.0 * np.pi
 
 
-def random_blaschke(rng, degree, origin_zero=False, rmax=0.9):
+def random_blaschke(rng, degree, origin_zero=False):
     """Seeded finite Blaschke product with simple zeros."""
     n_free = degree - (1 if origin_zero else 0)
-    radii = rng.uniform(0.05, rmax, n_free)
+    radii = rng.uniform(0.05, 0.9, n_free)
     angles = rng.uniform(0, TAU, n_free)
     zeros = [(r * np.exp(1j * t), 1) for r, t in zip(radii, angles)]
     if origin_zero:

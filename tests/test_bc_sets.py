@@ -11,10 +11,8 @@ from innerlab.bc_sets import (
     CircleArc,
     StarSpec,
     arc_gap_entropy,
-    dist_to_set,
-    hausdorff_distance,
+    dist_angle_to_set,
     hyperbolic_dist_to_star,
-    merge,
     star_area_integral,
     star_contains,
 )
@@ -71,24 +69,7 @@ class TestLocalEntropy:
         assert e.local_entropy(0.2) == pytest.approx(3 * LOG2, abs=1e-12)
 
 
-class TestMerge:
-    def test_idempotent(self):
-        e = BCSet.from_points([0.1, 1.0, 2.5])
-        assert merge(e, e) == e
-
-    def test_two_singletons(self):
-        got = merge(BCSet.from_points([0.0]), BCSet.from_points([math.pi]))
-        assert got == BCSet.from_points([0.0, math.pi])
-
-    def test_union_of_point_sets(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            p1 = rng.uniform(0, TAU, size=rng.integers(1, 7))
-            p2 = rng.uniform(0, TAU, size=rng.integers(1, 7))
-            got = merge(BCSet.from_points(p1), BCSet.from_points(p2))
-            want = BCSet.from_points(np.concatenate([p1, p2]))
-            assert got == want
-
+class TestArcGapEntropy:
     def test_subadditivity_in_arc(self):
         # entropy of the union complement within an arc is subadditive
         rng = np.random.default_rng(11)
@@ -100,62 +81,34 @@ class TestMerge:
             rhs = arc_gap_entropy(f1, a, b) + arc_gap_entropy(f2, a, b)
             assert lhs <= rhs + 1e-12
 
-    def test_increasing_chain_entropy_cap(self):
-        # chain built by merging stays below the budget of its members
-        rng = np.random.default_rng(5)
-        budget = math.log(16)
-        pts = list(rng.uniform(0, TAU, size=4))
-        chain = BCSet.from_points(pts)
-        for _ in range(20):
-            cand = list(rng.uniform(0, TAU, size=1))
-            trial = BCSet.from_points(pts + cand)
-            if trial.entropy() <= budget:
-                pts += cand
-                chain = merge(chain, BCSet.from_points(pts))
-                assert chain == BCSet.from_points(pts)
-        assert chain.entropy() <= budget + 1e-12
-
 
 class TestDist:
     def test_point_in_set(self):
         e = BCSet.from_points([0.4, 2.0])
-        assert dist_to_set(np.exp(0.4j), e) == 0.0
+        assert dist_angle_to_set(0.4, e) == 0.0
+        assert dist_angle_to_set(2.0, e) == 0.0
 
     def test_chord_formula(self):
         e = BCSet.from_points([0.0])
-        got = dist_to_set(np.exp(0.3j), e)
+        got = dist_angle_to_set(0.3, e)
         assert got == pytest.approx(2 * math.sin(0.15), abs=1e-14)
         assert got == pytest.approx(abs(np.exp(0.3j) - 1), abs=1e-14)
 
     def test_symmetric_pair(self):
         e = BCSet.from_points([0.0, math.pi])
-        assert dist_to_set(1j, e) == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert dist_angle_to_set(0.5 * math.pi, e) == pytest.approx(math.sqrt(2), abs=1e-14)
 
-
-class TestHausdorff:
-    def test_identity(self):
-        e = BCSet.from_points([0.2, 1.2, 4.0])
-        assert hausdorff_distance(e, e) == 0.0
-
-    def test_singletons(self):
-        d = hausdorff_distance(BCSet.from_points([0.0]), BCSet.from_points([0.1]))
-        assert d == pytest.approx(abs(np.exp(0.1j) - 1), abs=1e-14)
-
-    def test_pair_vs_singleton(self):
-        d = hausdorff_distance(BCSet.from_points([0.0, math.pi]), BCSet.from_points([0.0]))
-        assert d == pytest.approx(2.0, abs=1e-14)
-
-    def test_against_point_set_oracle(self):
-        # for finite sets the sup runs over the generating points exactly
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            p1 = rng.uniform(0, TAU, size=rng.integers(1, 6))
-            p2 = rng.uniform(0, TAU, size=rng.integers(1, 6))
-            e1, e2 = BCSet.from_points(p1), BCSet.from_points(p2)
-            got = hausdorff_distance(e1, e2)
-            d12 = max(dist_to_set(np.exp(1j * p), e2) for p in p1)
-            d21 = max(dist_to_set(np.exp(1j * p), e1) for p in p2)
-            assert got == pytest.approx(max(d12, d21), abs=1e-12)
+    def test_atan2_range(self):
+        # star_contains passes angles in (-pi, pi]; the gap across angle 0
+        # must measure them the same as their normalized copies
+        e = BCSet.from_points([0.5, 2.0, 4.0])
+        for phi in (-0.3, -1.5, -math.pi + 0.01, 0.2):
+            assert dist_angle_to_set(phi, e) == pytest.approx(
+                dist_angle_to_set(phi % TAU, e), abs=1e-14
+            )
+        assert dist_angle_to_set(-0.3, e) == pytest.approx(
+            abs(np.exp(-0.3j) - np.exp(0.5j)), abs=1e-14
+        )
 
 
 class TestStar:
@@ -182,7 +135,7 @@ class TestStar:
             in_11 = star_contains(StarSpec(base, 1.0, 1.0, False), z)
             in_21 = star_contains(StarSpec(base, 2.0, 1.0, False), z)
             in_1h = star_contains(StarSpec(base, 1.0, 0.5, False), z)
-            d = dist_to_set(z / abs(z), base)
+            d = dist_angle_to_set(float(np.angle(z)), base)
             if in_11 and d <= 1.0:
                 assert in_21
             if in_21 and d >= 1.0:

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_blaschke
-from innerlab import frozen
-from innerlab.bc_sets import BCSet
+from scipy.special import betaln
+
 from innerlab.bergman import (
     BergmanSpaceSpec,
     SubspaceProbe,
-    admissible_beta,
-    bergman_norm,
-    d_recursion,
     distance_to_one,
-    divide,
     h2_norm_and_lp,
 )
 from innerlab.inner import FiniteBlaschke, InnerFunctionRep
@@ -22,35 +18,53 @@ from innerlab.measures import diffuse_family
 SQRT_PI = math.sqrt(math.pi)
 
 
+def monomial_norm(spec, n):
+    """||z^n||_{A^2_alpha} from the polar rule: 2 pi sum W rho^(2n), square-rooted."""
+    rho, wr = spec.radial_rule()
+    return math.sqrt(2 * math.pi * float(np.sum(wr * rho ** (2 * n))))
+
+
 class TestNorms:
+    """The polar rule distance_to_one builds its Gram matrices from."""
+
     def test_constant(self):
-        spec = BergmanSpaceSpec()
-        assert bergman_norm(lambda z: np.ones_like(z), spec) == pytest.approx(
-            SQRT_PI, abs=1e-12
-        )
+        assert monomial_norm(BergmanSpaceSpec(), 0) == pytest.approx(SQRT_PI, abs=1e-12)
 
     def test_monomial(self):
-        spec = BergmanSpaceSpec()
-        assert bergman_norm(lambda z: z, spec) == pytest.approx(
+        assert monomial_norm(BergmanSpaceSpec(), 1) == pytest.approx(
             math.sqrt(math.pi / 2), abs=1e-12
         )
 
     def test_modulus_invariance(self):
+        # the rule and the Gram matrices see |f| only: a unimodular factor
+        # changes neither the norm nor the distance from 1 to span{z^k f}
         spec = BergmanSpaceSpec(n_r=120, n_theta=128)
         f = FiniteBlaschke([(0.3 + 0.2j, 1)])
-        n1 = bergman_norm(f, spec)
-        n2 = bergman_norm(lambda z: np.exp(0.7j) * f(z), spec)
+        g = lambda z: np.exp(0.7j) * f(z)
+        rho, wr, theta = spec.nodes()
+        z = rho[:, None] * np.exp(1j * theta)[None, :]
+        n1, n2 = (2 * math.pi * (wr @ (np.abs(h(z)) ** 2).mean(axis=1)) for h in (f, g))
         assert n1 == pytest.approx(n2, rel=1e-14)
+        d1, _ = distance_to_one(SubspaceProbe(f, 20), spec)
+        d2, _ = distance_to_one(SubspaceProbe(g, 20), spec)
+        assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_weighted_monomial_closed_form(self):
-        # ||z^n||^2 = 2 pi B(2n+2, alpha+1) for p = 2
-        from scipy.special import betaln
-
+        # ||z^n||^2 = 2 pi B(2n+2, alpha+1)
         for alpha in (0.0, 1.0, -0.5):
             spec = BergmanSpaceSpec(alpha=alpha, n_r=220)
-            got = bergman_norm(lambda z: z**3, spec)
-            want = math.sqrt(2 * math.pi * math.exp(betaln(8.0, alpha + 1.0)))
-            assert got == pytest.approx(want, rel=1e-10)
+            for n in (0, 1, 3, 10):
+                want = math.sqrt(2 * math.pi * math.exp(betaln(2.0 * n + 2.0, alpha + 1.0)))
+                assert monomial_norm(spec, n) == pytest.approx(want, rel=1e-10)
+
+    def test_monomials_orthogonal_on_nodes(self):
+        # the uniform angular grid makes <z^j, z^k> vanish for 0 < |j - k| < n_theta
+        spec = BergmanSpaceSpec(alpha=1.0, n_r=120, n_theta=64)
+        rho, wr, theta = spec.nodes()
+        z = rho[:, None] * np.exp(1j * theta)[None, :]
+        for j, k in ((0, 1), (2, 5), (3, 40)):
+            inner = 2 * math.pi * (wr @ (z**j * np.conj(z**k)).mean(axis=1))
+            assert abs(inner) < 1e-14
 
 
 class TestLittlewoodPaley:
@@ -142,73 +156,3 @@ class TestDistanceToOne:
             distance_to_one(
                 SubspaceProbe(lambda z: z, 5), BergmanSpaceSpec(p=3.0)
             )
-
-
-class TestDivide:
-    def setup_method(self):
-        self.e = BCSet.from_points([0.0, math.pi])
-        self.spec = BergmanSpaceSpec(n_r=120, n_theta=128)
-
-    def test_trivial_inner_part(self):
-        rep = InnerFunctionRep()
-        _, info = divide(lambda z: np.ones_like(z), rep, self.e, 0.5, self.spec)
-        assert info["ratio"] <= 1.0 + 1e-12  # |Phi^delta| <= 1
-
-    def test_f_equals_inner(self):
-        rep = InnerFunctionRep(zeros=[(0.3, 1)])
-        inner_fn = FiniteBlaschke([(0.3, 1)])
-        _, info = divide(inner_fn, rep, self.e, 0.5, self.spec)
-        # f^delta = Phi^delta has norm <= ||1||
-        assert info["norm_f_delta"] <= SQRT_PI + 1e-9
-
-    def test_ratio_bounded_on_pairs(self):
-        rng = np.random.default_rng(5)
-        ratios = []
-        for _ in range(4):
-            a = 0.85 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            # zero near the set: within the order-1 star over E
-            a = abs(a) * np.exp(1j * rng.choice([0.0, math.pi]) + 1j * rng.uniform(-0.05, 0.05))
-            rep = InnerFunctionRep(zeros=[(complex(a), 1)])
-            inner_fn = FiniteBlaschke([(complex(a), 1)])
-            q = lambda z: 1.0 + 0.5 * z
-            f = lambda z: q(z) * inner_fn(z)
-            for delta in (0.5, 0.25):
-                _, info = divide(f, rep, self.e, delta, self.spec)
-                ratios.append(info["ratio"])
-        assert all(np.isfinite(r) for r in ratios)
-        assert max(ratios) <= frozen.DIVISION_RATIO_BOUND * 1.05
-
-
-class TestRecursion:
-    def test_base_case(self):
-        assert d_recursion([], 1.0) == 0.0
-
-    def test_single_entry(self):
-        assert d_recursion([256], 1.0) == pytest.approx(256.0 ** (-2 / 3), rel=1e-15)
-        assert d_recursion([256], 1.0) == pytest.approx(0.024803, abs=1e-6)
-
-    def test_sparse_sequences_small(self):
-        beta = 1.0
-        vals = []
-        for n in (4, 16, 256):
-            ns = [n ** (2**j) for j in range(3)]
-            vals.append(d_recursion(ns, beta))
-        assert vals == sorted(vals, reverse=True)
-        # dominated by the n^(-2 beta/3) head term
-        assert vals[-1] < 0.05
-        assert vals[-1] == pytest.approx(256.0 ** (-2 / 3), abs=5e-3)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            d_recursion([10**300] * 3, 6.0)
-
-    def test_admissible_beta(self):
-        beta = admissible_beta(2.0, 0.0)
-        assert 0.45 < beta <= 0.5
-        # certified: normalized norms decay at least this fast
-        from scipy.special import betaln
-
-        log_one = betaln(2.0, 1.0) / 2.0
-        for n in (2, 3, 7, 50, 999):
-            log_norm = betaln(2.0 * n + 2.0, 1.0) / 2.0
-            assert log_one - log_norm >= beta * math.log(n) - 1e-9

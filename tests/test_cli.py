@@ -319,6 +319,47 @@ def test_malformed_scenario_exits_1(tmp_path, config):
     assert_rejected(run_in_process(config, out), out)
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        # u_max is infinite on the unit circle, and no atom is anywhere
+        ({"radius": 1.0, "n_r": 8, "n_theta": 8}, "boundary data must be finite"),
+        ({"radius": 0.9, "n_r": 8, "n_theta": 8, "atoms": [{"position": [0.9, 0.0], "mass": 1.0}]},
+         "an atom sits on a boundary node"),
+    ],
+    ids=["infinite-data", "atom-on-rim"],
+)
+def test_nonfinite_dirichlet_data_message(tmp_path, params, message):
+    out = tmp_path / "o"
+    result = run_in_process({"kind": "gce-dirichlet", "params": params}, out)
+    assert_rejected(result, out)
+    assert result.stderr == f"validation error: gce-dirichlet: {message}\n"
+
+
+def test_outer_point_outside_disk_exits_1(tmp_path):
+    config = {"kind": "outer-eval",
+              "params": {"set": {"points": [0.0, 3.0]}, "points": [[0.5, 0.0], [2, 0]]}}
+    out = tmp_path / "o"
+    result = run_in_process(config, out)
+    assert_rejected(result, out)
+    assert result.stderr == (
+        "validation error: outer-eval: params.points[1] must lie in the closed unit disk, got [2, 0]\n"
+    )
+
+
+def test_outer_points_on_circle_allowed(tmp_path):
+    # |Phi| <= 1 holds up to the circle: off E it is the boundary weight
+    config = {"kind": "outer-eval",
+              "params": {"set": {"points": [0.0, 3.0]}, "points": [[0.6, 0.8], [-1, 0], [0, 1]]}}
+    result = run_in_process(config, tmp_path / "o")
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "o" / "outer.csv").read_text().splitlines()
+    data = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert len(data) == 3
+    for row in data:
+        assert 0.0 < float(row.split(",")[2]) <= 1.0
+
+
 def test_deeply_nested_json_exits_1(tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000)
     out = tmp_path / "o"

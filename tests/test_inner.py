@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_blaschke
 from innerlab import kernels
+from innerlab.bc_sets import hyperbolic_dist
 from innerlab.inner import (
     FiniteBlaschke,
     InnerFunctionRep,
@@ -12,14 +13,9 @@ from innerlab.inner import (
     circle_entropy_quadrature,
     critical_points,
     doubling_circle_mean,
-    frostman_shift,
-    gamma,
     green,
-    green_truncated,
-    hyperbolic_dist,
     jensen_entropy,
     log_abs_inner,
-    nevanlinna_gap,
     poisson,
 )
 from innerlab.measures import DiskMeasure
@@ -38,10 +34,6 @@ class TestGreen:
         want = math.log(abs(1 - 0.5 * (-0.5j)) / abs(0.5 - 0.5j))
         assert green(0.5, 0.5j) == pytest.approx(want, abs=1e-15)
         assert green(0.5, 0.5j) == pytest.approx(0.37688590118819, abs=1e-12)
-
-    def test_truncation(self):
-        assert green_truncated(0.01, 0.0) == 1.0
-        assert green_truncated(0.9, 0.0) == pytest.approx(math.log(1 / 0.9), abs=1e-15)
 
     def test_coincidence_signalled(self):
         with pytest.raises(ValueError):
@@ -183,59 +175,6 @@ class TestBlaschkeEval:
                 assert abs(f.deriv(c)) < 1e-8
 
 
-class TestFrostman:
-    def test_identity_shift(self):
-        f = random_blaschke(np.random.default_rng(3), 3)
-        g = frostman_shift(f, 0.0)
-        assert g.zeros == f.zeros
-
-    def test_square_shift(self):
-        g = frostman_shift(FiniteBlaschke.monomial(2), 0.25)
-        zs = sorted(a.real for a, _ in g.zeros)
-        assert zs == pytest.approx([-0.5, 0.5], abs=1e-12)
-
-    def test_degree_preserved(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            f = random_blaschke(rng, int(rng.integers(1, 7)))
-            x = complex(*rng.uniform(-0.55, 0.55, 2))
-            g = frostman_shift(f, x)
-            assert g.degree == f.degree
-            z = 0.2 + 0.1j
-            want = (f(z) - x) / (1 - np.conj(x) * f(z))
-            assert g(z) == pytest.approx(want, abs=1e-9)
-
-    def test_jensen_formula_identity(self):
-        # sum over preimages of log(1/|y|) equals log(1/|x|) when F(0)=0
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            f = random_blaschke(rng, int(rng.integers(2, 6)), origin_zero=True)
-            x = complex(*rng.uniform(-0.5, 0.5, 2))
-            if abs(x) < 1e-3:
-                x = 0.3 + 0.1j
-            g = frostman_shift(f, x)
-            s = math.fsum(m * math.log(1 / abs(a)) for a, m in g.zeros)
-            assert s == pytest.approx(math.log(1 / abs(x)), abs=1e-9)
-
-
-class TestGamma:
-    def test_mobius_vanishes(self):
-        f = FiniteBlaschke.mobius(0.3 + 0.1j)
-        assert gamma(f, 0.5) == 0.0
-
-    def test_square(self):
-        assert gamma(FiniteBlaschke.monomial(2), 0.5) == pytest.approx(LOG2, abs=1e-12)
-
-    def test_postcomposition_invariance(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            f = random_blaschke(rng, 4)
-            x = complex(*rng.uniform(-0.5, 0.5, 2))
-            g = frostman_shift(f, x)  # M o F with M = T_x
-            for z in (0.2 + 0.3j, -0.4, 0.1j):
-                assert gamma(g, z) == pytest.approx(gamma(f, z), abs=1e-7)
-
-
 class TestEntropy:
     def test_identity_map(self):
         assert jensen_entropy(FiniteBlaschke([(0j, 1)])) == 0.0
@@ -296,22 +235,6 @@ class TestEntropy:
         with pytest.raises(QuadratureError, match="within 1024 nodes"):
             doubling_circle_mean(noise, 1e-12, 1024, 0.318)
         assert issubclass(QuadratureError, RuntimeError)
-
-
-class TestNevanlinnaGap:
-    def test_pure_blaschke(self):
-        f = random_blaschke(np.random.default_rng(12), 3, rmax=0.7)
-        assert nevanlinna_gap(f) == pytest.approx(0.0, abs=1e-8)
-
-    def test_prototype_singular_function(self):
-        assert nevanlinna_gap(FiniteBlaschke(), [(0.0, 1.0)]) == pytest.approx(
-            1.0, abs=1e-8
-        )
-
-    def test_additivity(self):
-        f = random_blaschke(np.random.default_rng(13), 2, rmax=0.6)
-        atoms = [(0.0, 0.4), (2.0, 0.35)]
-        assert nevanlinna_gap(f, atoms) == pytest.approx(0.75, abs=1e-8)
 
 
 class TestInnerRep:
