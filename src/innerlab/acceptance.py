@@ -17,7 +17,7 @@ from .bc_sets import TAU, BCSet, StarSpec, arc_gap_entropy, star_area_integral
 from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one, h2_norm_and_lp
 from .calibration import comparison_exponents, hyperbolic_decay_ratio, order4_decay_ratios
 from .gce import GceProblem, PolarGrid, nearly_maximal, check_fund3, solve_dirichlet, u_max
-from .inner import FiniteBlaschke, InnerFunctionRep, circle_entropy_quadrature, jensen_entropy
+from .inner import FiniteBlaschke, InnerFunctionRep, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError, diffuse_family
 from .outer import OuterSpec, decay_profile
 from .roberts import RobertsParams, decompose, verify
@@ -69,19 +69,8 @@ def criterion_01():
 
 def criterion_02():
     """Entropy formula vs circle quadrature on 20 seeded products."""
-    rng = np.random.default_rng(424242)
     t0 = time.monotonic()
-    worst = 0.0
-    done = 0
-    while done < 20:
-        deg = int(rng.integers(2, 7))
-        zeros = [(0j, 1)] + [
-            (r * np.exp(1j * a), 1)
-            for r, a in zip(rng.uniform(0.05, 0.9, deg - 1), rng.uniform(0, TAU, deg - 1))
-        ]
-        f = FiniteBlaschke(zeros, np.exp(1j * rng.uniform(0, TAU)))
-        worst = max(worst, abs(jensen_entropy(f) - circle_entropy_quadrature(f, tol=1e-10)))
-        done += 1
+    worst = max(row[3] for row in entropy_table(6, 424242, 20))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed <= 10.0
     details = [f"worst |formula - quadrature| {_fmt(worst)} (tol 1e-6)"]

@@ -6,6 +6,12 @@ lengths are normalized to fractions of the circle, so every entropy
 term ell*log(1/ell) is nonnegative. Euclidean (chord) distance is used
 throughout for dist(., E).
 
+The queries (`chord`, `dist_angle_to_set`, `BCSet.contains_angle`,
+`star_contains`, `hyperbolic_dist_to_star`) take a scalar or an array and
+answer in kind. Each angle is looked up once: the only gap that can hold
+it is the last one starting below it, or the last gap, wrapping past
+2*pi, when none does.
+
 The star of order alpha >= 1 and aperture theta in (0,1] over E is
 
     { z in closed disk : 1 - |z| >= theta * dist(z/|z|, E)^alpha },
@@ -23,20 +29,23 @@ CORE_RADIUS = 1.0 / math.sqrt(2.0)
 _EPS = 1e-12
 
 
-def _norm_angle(phi: float) -> float:
-    phi = math.fmod(phi, TAU)
-    if phi < 0.0:
-        phi += TAU
-    # fmod can return TAU-epsilon rounding up to TAU exactly
-    return 0.0 if phi >= TAU else phi
+def _scalar_or_array(x, out):
+    """`out` as a Python scalar when the query `x` was a scalar."""
+    return out.item() if np.ndim(x) == 0 else out
 
 
-def chord(delta: float) -> float:
+def _norm_angle(phi):
+    """Angle(s) reduced to [0, 2*pi)."""
+    out = np.fmod(phi, TAU)
+    out = np.where(out < 0.0, out + TAU, out)
+    # a tiny negative angle plus TAU can round up to TAU exactly
+    return _scalar_or_array(phi, np.where(out >= TAU, 0.0, out))
+
+
+def chord(delta):
     """Euclidean distance between circle points with angular separation delta."""
-    d = abs(math.fmod(delta, TAU))
-    if d > math.pi:
-        d = TAU - d
-    return 2.0 * math.sin(0.5 * d)
+    d = np.abs(np.fmod(delta, TAU))
+    return _scalar_or_array(delta, 2.0 * np.sin(0.5 * np.minimum(d, TAU - d)))
 
 
 @dataclass(frozen=True)
@@ -61,13 +70,6 @@ class CircleArc:
         """End angle, possibly >= 2*pi (unwrapped)."""
         return self.start + self.rad_length
 
-    def contains_angle(self, phi: float) -> bool:
-        """Strict interior membership."""
-        phi = _norm_angle(phi)
-        if phi < self.start:
-            phi += TAU
-        return self.start < phi < self.end
-
     def entropy_term(self) -> float:
         return -self.length * math.log(self.length) if self.length < 1.0 else 0.0
 
@@ -75,7 +77,7 @@ class CircleArc:
 class BCSet:
     """Closed subset of the circle given by pairwise-disjoint open gaps."""
 
-    __slots__ = ("gaps",)
+    __slots__ = ("gaps", "_starts", "_ends")
 
     def __init__(self, gaps):
         gaps = tuple(sorted(gaps, key=lambda a: a.start))
@@ -90,13 +92,16 @@ class BCSet:
             if gaps[-1].end - TAU > gaps[0].start + 1e-12:
                 raise ValueError("gap arcs overlap around the wrap")
         self.gaps = gaps
+        # the full circle gets one empty arc, so every lookup has a candidate
+        self._starts = np.array([g.start for g in gaps] or [0.0])
+        self._ends = np.array([g.end for g in gaps] or [0.0])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_points(cls, angles) -> "BCSet":
         """Finite set of circle points (angles in radians)."""
-        pts = sorted({_norm_angle(a) for a in angles})
+        pts = sorted(set(_norm_angle(np.asarray(angles, dtype=np.float64)).tolist()))
         if not pts:
             raise ValueError("need at least one point")
         if len(pts) == 1:
@@ -133,23 +138,25 @@ class BCSet:
             raise ValueError("threshold must be positive")
         return math.fsum(g.entropy_term() for g in self.gaps if g.length < eta)
 
-    def contains_angle(self, phi: float, tol: float = 0.0) -> bool:
-        phi = _norm_angle(phi)
-        for g in self.gaps:
-            p = phi if phi >= g.start else phi + TAU
-            if g.start + tol < p < g.end - tol:
-                return False
-        return True
+    def _gap_of(self, phi, tol: float = 0.0):
+        """(start, end, inside) of the one gap that can hold each angle.
+
+        That gap is the last one starting below the angle, or the last gap
+        (wrapping past 2*pi) when none does; `inside` is strict membership
+        in its interior shrunk by `tol` at both ends.
+        """
+        q = np.asarray(_norm_angle(phi))
+        k = np.searchsorted(self._starts, q) - 1
+        s, t = self._starts[k], self._ends[k]
+        p = np.where(q >= s, q, q + TAU)
+        return s, t, (s + tol < p) & (p < t - tol)
+
+    def contains_angle(self, phi, tol: float = 0.0):
+        """Membership of the angle(s) in the closed set, gaps shrunk by `tol`."""
+        return _scalar_or_array(phi, ~self._gap_of(phi, tol)[2])
 
     def rotate(self, delta: float) -> "BCSet":
         return BCSet([CircleArc(g.start + delta, g.length) for g in self.gaps])
-
-    def gap_containing(self, phi: float):
-        phi = _norm_angle(phi)
-        for g in self.gaps:
-            if g.contains_angle(phi):
-                return g
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, BCSet):
@@ -169,15 +176,14 @@ class BCSet:
 # distance and arc entropy
 
 
-def dist_angle_to_set(phi: float, e: BCSet) -> float:
-    """Euclidean distance from the circle point at angle phi to the closed set."""
-    g = e.gap_containing(phi)
-    if g is None:
-        return 0.0
-    p = phi if phi >= g.start else phi + TAU
-    d_cw = p - g.start
-    d_ccw = g.end - p
-    return min(chord(d_cw), chord(d_ccw))
+def dist_angle_to_set(phi, e: BCSet):
+    """Euclidean distance from the circle point(s) at angle phi to the closed set."""
+    phi = np.asarray(phi, dtype=np.float64)
+    s, t, inside = e._gap_of(phi)
+    # unwrap the angle as given: reducing it first can change the last bit
+    p = np.where(phi >= s, phi, phi + TAU)
+    d = np.minimum(chord(p - s), chord(t - p))
+    return _scalar_or_array(phi, np.where(inside, d, 0.0))
 
 
 def arc_gap_entropy(points, arc_start: float, arc_end: float) -> float:
@@ -218,17 +224,18 @@ class StarSpec:
             raise ValueError("aperture must be in (0,1]")
 
 
-def star_contains(spec: StarSpec, z: complex, tol: float = 0.0) -> bool:
-    """Membership in the star; `tol` loosens both sides (for verifier use)."""
-    r = abs(z)
-    if r > 1.0 + 1e-9:
+def star_contains(spec: StarSpec, z, tol: float = 0.0):
+    """Membership of the point(s) z in the star; `tol` loosens both sides
+    (for verifier use)."""
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.hypot(z.real, z.imag)
+    if np.any(r > 1.0 + 1e-9):
         raise ValueError("point must lie in the closed disk")
-    if r == 0.0:
-        return spec.include_core
-    if spec.include_core and r < CORE_RADIUS:
-        return True
-    d = dist_angle_to_set(math.atan2(z.imag, z.real), spec.base)
-    return (1.0 - r) + tol >= spec.aperture * max(d - tol, 0.0) ** spec.order
+    d = dist_angle_to_set(np.arctan2(z.imag, z.real), spec.base)
+    inside = (1.0 - r) + tol >= spec.aperture * np.maximum(d - tol, 0.0) ** spec.order
+    # the origin lies in the star exactly when the core ball is included
+    inside = (inside & (r > 0.0)) | (spec.include_core & (r < CORE_RADIUS))
+    return _scalar_or_array(z, inside)
 
 
 def _radial_star_profile(spec: StarSpec, psi: np.ndarray, gap: CircleArc) -> np.ndarray:
@@ -292,24 +299,27 @@ def hyperbolic_dist(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def hyperbolic_dist_to_star(z: complex, spec: StarSpec, n_samples: int = 2048) -> float:
-    """Approximate hyperbolic distance from z to the star (0 if inside).
+def hyperbolic_dist_to_star(z, spec: StarSpec, n_samples: int = 2048):
+    """Approximate hyperbolic distance from the point(s) z to the star (0 inside).
 
     Samples the star's radial boundary curve rho*(phi) = 1 - theta*d(phi)^alpha
-    densely in angle and takes the min over sampled points; the core ball
-    distance is handled analytically.
+    densely in angle, once per call, and takes the min over sampled points;
+    the core ball distance is handled analytically.
     """
-    if abs(z) >= 1.0:
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.hypot(z.real, z.imag)
+    if np.any(r >= 1.0):
         raise ValueError("point must lie in the open disk")
-    if star_contains(spec, z):
-        return 0.0
-    best = math.inf
+    best = np.full(z.shape, math.inf)
     if spec.include_core:
-        best = math.atanh(abs(z)) - math.atanh(CORE_RADIUS)
+        # libm's atanh, which the frozen ratios were measured with; np.arctanh
+        # can differ in the last bit
+        best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
     phis = np.arange(n_samples) * (TAU / n_samples)
-    d = np.array([dist_angle_to_set(p, spec.base) for p in phis])
-    rho = 1.0 - spec.aperture * d ** spec.order
+    rho = 1.0 - spec.aperture * dist_angle_to_set(phis, spec.base) ** spec.order
     m = rho > 0.0
     if m.any():
-        best = min(best, float(np.min(hyperbolic_dist(z, rho[m] * np.exp(1j * phis[m])))))
-    return max(best, 0.0)
+        curve = rho[m] * np.exp(1j * phis[m])
+        best = np.minimum(best, np.min(hyperbolic_dist(z[..., None], curve), axis=-1))
+    out = np.where(star_contains(spec, z), 0.0, np.maximum(best, 0.0))
+    return _scalar_or_array(z, out)

@@ -66,9 +66,11 @@ def hyperbolic_decay_ratio(seed: int = 2025, cases: int = 12) -> float:
         if probes.size == 0:
             continue
         la = -log_abs_inner(omega, probes)
-        for z, num in zip(probes, la):
-            d = hyperbolic_dist_to_star(z, star2, n_samples=1024)
-            worst = max(worst, num / (MASS_CAP * math.exp(-d)))
+        d = hyperbolic_dist_to_star(probes, star2, n_samples=1024)
+        # libm's exp, which the frozen ratio was measured with; np.exp can
+        # differ in the last bit
+        decay = np.vectorize(math.exp, otypes=[np.float64])(-d)
+        worst = max(worst, float(np.max(la / (MASS_CAP * decay))))
     return worst
 
 
@@ -87,7 +89,7 @@ def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
             crits = critical_points(f)
         except Exception:
             continue
-        if all(star_contains(star, c, tol=1e-9) for c, _ in crits):
+        if np.all(star_contains(star, [c for c, _ in crits], tol=1e-9)):
             mass = sum((1.0 - abs(c)) * m for c, m in crits)
             if mass < MASS_CAP:
                 return f
@@ -111,13 +113,11 @@ def order4_decay_ratios(seed: int = 2026, cases: int = 10):
         probes = _probes_outside(rng, star4, 150)
         if probes.size:
             fz = np.abs(f(probes))
-            dz = np.array(
-                [dist_angle_to_set(float(np.angle(z) % TAU), e) for z in probes]
-            )
+            dz = dist_angle_to_set(np.angle(probes) % TAU, e)
             ratios = (1.0 - fz) / (1.0 - np.abs(probes)) * dz ** 4
             worst_disk = max(worst_disk, float(np.max(ratios)))
         ang = rng.uniform(0, TAU, 200)
-        dist = np.array([dist_angle_to_set(float(t), e) for t in ang])
+        dist = dist_angle_to_set(ang, e)
         keep = dist > 1e-3
         if keep.any():
             zeta = np.exp(1j * ang[keep])

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .backend import backend_name
-from .bc_sets import BCSet
+from .bc_sets import BCSet, dist_angle_to_set
 from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one
 from .gce import NEWTON_TOL, GceProblem, NewtonError, PolarGrid, check_fund3, diffuse_experiment, nearly_maximal
 from .gce import solve_dirichlet, u_max
-from .inner import FiniteBlaschke, InnerFunctionRep, QuadratureError, circle_entropy_quadrature, jensen_entropy
+from .inner import InnerFunctionRep, QuadratureError, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError
 from .outer import OuterSpec
 from .roberts import RobertsParams, decompose, local_entropy_bounds, verify
@@ -231,28 +231,10 @@ def _json_text(payload: dict) -> str:
 # scenario implementations
 
 
-def _entropy_rows(degree: int, seed: int, count: int):
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(count):
-        deg = int(rng.integers(2, degree + 1))
-        zeros = [(0j, 1)] + [
-            (r * np.exp(1j * a), 1)
-            for r, a in zip(
-                rng.uniform(0.05, 0.9, deg - 1), rng.uniform(0, 2 * math.pi, deg - 1)
-            )
-        ]
-        f = FiniteBlaschke(zeros, np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        ent = jensen_entropy(f)
-        quad = circle_entropy_quadrature(f, tol=1e-10)
-        rows.append((deg, ent, quad, abs(ent - quad)))
-    return rows
-
-
 def _run_entropy(p, meta):
     if p["degree"] < 2 or p["count"] < 1:
         raise ValueError("need degree >= 2 and count >= 1")
-    rows = _entropy_rows(p["degree"], p["seed"], p["count"])
+    rows = entropy_table(p["degree"], p["seed"], p["count"])
     csv = _csv_text(["degree", "formula_entropy", "quadrature_entropy", "abs_diff"], rows, meta)
     return {"entropy.csv": csv}, {"rows": len(rows)}
 
@@ -296,7 +278,9 @@ def _run_gce_dirichlet(p, meta):
     grid = PolarGrid(p["radius"], p["n_r"], p["n_theta"])
     bnd = p["boundary"]
     if bnd["kind"] == "maximal":
-        h = u_max(p["radius"] * np.exp(1j * grid.theta))
+        # infinite on the unit circle; the solver rejects such data
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = u_max(p["radius"] * np.exp(1j * grid.theta))
     elif bnd["value"] is None:
         raise ScenarioError("params.boundary.value is required when its kind is constant")
     else:
@@ -344,8 +328,14 @@ def _run_diffuse(p, meta):
 
 
 def _run_outer(p, meta):
-    spec = OuterSpec(p["set"], p["depth"])
     z = np.array(p["points"], dtype=np.complex128)
+    rim = np.hypot(z.real, z.imag) == 1.0
+    on_set = rim & (dist_angle_to_set(np.angle(z), p["set"]) == 0.0)
+    if on_set.any():
+        raise ScenarioError(
+            f"params.points[{int(np.argmax(on_set))}] lies on E, where log|Phi| is -infinity"
+        )
+    spec = OuterSpec(p["set"], p["depth"])
     vals = spec(z)
     rows = [
         (float(q.real), float(q.imag), float(abs(v)), float(spec.log_abs(q)))

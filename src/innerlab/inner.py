@@ -240,6 +240,24 @@ def jensen_entropy(f: FiniteBlaschke) -> float:
     return s_crit - s_zero
 
 
+def entropy_table(degree: int, seed: int, count: int):
+    """(degree, formula, quadrature, |difference|) rows for `count` seeded
+    products with F(0) = 0 and degree drawn from 2..degree."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        deg = int(rng.integers(2, degree + 1))
+        zeros = [(0j, 1)] + [
+            (r * np.exp(1j * a), 1)
+            for r, a in zip(rng.uniform(0.05, 0.9, deg - 1), rng.uniform(0, TAU, deg - 1))
+        ]
+        f = FiniteBlaschke(zeros, np.exp(1j * rng.uniform(0, TAU)))
+        ent = jensen_entropy(f)
+        quad = circle_entropy_quadrature(f, tol=1e-10)
+        rows.append((deg, ent, quad, abs(ent - quad)))
+    return rows
+
+
 def doubling_circle_mean(fn, tol: float, cap: int, offset: float):
     """Trapezoid mean of a smooth periodic function with doubling control.
 

@@ -92,14 +92,12 @@ class DiskMeasure:
 
 def star_mass(omega: DiskMeasure, spec: StarSpec, tol: float = 0.0) -> float:
     """Combined mass of atoms inside the star (boundary m, interior (1-|a|)mt)."""
-    total = 0.0
-    for ang, m in omega.boundary:
-        if star_contains(spec, complex(math.cos(ang), math.sin(ang)), tol=tol):
-            total += m
-    for a, m in omega.interior:
-        if star_contains(spec, a, tol=tol):
-            total += (1.0 - abs(a)) * m
-    return total
+    points = [complex(math.cos(t), math.sin(t)) for t, _ in omega.boundary]
+    points += [a for a, _ in omega.interior]
+    weights = [m for _, m in omega.boundary] + [(1.0 - abs(a)) * m for a, m in omega.interior]
+    inside = star_contains(spec, points, tol=tol)
+    # summed in atom order: np.sum's pairwise order can change the last bit
+    return float(np.cumsum([0.0, *np.array(weights)[inside]])[-1])
 
 
 def max_star_mass(omega: DiskMeasure, budget: float, mode: str = "exact"):

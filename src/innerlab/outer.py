@@ -176,10 +176,8 @@ def decay_profile(spec: OuterSpec, orders=(1, 2, 3), n_side: int = 40):
                 pts.append((1.0 - d) * np.exp(1j * (endpoint + 0.7 * d)))
     z = np.array(pts, dtype=np.complex128)
     la = spec.log_abs(z)
-    dist = np.array(
-        [max(dist_angle_to_set(float(np.angle(p) % TAU), spec.base), 1.0 - abs(p))
-         for p in z]
-    )
+    on_circle = dist_angle_to_set(np.angle(z) % TAU, spec.base)
+    dist = np.maximum(on_circle, 1.0 - np.hypot(z.real, z.imag))
     out = {}
     for n_ord in orders:
         out[n_ord] = float(np.max(np.exp(la - n_ord * np.log(dist))))

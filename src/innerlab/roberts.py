@@ -21,13 +21,15 @@ exponential literal sequence overflows immediately); r_j = 1 - 1/n_j and
 r_1 = 1 - 1/sqrt(n2). E*_cone is the complement of the interiors of the
 maximal light arcs; E_cone adds eight equally spaced anchor points inside
 every heavy arc, which places every heavy box inside the genuine star.
-All interval bookkeeping is exact (integer arc indices, Fractions for
-anchor points); floats appear only in the emitted BCSets.
+All interval bookkeeping is exact: arcs and anchor points are Python
+integers in units of 1/(10 n_max) of the circle, n_max = n_{max_generation}.
+Floats appear only in the emitted BCSets, where `lo / unit` on integers
+rounds each endpoint once.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bc_sets import TAU, BCSet, CircleArc, StarSpec, star_contains
 from .measures import DiskMeasure
@@ -211,45 +213,32 @@ def decompose(omega: DiskMeasure, p: RobertsParams) -> RobertsDecomposition:
 
     cone.extend(remaining)
 
-    rational_gaps = [
-        (Fraction(k, p.n_arcs(j)), Fraction(1, p.n_arcs(j))) for j, k in light_maximal
-    ]
-    star_core = _gaps_to_bcset(rational_gaps)
-    cone_set = _insert_anchor_points(rational_gaps, heavy, p)
+    # E*_cone is the light arcs; E_cone cuts them at the heavy arcs' anchor tenths
+    n_max = p.n_arcs(p.max_generation)
+
+    def units(j, tenths):
+        return tenths * (n_max // p.n_arcs(j))
+
+    light = [(units(j, 10 * k), units(j, 10 * k + 10)) for j, k in light_maximal]
+    anchors = sorted({units(j, 10 * k + i) for j, k in heavy for i in range(1, 9)})
+    cut = []
+    for lo, hi in light:
+        inner = anchors[bisect_right(anchors, lo):bisect_left(anchors, hi)]
+        cut += zip([lo, *inner], [*inner, hi])
     return RobertsDecomposition(
         params=p,
         layers=[(j, _measure_of(layers[j])) for j in sorted(layers)],
         cone=_measure_of(cone),
-        star_core_set=star_core,
-        cone_set=cone_set,
+        star_core_set=_circle_set(light, 10 * n_max),
+        cone_set=_circle_set(cut, 10 * n_max),
         audit=audit,
         heavy_intervals=heavy,
     )
 
 
-def _gaps_to_bcset(rational_gaps) -> BCSet:
-    """Rational (start, span) circle fractions -> float BCSet."""
-    return BCSet(
-        [CircleArc(TAU * float(lo), float(span)) for lo, span in rational_gaps]
-    )
-
-
-def _insert_anchor_points(rational_gaps, heavy, p: RobertsParams) -> BCSet:
-    """E_cone: E*_cone plus the eight interior anchor points of each heavy arc."""
-    points = []
-    for j, k in heavy:
-        n = p.n_arcs(j)
-        for i in range(1, 9):
-            points.append(Fraction(10 * k + i, 10 * n))
-    points.sort()
-    new_gaps = []
-    for lo, span in rational_gaps:
-        inside = [q for q in points if lo < q < lo + span]
-        cuts = [lo] + inside + [lo + span]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b > a:
-                new_gaps.append((a, b - a))
-    return _gaps_to_bcset(new_gaps)
+def _circle_set(gaps, unit: int) -> BCSet:
+    """BCSet of integer gaps (lo, hi), in units of 1/unit of the circle."""
+    return BCSet([CircleArc(TAU * (lo / unit), (hi - lo) / unit) for lo, hi in gaps])
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerlab.bc_sets import (
+    CORE_RADIUS,
     TAU,
     BCSet,
     CircleArc,
     StarSpec,
     arc_gap_entropy,
     dist_angle_to_set,
+    hyperbolic_dist,
     hyperbolic_dist_to_star,
     star_area_integral,
     star_contains,
@@ -194,6 +196,132 @@ class TestHyperbolicDistToStar:
         d_small = hyperbolic_dist_to_star(z, StarSpec(base, 2.0, 0.4, False), 1024)
         d_big = hyperbolic_dist_to_star(z, StarSpec(base, 2.0, 1.0, False), 1024)
         assert d_big >= d_small - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# array queries against a brute-force reference: a scan over every gap with
+# the scalar formulas, one angle or point at a time
+
+
+def ref_gap(phi, e, tol=0.0):
+    """The first gap whose interior, shrunk by tol, holds the angle phi, or None."""
+    q = math.fmod(phi, TAU)
+    if q < 0.0:
+        q += TAU
+    q = 0.0 if q >= TAU else q
+    for g in e.gaps:
+        p = q if q >= g.start else q + TAU
+        if g.start + tol < p < g.end - tol:
+            return g
+    return None
+
+
+def ref_chord(delta):
+    d = abs(math.fmod(delta, TAU))
+    if d > math.pi:
+        d = TAU - d
+    return 2.0 * math.sin(0.5 * d)
+
+
+def ref_dist(phi, e):
+    g = ref_gap(phi, e)
+    if g is None:
+        return 0.0
+    p = phi if phi >= g.start else phi + TAU
+    return min(ref_chord(p - g.start), ref_chord(g.end - p))
+
+
+def ref_star_contains(spec, z, tol=0.0):
+    r = abs(z)
+    if r == 0.0:
+        return spec.include_core
+    if spec.include_core and r < CORE_RADIUS:
+        return True
+    d = ref_dist(math.atan2(z.imag, z.real), spec.base)
+    return (1.0 - r) + tol >= spec.aperture * max(d - tol, 0.0) ** spec.order
+
+
+def ref_hyperbolic_dist_to_star(z, spec, n_samples):
+    if ref_star_contains(spec, z):
+        return 0.0
+    best = math.inf
+    if spec.include_core:
+        best = math.atanh(abs(z)) - math.atanh(CORE_RADIUS)
+    phis = np.arange(n_samples) * (TAU / n_samples)
+    d = np.array([ref_dist(p, spec.base) for p in phis])
+    rho = 1.0 - spec.aperture * d ** spec.order
+    m = rho > 0.0
+    if m.any():
+        best = min(best, float(np.min(hyperbolic_dist(z, rho[m] * np.exp(1j * phis[m])))))
+    return max(best, 0.0)
+
+
+QUERY_SETS = {
+    # the last gap runs from 4.0 past 2*pi to 0.5
+    "wrapping": BCSet.from_points([0.5, 2.0, 4.0]),
+    # every point past pi: angles in (-pi, 0) fall before the first gap
+    "lower-half": BCSet.from_points([3.5, 4.0, 5.5]),
+    "one-point": BCSet.from_points([1.3]),
+    "full-circle": BCSet.full_circle(),
+    "sixteen": equally_spaced(16),
+    "seeded": BCSet.from_points(np.random.default_rng(5).uniform(0, TAU, 9)),
+}
+
+
+def query_angles(e):
+    """Angles in (-pi, pi] and [0, 2*pi), the gap endpoints and their turns."""
+    rng = np.random.default_rng(17)
+    ends = [x for g in e.gaps for x in (g.start, g.end, g.end - TAU, g.start - TAU)]
+    fixed = [0.0, -0.0, math.pi, -math.pi + 1e-12, TAU, -1e-17, *ends]
+    return np.concatenate([rng.uniform(-math.pi, math.pi, 400), rng.uniform(0, TAU, 400), fixed])
+
+
+def query_points(n):
+    """Points of the closed disk: the origin, the core ball, the rim."""
+    rng = np.random.default_rng(23)
+    ang = rng.uniform(-math.pi, math.pi, n)
+    radii = np.concatenate([[0.0], rng.uniform(0, CORE_RADIUS, n // 4),
+                            rng.uniform(CORE_RADIUS, 0.999, n - n // 4 - 2), [1.0]])
+    return radii * np.exp(1j * ang)
+
+
+def assert_scalar_calls_match(fn, xs, got):
+    assert [fn(x) for x in xs] == got.tolist()
+
+
+@pytest.mark.parametrize("name", QUERY_SETS)
+class TestArrayQueries:
+    def test_dist_angle_to_set(self, name):
+        e = QUERY_SETS[name]
+        phis = query_angles(e)
+        got = dist_angle_to_set(phis, e)
+        assert got.tolist() == [ref_dist(float(p), e) for p in phis]
+        assert_scalar_calls_match(lambda p: dist_angle_to_set(float(p), e), phis, got)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_contains_angle(self, name, tol):
+        e = QUERY_SETS[name]
+        phis = query_angles(e)
+        got = e.contains_angle(phis, tol=tol)
+        assert got.tolist() == [ref_gap(float(p), e, tol) is None for p in phis]
+        assert_scalar_calls_match(lambda p: e.contains_angle(float(p), tol=tol), phis, got)
+
+    @pytest.mark.parametrize("order,aperture,core", [(1.0, 1.0, True), (2.0, 0.4, False), (4.0, 1.0, True)])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_star_contains(self, name, order, aperture, core, tol):
+        spec = StarSpec(QUERY_SETS[name], order, aperture, core)
+        z = query_points(400)
+        got = star_contains(spec, z, tol=tol)
+        assert got.tolist() == [ref_star_contains(spec, complex(p), tol) for p in z]
+        assert_scalar_calls_match(lambda p: star_contains(spec, complex(p), tol=tol), z, got)
+
+    @pytest.mark.parametrize("order,aperture,core", [(1.0, 1.0, True), (2.0, 0.4, False), (2.0, 1.0, True)])
+    def test_hyperbolic_dist_to_star(self, name, order, aperture, core):
+        spec = StarSpec(QUERY_SETS[name], order, aperture, core)
+        z = query_points(41)[:-1]  # the open disk
+        got = hyperbolic_dist_to_star(z, spec, n_samples=256)
+        assert got.tolist() == [ref_hyperbolic_dist_to_star(complex(p), spec, 256) for p in z]
+        assert_scalar_calls_match(lambda p: hyperbolic_dist_to_star(complex(p), spec, 256), z, got)
 
 
 def test_gap_validation():

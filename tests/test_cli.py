@@ -336,6 +336,31 @@ def test_nonfinite_dirichlet_data_message(tmp_path, params, message):
     assert result.stderr == f"validation error: gce-dirichlet: {message}\n"
 
 
+def test_maximal_data_on_unit_circle_prints_one_line(tmp_path):
+    # u_max is infinite on the rim; evaluating it must not warn before the message
+    config = {"kind": "gce-dirichlet", "params": {"radius": 1.0, "n_r": 8, "n_theta": 8}}
+    (tmp_path / "s.json").write_text(json.dumps(config))
+    res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == "validation error: gce-dirichlet: boundary data must be finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("point,index", [([1, 0], 0), ([-1, 0], 1)], ids=["angle-0", "angle-pi"])
+def test_outer_point_on_set_exits_1(tmp_path, point, index):
+    # Phi vanishes on E, so log|Phi| there is -infinity
+    points = [[0.5, 0.0], point] if index else [point]
+    config = {"kind": "outer-eval",
+              "params": {"set": {"points": [0.0, math.pi]}, "points": points}}
+    (tmp_path / "s.json").write_text(json.dumps(config))
+    res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == (
+        f"validation error: outer-eval: params.points[{index}] lies on E, where log|Phi| is -infinity\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_outer_point_outside_disk_exits_1(tmp_path):
     config = {"kind": "outer-eval",
               "params": {"set": {"points": [0.0, 3.0]}, "points": [[0.5, 0.0], [2, 0]]}}

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from innerlab.acceptance import _random_measure
 from innerlab.bc_sets import TAU, StarSpec, star_contains
 from innerlab.measures import DiskMeasure
 from innerlab.roberts import (
@@ -192,3 +194,57 @@ class TestStructure:
         spec = StarSpec(d.cone_set, include_core=True)
         for a, _ in d.cone.interior:
             assert star_contains(spec, a, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# E*_cone and E_cone against an exact oracle in Fractions
+
+
+def fraction_cone_sets(d, p):
+    """(E*_cone, E_cone) gaps as float (start, length), rebuilt from the heavy
+    arcs with Fractions: the light arcs are the candidates of each generation
+    that are not heavy, and every light arc is cut at the anchor points
+    strictly inside it, skipping empty pieces."""
+    heavy = set(d.heavy_intervals)
+    light, candidates = [], [(2, k) for k in range(p.n_arcs(2))]
+    for j in range(2, p.max_generation + 1):
+        light += [c for c in candidates if c not in heavy]
+        scale = p.n_arcs(j + 1) // p.n_arcs(j) if j < p.max_generation else 0
+        candidates = [(j + 1, k * scale + i) for c, k in candidates if (c, k) in heavy for i in range(scale)]
+    rational_gaps = [(Fraction(k, p.n_arcs(j)), Fraction(1, p.n_arcs(j))) for j, k in light]
+    points = sorted(
+        Fraction(10 * k + i, 10 * p.n_arcs(j)) for j, k in d.heavy_intervals for i in range(1, 9)
+    )
+    cut_gaps = []
+    for lo, span in rational_gaps:
+        inside = [q for q in points if lo < q < lo + span]
+        cuts = [lo] + inside + [lo + span]
+        cut_gaps += [(a, b - a) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+
+    def as_floats(gaps):
+        return sorted((TAU * float(lo), float(span)) for lo, span in gaps)
+
+    return as_floats(rational_gaps), as_floats(cut_gaps), len(points) - len(set(points))
+
+
+def bits(circle_set):
+    return [(g.start.hex(), g.length.hex()) for g in circle_set.gaps]
+
+
+@pytest.mark.parametrize(
+    "om,p,shared_anchors",
+    [
+        # anchor tenths of generations 2 and 3 coincide inside later light arcs
+        (_random_measure(np.random.default_rng(0), 20, 20, r_max=0.999),
+         RobertsParams(c=0.7, n2=16, max_generation=4), True),
+        # criterion 05's hand trace
+        (DiskMeasure(boundary=[(0.0, 1.0)]), RobertsParams(c=1.0, n2=16, max_generation=3), False),
+    ],
+    ids=["generation-4", "hand-trace"],
+)
+def test_cone_sets_match_fraction_oracle(om, p, shared_anchors):
+    d = decompose(om, p)
+    star_core, cone, repeats = fraction_cone_sets(d, p)
+    assert (repeats > 0) == shared_anchors
+    assert bits(d.star_core_set) == [(a.hex(), b.hex()) for a, b in star_core]
+    assert bits(d.cone_set) == [(a.hex(), b.hex()) for a, b in cone]
