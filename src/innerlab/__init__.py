@@ -22,7 +22,6 @@ from .measures import (  # noqa: F401
     theta_for,
 )
 from .inner import (  # noqa: F401
-    FiniteBlaschke,
     InnerFunctionRep,
     circle_entropy_quadrature,
     critical_points,

@@ -17,7 +17,7 @@ from .bc_sets import TAU, BCSet, StarSpec, arc_gap_entropy, star_area_integral
 from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one, h2_norm_and_lp
 from .calibration import comparison_exponents, hyperbolic_decay_ratio, order4_decay_ratios
 from .gce import GceProblem, PolarGrid, nearly_maximal, check_fund3, solve_dirichlet, u_max
-from .inner import FiniteBlaschke, InnerFunctionRep, entropy_table
+from .inner import InnerFunctionRep, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError, diffuse_family
 from .outer import OuterSpec, decay_profile
 from .roberts import RobertsParams, decompose, verify
@@ -250,7 +250,7 @@ def criterion_09():
             (r * np.exp(1j * a), 1)
             for r, a in zip(rng.uniform(0.05, 0.85, deg - 1), rng.uniform(0, TAU, deg - 1))
         ]
-        f = FiniteBlaschke(zeros, np.exp(1j * rng.uniform(0, TAU)))
+        f = InnerFunctionRep(zeros, rotation=np.exp(1j * rng.uniform(0, TAU)))
         h2, lp = h2_norm_and_lp(f)
         worst_lp = max(worst_lp, abs(h2 - lp))
     ok &= worst_lp <= 1e-6

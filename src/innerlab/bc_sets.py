@@ -114,11 +114,6 @@ class BCSet:
                 gaps.append(CircleArc(p, ln))
         return cls(gaps)
 
-    @classmethod
-    def full_circle(cls) -> "BCSet":
-        """E = S^1 (no gaps); degenerate for the area integral."""
-        return cls([])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -154,9 +149,6 @@ class BCSet:
     def contains_angle(self, phi, tol: float = 0.0):
         """Membership of the angle(s) in the closed set, gaps shrunk by `tol`."""
         return _scalar_or_array(phi, ~self._gap_of(phi, tol)[2])
-
-    def rotate(self, delta: float) -> "BCSet":
-        return BCSet([CircleArc(g.start + delta, g.length) for g in self.gaps])
 
     def __eq__(self, other):
         if not isinstance(other, BCSet):

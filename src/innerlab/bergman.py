@@ -75,8 +75,7 @@ def h2_norm_and_lp(f) -> tuple:
     For F(0) = 0 the two agree: the mean square of |F| on the circle
     equals (1/pi) int |F'|^2 log(1/|z|^2) over the disk.
     """
-    zero_mult = sum(m for a, m in f.zeros if abs(a) < 1e-13)
-    if zero_mult < 1:
+    if f.origin_multiplicity < 1:
         raise ValueError("the identity needs F(0) = 0")
 
     def circ(theta):
@@ -115,6 +114,8 @@ def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
         raise ValueError("angular resolution must exceed twice the degree cap")
     z = rho[:, None] * np.exp(1j * theta)[None, :]
     vals = np.asarray(gen(z), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("the generator is not finite at the quadrature nodes")
     dth = TAU / spec.n_theta
     f_abs = np.fft.fft(np.abs(vals) ** 2, axis=1) * dth  # A_d = conj at -d
     f_conj = np.fft.fft(np.conj(vals), axis=1) * dth

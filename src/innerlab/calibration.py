@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bc_sets import TAU, BCSet, StarSpec, dist_angle_to_set, hyperbolic_dist_to_star, star_contains
-from .inner import FiniteBlaschke, critical_points, log_abs_inner
+from .inner import InnerFunctionRep, critical_points, log_abs_inner
 from .measures import DiskMeasure
 
 MASS_CAP = 2.0
@@ -40,14 +40,21 @@ def _star_atoms(rng, e: BCSet, count: int, mass_total: float):
 
 
 def _probes_outside(rng, spec: StarSpec, count: int = 300):
-    out = []
-    tries = 0
-    while len(out) < count and tries < 60 * count:
-        tries += 1
-        z = complex(rng.uniform(0.05, 0.995) * np.exp(1j * rng.uniform(0, TAU)))
-        if not star_contains(spec, z):
-            out.append(z)
-    return np.array(out, dtype=np.complex128)
+    """The first `count` of up to 60*count seeded points (radius, then angle)
+    that lie outside the star.
+
+    All candidates are drawn and tested at once; the generator then ends
+    where drawing them one at a time, stopping at the last point kept,
+    would leave it.
+    """
+    state = rng.bit_generator.state
+    draws = rng.uniform([0.05, 0.0], [0.995, TAU], (60 * count, 2))
+    z = draws[:, 0] * np.exp(1j * draws[:, 1])
+    keep = np.flatnonzero(~star_contains(spec, z))[:count]
+    used = keep[-1] + 1 if keep.size == count else len(z)
+    rng.bit_generator.state = state
+    rng.random(2 * used)
+    return z[keep]
 
 
 def hyperbolic_decay_ratio(seed: int = 2025, cases: int = 12) -> float:
@@ -84,7 +91,7 @@ def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
             ang = pts[int(rng.integers(0, len(pts)))] + rng.normal(0, 0.02)
             r = float(rng.uniform(0.3, 0.9))
             zeros.append((r * np.exp(1j * ang), 1))
-        f = FiniteBlaschke(zeros)
+        f = InnerFunctionRep(zeros)
         try:
             crits = critical_points(f)
         except Exception:

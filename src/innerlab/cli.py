@@ -45,6 +45,7 @@ NUMERICAL_ERRORS = (
     ThetaUnsolvableError,
     OverflowError,
     FloatingPointError,
+    np.linalg.LinAlgError,
 )
 
 
@@ -449,7 +450,7 @@ def _run_and_report(build_config, out_dir: str):
     A numerical failure exits 2. Every other ValueError the package raises
     is an input check and exits 1. Each prints a one-line message on
     stderr. The numerical clause comes first because ThetaUnsolvableError
-    is a ValueError.
+    and LinAlgError are ValueErrors.
     """
     config = None
     try:

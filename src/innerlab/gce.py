@@ -431,6 +431,8 @@ def _newton_solve(system: _SmoothSystem, w):
     krylov_iters, min_step = 0, 1.0
     for it in range(NEWTON_MAX_ITER):
         err = system.scaled_error(w, r)
+        if not math.isfinite(err):
+            raise NewtonError(f"{system.grid!r}: scaled residual is {err} at Newton step {it}")
         if err <= NEWTON_TOL:
             break
         d = 2.0 * system.source(w)

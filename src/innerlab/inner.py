@@ -4,11 +4,11 @@ Green's function G(z,a) = log|1 - z*conj(a)| - log|z - a|, Poisson
 kernel P(z,zeta) = (1-|z|^2)/|zeta - z|^2.
 
 log|I_omega(z)| = -sum mt*G(z,a) - sum m*P(z,zeta) for a zero structure
-omega with interior atoms (a, mt) and boundary atoms (zeta, m); finite
-Blaschke products additionally evaluate as complex functions, with
-derivatives, critical points (Aberth on the numerator of F'), and the
-entropy identities relating critical points, zeros and circle averages
-of log|F'|.
+omega with interior atoms (a, mt) and boundary atoms (zeta, m).
+InnerFunctionRep evaluates F = B*S as a complex function; a finite
+Blaschke product (S = 1) also has derivatives, critical points (Aberth on
+the numerator of F'), and the entropy identities relating critical
+points, zeros and circle averages of log|F'|.
 """
 
 import math
@@ -81,88 +81,60 @@ def log_abs_inner(omega: DiskMeasure, z):
 # function representations
 
 
-def _checked_zeros(zeros, rotation):
-    """((a, m), ...) with |a| < 1 and integer m >= 1, and the unimodular rotation."""
-    zs = []
-    for a, m in zeros:
-        a = complex(a)
-        m = int(m)
-        if abs(a) >= 1.0:
-            raise ValueError("zeros must lie strictly inside the disk")
-        if m < 1:
-            raise ValueError("multiplicities must be >= 1")
-        zs.append((a, m))
-    r = complex(rotation)
-    if abs(abs(r) - 1.0) > 1e-9:
-        raise ValueError("rotation must be unimodular")
-    return tuple(zs), r / abs(r)
-
-
-def _blaschke_values(zeros, rotation, z):
-    """rotation * prod ((z - a)/(1 - conj(a) z))^m as an array shaped like z."""
-    out = np.full(z.shape, rotation, dtype=np.complex128)
-    for a, m in zeros:
-        out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
-    return out
-
-
 class InnerFunctionRep:
-    """B*S_mu with integer zero multiplicities plus singular boundary atoms."""
+    """rotation * B * S: B = prod ((z - a)/(1 - conj(a) z))^m over finitely many
+    zeros, S = prod exp(-m (zeta + z)/(zeta - z)) over singular boundary atoms.
 
-    __slots__ = ("zeros", "singular_atoms", "rotation")
+    Evaluation works for any B*S; numden, deriv_poly, deriv and the critical
+    points need a finite Blaschke product (no singular atoms).
+    """
+
+    __slots__ = ("zeros", "singular_atoms", "rotation", "_numden")
 
     def __init__(self, zeros=(), singular_atoms=(), rotation=1.0 + 0j):
-        self.zeros, self.rotation = _checked_zeros(zeros, rotation)
+        zs = []
+        for a, m in zeros:
+            a = complex(a)
+            m = int(m)
+            if abs(a) >= 1.0:
+                raise ValueError("zeros must lie strictly inside the disk")
+            if m < 1:
+                raise ValueError("multiplicities must be >= 1")
+            zs.append((a, m))
+        r = complex(rotation)
+        if abs(abs(r) - 1.0) > 1e-9:
+            raise ValueError("rotation must be unimodular")
+        self.zeros, self.rotation = tuple(zs), r / abs(r)
         self.singular_atoms = tuple(
             (float(t) % TAU, float(m)) for t, m in singular_atoms
         )
         if any(m <= 0 for _, m in self.singular_atoms):
             raise ValueError("singular masses must be positive")
-
-    @property
-    def zero_structure(self) -> DiskMeasure:
-        """The measure carrying this function's zero data."""
-        return DiskMeasure(
-            interior=[(a, float(m)) for a, m in self.zeros],
-            boundary=self.singular_atoms,
-        )
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = _blaschke_values(self.zeros, self.rotation, z)
-        for t, m in self.singular_atoms:
-            zeta = np.exp(1j * t)
-            out = out * np.exp(-m * (zeta + z) / (zeta - z))
-        return complex(out) if out.ndim == 0 else out
-
-    def log_abs(self, z):
-        return log_abs_inner(self.zero_structure, z)
-
-
-class FiniteBlaschke:
-    """rot * prod ((z - a)/(1 - conj(a) z))^m, finitely many zeros."""
-
-    __slots__ = ("zeros", "rotation", "_numden")
-
-    def __init__(self, zeros=(), rotation=1.0 + 0j):
-        self.zeros, self.rotation = _checked_zeros(zeros, rotation)
         self._numden = None
-
-    @classmethod
-    def monomial(cls, d: int) -> "FiniteBlaschke":
-        return cls([(0j, d)])
-
-    @classmethod
-    def mobius(cls, x: complex, rotation=1.0 + 0j) -> "FiniteBlaschke":
-        """T_x = (z - x)/(1 - conj(x) z)."""
-        return cls([(complex(x), 1)], rotation)
 
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.zeros)
 
+    @property
+    def origin_multiplicity(self) -> int:
+        """Order of the zero at the origin (zeros within 1e-13 of it count)."""
+        return sum(m for a, m in self.zeros if abs(a) < 1e-13)
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=np.complex128)
+        out = np.full(z.shape, self.rotation, dtype=np.complex128)
+        for a, m in self.zeros:
+            out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
+        for t, m in self.singular_atoms:
+            zeta = np.exp(1j * t)
+            out = out * np.exp(-m * (zeta + z) / (zeta - z))
+        return complex(out) if out.ndim == 0 else out
+
     def numden(self):
         """(N, D) ascending coefficient arrays with F = N/D, rotation in N."""
+        if self.singular_atoms:
+            raise ValueError("numden needs a finite Blaschke product (no singular atoms)")
         if self._numden is None:
             num = np.array([self.rotation], dtype=np.complex128)
             den = np.array([1.0 + 0j], dtype=np.complex128)
@@ -172,10 +144,6 @@ class FiniteBlaschke:
                     den = polymul(den, [1.0, -np.conj(a)])
             self._numden = (num, den)
         return self._numden
-
-    def __call__(self, z):
-        out = _blaschke_values(self.zeros, self.rotation, np.asarray(z, dtype=np.complex128))
-        return complex(out) if out.ndim == 0 else out
 
     def deriv_poly(self):
         """Numerator P of F' = P/D^2 (ascending coefficients)."""
@@ -188,15 +156,8 @@ class FiniteBlaschke:
         out = polyval(self.deriv_poly(), z) / polyval(den, z) ** 2
         return complex(out) if out.ndim == 0 else out
 
-    def log_abs(self, z):
-        zs = DiskMeasure(interior=[(a, float(m)) for a, m in self.zeros])
-        return log_abs_inner(zs, z)
 
-    def __repr__(self):
-        return f"FiniteBlaschke(degree={self.degree})"
-
-
-def critical_points(f: FiniteBlaschke):
+def critical_points(f: InnerFunctionRep):
     """Zeros of F' in the open disk as (point, multiplicity); count d-1."""
     if f.degree < 1:
         raise ValueError("need degree >= 1")
@@ -218,17 +179,13 @@ def critical_points(f: FiniteBlaschke):
 # entropy identities
 
 
-def _zero_at_origin_mult(f: FiniteBlaschke) -> int:
-    return sum(m for a, m in f.zeros if abs(a) < 1e-13)
-
-
-def jensen_entropy(f: FiniteBlaschke) -> float:
+def jensen_entropy(f: InnerFunctionRep) -> float:
     """sum_crit log(1/|c|) - sum_{zeros != 0} log(1/|z_i|).
 
     Requires F(0) = 0 and F'(0) != 0 (simple zero at the origin, no
     critical point there).
     """
-    if _zero_at_origin_mult(f) != 1:
+    if f.origin_multiplicity != 1:
         raise ValueError("entropy formula needs a simple zero at the origin")
     crit = critical_points(f)
     if any(abs(c) < 1e-13 for c, _ in crit):
@@ -251,7 +208,7 @@ def entropy_table(degree: int, seed: int, count: int):
             (r * np.exp(1j * a), 1)
             for r, a in zip(rng.uniform(0.05, 0.9, deg - 1), rng.uniform(0, TAU, deg - 1))
         ]
-        f = FiniteBlaschke(zeros, np.exp(1j * rng.uniform(0, TAU)))
+        f = InnerFunctionRep(zeros, rotation=np.exp(1j * rng.uniform(0, TAU)))
         ent = jensen_entropy(f)
         quad = circle_entropy_quadrature(f, tol=1e-10)
         rows.append((deg, ent, quad, abs(ent - quad)))
@@ -282,7 +239,7 @@ def doubling_circle_mean(fn, tol: float, cap: int, offset: float):
     raise QuadratureError(f"circle quadrature did not settle below {tol} within {cap} nodes")
 
 
-def circle_entropy_quadrature(f: FiniteBlaschke, tol: float = 1e-9, cap: int = 1 << 20) -> float:
+def circle_entropy_quadrature(f: InnerFunctionRep, tol: float = 1e-9, cap: int = 1 << 20) -> float:
     """(1/2pi) integral of log|F'| over the circle; the entropy oracle."""
     p = f.deriv_poly()
     _, den = f.numden()

@@ -45,11 +45,6 @@ class DiskMeasure:
 
     # -- masses -------------------------------------------------------------
 
-    def total_mass(self) -> float:
-        return math.fsum(m for _, m in self.interior) + math.fsum(
-            m for _, m in self.boundary
-        )
-
     def blaschke_mass(self) -> float:
         """Mass of the combined measure: sum m + sum (1-|a|)*mt."""
         return math.fsum((1.0 - abs(a)) * m for a, m in self.interior) + math.fsum(
@@ -60,27 +55,10 @@ class DiskMeasure:
     def is_empty(self) -> bool:
         return not self.interior and not self.boundary
 
-    def scaled(self, k: float) -> "DiskMeasure":
-        if k <= 0.0:
-            raise ValueError("scale must be positive")
-        return DiskMeasure(
-            [(a, k * m) for a, m in self.interior],
-            [(t, k * m) for t, m in self.boundary],
-        )
-
     def __add__(self, other: "DiskMeasure") -> "DiskMeasure":
         return DiskMeasure(
             list(self.interior) + list(other.interior),
             list(self.boundary) + list(other.boundary),
-        )
-
-    def __le__(self, other: "DiskMeasure") -> bool:
-        """Atomwise domination: every atom of self appears in other with
-        at least the same mass."""
-        oth_i = dict(other.interior)
-        oth_b = dict(other.boundary)
-        return all(oth_i.get(a, 0.0) >= m - 1e-15 for a, m in self.interior) and all(
-            oth_b.get(t, 0.0) >= m - 1e-15 for t, m in self.boundary
         )
 
     def __repr__(self):

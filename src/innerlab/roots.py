@@ -36,11 +36,6 @@ def _poly_val_and_scale(c, z):
     return v, s
 
 
-def _dpoly(c):
-    n = len(c) - 1
-    return np.array([c[k] * k for k in range(1, n + 1)], dtype=np.complex128)
-
-
 def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """All complex roots of the polynomial, multiplicities repeated."""
     c = np.asarray(coeffs, dtype=np.complex128)
@@ -63,7 +58,7 @@ def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
         return np.concatenate([zero_roots, [-c[0] / c[1]]])
 
     c = c / np.max(np.abs(c))
-    dc = _dpoly(c)
+    dc = polyder(c)
     # Cauchy-style initial radius, slightly irrational phase offset
     radius = 1.0 + np.max(np.abs(c[:-1] / c[-1])) ** (1.0 / n)
     rng = np.random.default_rng(0x5EED)
@@ -76,7 +71,7 @@ def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
         worst = float(res.max())
         if worst <= tol:
             break
-        dv, _ = _poly_val_and_scale(dc, z)
+        dv = polyval(dc, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(dv != 0, pv / dv, 0.0)
             diff = z[:, None] - z[None, :]

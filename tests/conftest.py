@@ -3,7 +3,7 @@ import os
 import numpy as np
 
 import innerlab
-from innerlab.inner import FiniteBlaschke
+from innerlab.inner import InnerFunctionRep
 
 TAU = 2.0 * np.pi
 
@@ -17,7 +17,7 @@ def random_blaschke(rng, degree, origin_zero=False):
     if origin_zero:
         zeros.append((0j, 1))
     rot = np.exp(1j * rng.uniform(0, TAU))
-    return FiniteBlaschke(zeros, rot)
+    return InnerFunctionRep(zeros, rotation=rot)
 
 
 def child_env():

@@ -12,7 +12,7 @@ from innerlab.bergman import (
     distance_to_one,
     h2_norm_and_lp,
 )
-from innerlab.inner import FiniteBlaschke, InnerFunctionRep
+from innerlab.inner import InnerFunctionRep
 from innerlab.measures import diffuse_family
 
 SQRT_PI = math.sqrt(math.pi)
@@ -39,7 +39,7 @@ class TestNorms:
         # the rule and the Gram matrices see |f| only: a unimodular factor
         # changes neither the norm nor the distance from 1 to span{z^k f}
         spec = BergmanSpaceSpec(n_r=120, n_theta=128)
-        f = FiniteBlaschke([(0.3 + 0.2j, 1)])
+        f = InnerFunctionRep([(0.3 + 0.2j, 1)])
         g = lambda z: np.exp(0.7j) * f(z)
         rho, wr, theta = spec.nodes()
         z = rho[:, None] * np.exp(1j * theta)[None, :]
@@ -69,12 +69,12 @@ class TestNorms:
 
 class TestLittlewoodPaley:
     def test_identity_map(self):
-        h2, lp = h2_norm_and_lp(FiniteBlaschke([(0j, 1)]))
+        h2, lp = h2_norm_and_lp(InnerFunctionRep([(0j, 1)]))
         assert h2 == pytest.approx(1.0, abs=1e-12)
         assert lp == pytest.approx(1.0, abs=1e-9)
 
     def test_square(self):
-        h2, lp = h2_norm_and_lp(FiniteBlaschke.monomial(2))
+        h2, lp = h2_norm_and_lp(InnerFunctionRep([(0j, 2)]))
         assert h2 == pytest.approx(1.0, abs=1e-12)
         assert lp == pytest.approx(1.0, abs=1e-9)
 
@@ -87,7 +87,7 @@ class TestLittlewoodPaley:
 
     def test_requires_origin_zero(self):
         with pytest.raises(ValueError):
-            h2_norm_and_lp(FiniteBlaschke([(0.5, 1)]))
+            h2_norm_and_lp(InnerFunctionRep([(0.5, 1)]))
 
 
 class TestDistanceToOne:

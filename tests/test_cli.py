@@ -385,6 +385,30 @@ def test_outer_points_on_circle_allowed(tmp_path):
         assert 0.0 < float(row.split(",")[2]) <= 1.0
 
 
+NUMERICAL_FAILURES = {
+    # the Newton state turns NaN in the first step
+    "huge-constant-data": (
+        "gce-dirichlet", {"n_r": 8, "n_theta": 8, "boundary": {"kind": "constant", "value": 1e308}}),
+    "tiny-radius": ("gce-dirichlet", {"n_r": 8, "n_theta": 8, "radius": 1e-300}),
+    # the generator underflows to 0 on every node, so the Gram matrix is singular
+    "huge-singular-mass": (
+        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e200}]}}),
+    # the generator is NaN near the atom
+    "overflowing-singular-mass": (
+        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}}),
+}
+
+
+@pytest.mark.parametrize("kind,params", list(NUMERICAL_FAILURES.values()), ids=list(NUMERICAL_FAILURES))
+def test_valid_input_numerical_failure_exits_2(tmp_path, kind, params):
+    (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": params}))
+    res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines()[-1].startswith("numerical failure:"), res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_deeply_nested_json_exits_1(tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000)
     out = tmp_path / "o"

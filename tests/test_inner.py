@@ -7,7 +7,6 @@ from conftest import random_blaschke
 from innerlab import kernels
 from innerlab.bc_sets import hyperbolic_dist
 from innerlab.inner import (
-    FiniteBlaschke,
     InnerFunctionRep,
     QuadratureError,
     circle_entropy_quadrature,
@@ -94,7 +93,7 @@ class TestHyperbolic:
                 complex(*rng.uniform(-0.6, 0.6, 2)),
                 complex(*rng.uniform(-0.5, 0.5, 2)),
             )
-            t = FiniteBlaschke.mobius(a, rotation=np.exp(1j * rng.uniform(0, TAU)))
+            t = InnerFunctionRep([(a, 1)], rotation=np.exp(1j * rng.uniform(0, TAU)))
             assert hyperbolic_dist(t(x), t(y)) == pytest.approx(
                 hyperbolic_dist(x, y), abs=1e-12
             )
@@ -107,7 +106,7 @@ class TestLogAbsInner:
         # matches the explicit exp((z+1)/(z-1)) factor
         s = InnerFunctionRep(singular_atoms=[(0.0, 1.0)])
         z = 0.3 + 0.2j
-        assert s.log_abs(z) == pytest.approx(math.log(abs(s(z))), abs=1e-12)
+        assert log_abs_inner(om, z) == pytest.approx(math.log(abs(s(z))), abs=1e-12)
 
     def test_interior_atom(self):
         om = DiskMeasure(interior=[(0j, 1.0)])
@@ -155,14 +154,14 @@ class TestBlaschkeEval:
             assert f.deriv(z) == pytest.approx(fd, abs=1e-7)
 
     def test_critical_point_of_quadratic(self):
-        f = FiniteBlaschke([(0j, 1), (0.5, 1)])
+        f = InnerFunctionRep([(0j, 1), (0.5, 1)])
         (c, m), = critical_points(f)
         assert m == 1
         assert c == pytest.approx(2 - math.sqrt(3), abs=1e-11)
 
     def test_monomial_critical_points(self):
         for d in (2, 3, 6):
-            (c, m), = critical_points(FiniteBlaschke.monomial(d))
+            (c, m), = critical_points(InnerFunctionRep([(0j, d)]))
             assert c == 0 and m == d - 1
 
     def test_critical_count_random(self):
@@ -177,10 +176,10 @@ class TestBlaschkeEval:
 
 class TestEntropy:
     def test_identity_map(self):
-        assert jensen_entropy(FiniteBlaschke([(0j, 1)])) == 0.0
+        assert jensen_entropy(InnerFunctionRep([(0j, 1)])) == 0.0
 
     def test_quadratic_formula(self):
-        f = FiniteBlaschke([(0j, 1), (0.5, 1)])
+        f = InnerFunctionRep([(0j, 1), (0.5, 1)])
         want = math.log(0.5 / (2 - math.sqrt(3)))
         assert jensen_entropy(f) == pytest.approx(want, abs=1e-11)
         assert jensen_entropy(f) == pytest.approx(0.6238, abs=1e-4)
@@ -189,23 +188,23 @@ class TestEntropy:
         # z*T_a tends to z^2 as a->0 (entropy -> log 2, the quadrature value
         # of the limit) and to a rotation of z as |a|->1 (entropy -> 0)
         inner_vals = [
-            jensen_entropy(FiniteBlaschke([(0j, 1), (a, 1)]))
+            jensen_entropy(InnerFunctionRep([(0j, 1), (a, 1)]))
             for a in (0.2, 0.05, 0.01, 0.002)
         ]
         assert inner_vals == sorted(inner_vals)
         assert inner_vals[-1] == pytest.approx(LOG2, abs=1e-5)
         edge_vals = [
-            jensen_entropy(FiniteBlaschke([(0j, 1), (a, 1)]))
+            jensen_entropy(InnerFunctionRep([(0j, 1), (a, 1)]))
             for a in (0.9, 0.99, 0.999)
         ]
         assert edge_vals == sorted(edge_vals, reverse=True)
         assert edge_vals[-1] < 0.05  # decays like sqrt(1-a)
 
     def test_quadrature_oracle_simple_cases(self):
-        assert circle_entropy_quadrature(FiniteBlaschke([(0j, 1)])) == pytest.approx(
+        assert circle_entropy_quadrature(InnerFunctionRep([(0j, 1)])) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert circle_entropy_quadrature(FiniteBlaschke.monomial(2)) == pytest.approx(
+        assert circle_entropy_quadrature(InnerFunctionRep([(0j, 2)])) == pytest.approx(
             LOG2, abs=1e-12
         )
 
@@ -222,9 +221,9 @@ class TestEntropy:
 
     def test_requires_origin_zero(self):
         with pytest.raises(ValueError):
-            jensen_entropy(FiniteBlaschke([(0.5, 1)]))
+            jensen_entropy(InnerFunctionRep([(0.5, 1)]))
         with pytest.raises(ValueError):
-            jensen_entropy(FiniteBlaschke.monomial(2))  # F'(0) = 0
+            jensen_entropy(InnerFunctionRep([(0j, 2)]))  # F'(0) = 0
 
     def test_circle_mean_raises_when_unsettled(self):
         # a level that depends on the node count (1, 2, 4, 1, 2 at n = 64..1024)
@@ -243,7 +242,25 @@ class TestInnerRep:
             zeros=[(0.3 + 0.2j, 2)], singular_atoms=[(1.0, 0.5)], rotation=1j
         )
         z = np.array([0.1 + 0.4j, -0.5j, 0.6])
-        assert np.allclose(np.log(np.abs(rep(z))), rep.log_abs(z), atol=1e-12)
+        om = DiskMeasure(interior=[(0.3 + 0.2j, 2.0)], boundary=[(1.0, 0.5)])
+        assert np.allclose(np.log(np.abs(rep(z))), log_abs_inner(om, z), atol=1e-12)
+
+    def test_degree_and_origin_multiplicity(self):
+        rep = InnerFunctionRep([(0j, 2), (1e-14, 1), (0.5, 3)], [(1.0, 0.5)])
+        assert rep.degree == 6
+        assert rep.origin_multiplicity == 3
+        assert InnerFunctionRep().degree == 0
+
+    def test_derivatives_need_a_finite_blaschke_product(self):
+        rep = InnerFunctionRep([(0j, 1), (0.5, 1)], [(1.0, 0.5)])
+        for call in (rep.numden, rep.deriv_poly, lambda: rep.deriv(0.1), lambda: critical_points(rep)):
+            with pytest.raises(ValueError, match="no singular atoms"):
+                call()
+
+    def test_rotation_is_the_keyword_after_singular_atoms(self):
+        rep = InnerFunctionRep([(0.5, 1)], rotation=1j)
+        assert rep.singular_atoms == () and rep.rotation == 1j
+        assert rep(0.5) == 0 and rep(0.0) == pytest.approx(-0.5j, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
