@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from innerlab.bc_sets import TAU, BCSet, StarSpec, star_area_integral
-from innerlab.bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one
+from innerlab.bergman import BergmanSpaceSpec, distance_to_one
 from innerlab.calibration import comparison_exponents, hyperbolic_decay_ratio, order4_decay_ratios
 from innerlab.inner import InnerFunctionRep
 from innerlab.outer import OuterSpec, decay_profile
@@ -31,9 +31,7 @@ def main():
     e = BCSet.from_points([0.0, 2.2, math.pi, 4.8])
     print(f"OUTER_DECAY_ORDER3 = {decay_profile(OuterSpec(e, 20), orders=(3,))[3]!r}")
     spec = BergmanSpaceSpec(n_r=160, n_theta=512)
-    d, _ = distance_to_one(
-        SubspaceProbe(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20), spec
-    )
+    d, _ = distance_to_one(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20, spec)
     print(f"# singular generator distance measured: {d!r} (floor stays below it)")
 
 

@@ -31,7 +31,6 @@ from .inner import (  # noqa: F401
 )
 from .roberts import RobertsDecomposition, RobertsParams, decompose, verify  # noqa: F401
 from .gce import (  # noqa: F401
-    GceProblem,
     GridFunction,
     PolarGrid,
     check_fund3,
@@ -48,7 +47,6 @@ from .gce import (  # noqa: F401
 from .outer import OuterSpec, subdivide, weights  # noqa: F401
 from .bergman import (  # noqa: F401
     BergmanSpaceSpec,
-    SubspaceProbe,
     distance_to_one,
     h2_norm_and_lp,
 )

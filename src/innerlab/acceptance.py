@@ -14,9 +14,9 @@ import numpy as np
 
 from . import frozen
 from .bc_sets import TAU, BCSet, StarSpec, arc_gap_entropy, star_area_integral
-from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one, h2_norm_and_lp
+from .bergman import BergmanSpaceSpec, distance_to_one, h2_norm_and_lp
 from .calibration import comparison_exponents, hyperbolic_decay_ratio, order4_decay_ratios
-from .gce import GceProblem, PolarGrid, nearly_maximal, check_fund3, solve_dirichlet, u_max
+from .gce import PolarGrid, nearly_maximal, check_fund3, solve_dirichlet, u_max
 from .inner import InnerFunctionRep, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError, diffuse_family
 from .outer import OuterSpec, decay_profile
@@ -42,16 +42,17 @@ def _monomial_pullback(d):
     return fn
 
 
-def _probe_disk(r_max=0.8, n_rad=9, n_ang=64):
-    radii = np.linspace(r_max / n_rad, r_max, n_rad)
-    th = np.arange(n_ang) * (TAU / n_ang) + 0.0173
+def _probe_disk():
+    """9 x 64 probes over |z| <= 0.8."""
+    radii = np.linspace(0.8 / 9, 0.8, 9)
+    th = np.arange(64) * (TAU / 64) + 0.0173
     return (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
 
 
 def criterion_01():
     """Liouville consistency for omega = (d-1) delta_0, d = 2, 3."""
     details, ok = [], True
-    probes = _probe_disk(0.8)
+    probes = _probe_disk()
     for d in (2, 3):
         t0 = time.monotonic()
         om = DiskMeasure(interior=[(0j, float(d - 1))])
@@ -85,7 +86,7 @@ def criterion_03():
     for n_r, n_t in ((48, 96), (96, 192)):
         grid = PolarGrid(0.9, n_r, n_t)
         h = u_max(0.9 * np.exp(1j * grid.theta))
-        gf, _ = solve_dirichlet(GceProblem(grid, (), h))
+        gf, _ = solve_dirichlet(grid, (), h)
         _, rings = gf.total_nodes()
         errs[n_r] = float(np.max(np.abs(rings - u_max(grid.ring_nodes()))))
     ratio = errs[48] / errs[96]
@@ -97,13 +98,13 @@ def criterion_03():
     )
 
 
-def _random_measure(rng, n_int, n_bnd, r_max=0.85, m_max=0.8):
+def _random_measure(rng, n_int, n_bnd, r_max=0.85):
     interior = [
         (r * np.exp(1j * a), m)
         for r, a, m in zip(
             rng.uniform(0.05, r_max, n_int),
             rng.uniform(0, TAU, n_int),
-            rng.uniform(0.05, m_max, n_int),
+            rng.uniform(0.05, 0.8, n_int),
         )
     ]
     boundary = [
@@ -237,7 +238,7 @@ def criterion_09():
     details, ok = [], True
     spec = BergmanSpaceSpec()
     for m in (5, 20):
-        d, _ = distance_to_one(SubspaceProbe(lambda z: z, m), spec)
+        d, _ = distance_to_one(lambda z: z, m, spec)
         err = abs(d - math.sqrt(math.pi))
         ok &= err <= 1e-10
         details.append(f"distance(1,[z]) m={m}: error {_fmt(err)} (tol 1e-10)")
@@ -260,12 +261,10 @@ def criterion_09():
     ladder_vals = []
     for n in (32, 64, 128):
         gen = InnerFunctionRep(singular_atoms=diffuse_family(n, 10.0).boundary)
-        d, _ = distance_to_one(SubspaceProbe(gen, 20), gspec)
+        d, _ = distance_to_one(gen, 20, gspec)
         ladder_vals.append(d)
     decreasing = all(a > b for a, b in zip(ladder_vals, ladder_vals[1:]))
-    d_sing, _ = distance_to_one(
-        SubspaceProbe(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20), gspec
-    )
+    d_sing, _ = distance_to_one(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20, gspec)
     ok &= decreasing and d_sing >= frozen.SINGULAR_DISTANCE_FLOOR
     details.append(
         "diffuse ladder distances "

@@ -230,7 +230,7 @@ def star_contains(spec: StarSpec, z, tol: float = 0.0):
     return _scalar_or_array(z, inside)
 
 
-def _radial_star_profile(spec: StarSpec, psi: np.ndarray, gap: CircleArc) -> np.ndarray:
+def _radial_star_profile(spec: StarSpec, psi: np.ndarray) -> np.ndarray:
     """Integrand of the star area integral at angular depth psi into a gap.
 
     For fixed angle with x = theta*d^alpha < 1 the radial integral of
@@ -262,25 +262,32 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
         raise ValueError(
             "set has positive measure; the star area integral diverges"
         )
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     # angular depth at which theta*d^alpha reaches 1 (empty radial fibre)
     s = 0.5 * spec.aperture ** (-1.0 / spec.order)
     psi_cut = 2.0 * math.asin(s) if s < 1.0 else math.inf
     total = 0.0
     for g in e.gaps:
         upper = min(0.5 * g.rad_length, psi_cut)
-        lo = upper
-        for _ in range(levels):
-            hi, lo = lo, lo * 0.5
-            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            psi = mid + rad * nodes
-            vals = _radial_star_profile(spec, psi, g)
-            total += 2.0 * rad * float(np.dot(weights, vals))
-        # innermost panel [0, lo]: integrable log singularity, one last panel
-        mid, rad = 0.5 * lo, 0.5 * lo
-        psi = mid + rad * nodes
-        vals = _radial_star_profile(spec, psi, g)
-        total += 2.0 * rad * float(np.dot(weights, vals))
+        total += 2.0 * dyadic_gauss(lambda psi: _radial_star_profile(spec, psi), upper, levels, order)
+    return total
+
+
+def dyadic_gauss(fn, upper: float, levels: int, order: int) -> float:
+    """int_0^upper fn(x) dx by Gauss-Legendre of order `order` on the dyadic
+    panels [upper 2^-(k+1), upper 2^-k], k < levels, and on [0, upper 2^-levels].
+
+    The panels shrink toward 0, where fn may have an integrable (say
+    logarithmic) singularity; no node sits at 0. fn is called once, on the
+    (levels + 1, order) array of all nodes, one row per panel.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    hi = np.ldexp(upper, -np.arange(levels + 1))
+    lo = np.append(hi[1:], 0.0)
+    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    vals = fn(mid[:, None] + rad[:, None] * nodes[None, :])
+    total = 0.0
+    for r, row in zip(rad.tolist(), vals):
+        total += r * float(np.dot(weights, row))
     return total
 
 

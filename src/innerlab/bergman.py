@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .bc_sets import dyadic_gauss
 from .inner import doubling_circle_mean
 
 TAU = 2.0 * math.pi
@@ -23,14 +24,11 @@ TAU = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class BergmanSpaceSpec:
-    p: float = 2.0
     alpha: float = 0.0
     n_r: int = 200
     n_theta: int = 512
 
     def __post_init__(self):
-        if not (1.0 <= self.p < math.inf):
-            raise ValueError("p must lie in [1, infinity)")
         if self.alpha <= -1.0:
             raise ValueError("alpha must exceed -1")
         if self.n_r < 8 or self.n_theta < 16:
@@ -52,23 +50,6 @@ class BergmanSpaceSpec:
         return rho, wr, theta
 
 
-def _radial_log_integral(fn, levels=40, order=16):
-    """int_0^1 fn(rho) rho log(1/rho) drho on dyadic panels toward 0."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    hi = 1.0
-    for _ in range(levels):
-        lo = hi * 0.5
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r = mid + rad * nodes
-        total += rad * float(np.dot(wts, fn(r) * r * np.log(1.0 / r)))
-        hi = lo
-    mid, rad = 0.5 * hi, 0.5 * hi
-    r = mid + rad * nodes
-    total += rad * float(np.dot(wts, fn(r) * r * np.log(1.0 / r)))
-    return total
-
-
 def h2_norm_and_lp(f) -> tuple:
     """(||F||_{H^2}^2 by circle quadrature, the area log-weight integral).
 
@@ -84,28 +65,16 @@ def h2_norm_and_lp(f) -> tuple:
     h2_sq = doubling_circle_mean(circ, 1e-12, 1 << 19, 0.23)
 
     def radial(r):
-        out = np.empty_like(r)
-        theta = np.arange(256) * (TAU / 256)
-        for i, rr in enumerate(r):
-            out[i] = float(np.mean(np.abs(f.deriv(rr * np.exp(1j * theta))) ** 2))
-        return out
+        # the circle mean of |F'|^2 at radius r, times the weight r log(1/r)
+        z = r[..., None] * np.exp(1j * (np.arange(256) * (TAU / 256)))
+        return np.mean(np.abs(f.deriv(z)) ** 2, axis=-1) * r * np.log(1.0 / r)
 
-    lp = 4.0 * _radial_log_integral(radial)
+    lp = 4.0 * dyadic_gauss(radial, 1.0, 40, 16)
     return h2_sq, lp
 
 
 # ---------------------------------------------------------------------------
 # subspace distances
-
-
-@dataclass(frozen=True)
-class SubspaceProbe:
-    generator: object  # evaluable on complex arrays (inner function)
-    m: int = 20
-
-    def __post_init__(self):
-        if self.m < 0 or self.m > 60:
-            raise ValueError("polynomial degree cap must lie in [0, 60]")
 
 
 def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
@@ -116,6 +85,8 @@ def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
     vals = np.asarray(gen(z), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("the generator is not finite at the quadrature nodes")
+    if not np.any(vals):
+        raise FloatingPointError("the generator underflows to 0 at every quadrature node")
     dth = TAU / spec.n_theta
     f_abs = np.fft.fft(np.abs(vals) ** 2, axis=1) * dth  # A_d = conj at -d
     f_conj = np.fft.fft(np.conj(vals), axis=1) * dth
@@ -132,17 +103,17 @@ def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
     return gram, b, one_sq
 
 
-def distance_to_one(probe: SubspaceProbe, spec: BergmanSpaceSpec):
-    """Distance in A^2_alpha from 1 to span{I, zI, ..., z^m I}.
+def distance_to_one(generator, m: int, spec: BergmanSpaceSpec):
+    """Distance in A^2_alpha from 1 to span{I, zI, ..., z^m I}, I = generator
+    (evaluable on complex arrays) and m in [0, 60].
 
     Hilbert-space projection through the Gram matrix; returns
     (distance, report) where the report carries the nonincreasing trend
     over nested degree caps and a conditioning flag.
     """
-    if spec.p != 2.0:
-        raise ValueError("subspace distances need the Hilbert case p = 2")
-    m = probe.m
-    gram, b, one_sq = _gram_pieces(probe.generator, spec, m)
+    if m < 0 or m > 60:
+        raise ValueError("polynomial degree cap must lie in [0, 60]")
+    gram, b, one_sq = _gram_pieces(generator, spec, m)
     caps = sorted({m // 4, m // 2, (3 * m) // 4, m} - {0}) if m else [0]
     trend = []
     regularized = False

@@ -57,15 +57,15 @@ def _probes_outside(rng, spec: StarSpec, count: int = 300):
     return z[keep]
 
 
-def hyperbolic_decay_ratio(seed: int = 2025, cases: int = 12) -> float:
-    """Worst ratio log(1/|I(z)|) / (M exp(-d(z, K_E^2))) over the corpus.
+def hyperbolic_decay_ratio(seed: int = 2025) -> float:
+    """Worst ratio log(1/|I(z)|) / (M exp(-d(z, K_E^2))) over a 12-case corpus.
 
     Zero structures live in the order-1 star with combined mass <= M;
     probes lie outside the order-2 star.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(12):
         e = _seeded_set(rng)
         omega = DiskMeasure(interior=_star_atoms(rng, e, int(rng.integers(2, 6)), MASS_CAP * 0.9))
         star2 = StarSpec(e, order=2.0, include_core=True)
@@ -103,15 +103,16 @@ def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
     return None
 
 
-def order4_decay_ratios(seed: int = 2026, cases: int = 10):
-    """(disk ratio, circle ratio) extremes for the order-4 decay bounds.
+def order4_decay_ratios(seed: int = 2026):
+    """(disk ratio, circle ratio) extremes for the order-4 decay bounds over
+    a 10-case corpus.
 
     disk: (1-|F(z)|)/(1-|z|) * dist(z,E)^4 over z outside K_E^4;
     circle: |F'(zeta)| * dist(zeta,E)^4 over circle points off E.
     """
     rng = np.random.default_rng(seed)
     worst_disk, worst_circle = 0.0, 0.0
-    for _ in range(cases):
+    for _ in range(10):
         e = _seeded_set(rng, 3, 6)
         f = _blaschke_with_critical_structure_in_star(rng, e, int(rng.integers(3, 6)))
         if f is None:
@@ -133,7 +134,7 @@ def order4_decay_ratios(seed: int = 2026, cases: int = 10):
     return worst_disk, worst_circle
 
 
-def comparison_exponents(c_ladder=(0.05, 0.1, 0.2), n: int = 64, seed: int = 2027):
+def comparison_exponents():
     """Measured gamma for layer measures with per-arc caps c|I|log(1/|I|).
 
     Builds boundary measures with one atom per arc of radian length 2pi/n
@@ -143,14 +144,16 @@ def comparison_exponents(c_ladder=(0.05, 0.1, 0.2), n: int = 64, seed: int = 202
     phrasing of the same bound degenerates at the origin, where |I| < 1
     while the right side is 1; the n-power form is what the layered
     lower-bound argument consumes, and matches it at |z| ~ 1 - 1/n.)
-    Returns (c, gamma) pairs; gamma/c sits in a fixed band and shrinks
-    the inner factor only mildly when c is small.
+    Returns (c, gamma) pairs for c = 0.05, 0.1, 0.2 and n = 64; gamma/c
+    sits in a fixed band and shrinks the inner factor only mildly when c
+    is small.
     """
-    rng = np.random.default_rng(seed)
+    n = 64
+    rng = np.random.default_rng(2027)
     width = TAU / n
     cap_base = width * math.log(1.0 / width)
     out = []
-    for c in c_ladder:
+    for c in (0.05, 0.1, 0.2):
         om = DiskMeasure(
             boundary=[(width * (k + 0.5), c * cap_base) for k in range(n)]
         )

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .backend import backend_name
 from .bc_sets import BCSet, dist_angle_to_set
-from .bergman import BergmanSpaceSpec, SubspaceProbe, distance_to_one
-from .gce import NEWTON_TOL, GceProblem, NewtonError, PolarGrid, check_fund3, diffuse_experiment, nearly_maximal
+from .bergman import BergmanSpaceSpec, distance_to_one
+from .gce import NEWTON_TOL, NewtonError, PolarGrid, check_fund3, diffuse_experiment, nearly_maximal
 from .gce import solve_dirichlet, u_max
 from .inner import InnerFunctionRep, QuadratureError, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError
@@ -287,7 +287,7 @@ def _run_gce_dirichlet(p, meta):
     else:
         h = np.full(grid.n_theta, bnd["value"])
     atoms = DiskMeasure(p["atoms"]).interior
-    gf, info = solve_dirichlet(GceProblem(grid, atoms, h))
+    gf, info = solve_dirichlet(grid, atoms, h)
     center, rings = gf.total_nodes()
     rows = [(float(r), float(np.mean(vals))) for r, vals in zip(grid.rho, rings)]
     csv = _csv_text(["radius", "mean_u"], rows, meta)
@@ -348,7 +348,7 @@ def _run_outer(p, meta):
 
 def _run_bergman_distance(p, meta):
     spec = BergmanSpaceSpec(alpha=p["alpha"], n_r=p["n_r"], n_theta=p["n_theta"])
-    dist, rep = distance_to_one(SubspaceProbe(p["generator"], p["m"]), spec)
+    dist, rep = distance_to_one(p["generator"], p["m"], spec)
     rows = [(cap, val) for cap, val in rep["trend"]]
     csv = _csv_text(["degree_cap", "distance"], rows, meta)
     payload = {"distance": dist, "regularized": rep["regularized"], "trend": rows}
@@ -450,12 +450,14 @@ def _run_and_report(build_config, out_dir: str):
     A numerical failure exits 2. Every other ValueError the package raises
     is an input check and exits 1. Each prints a one-line message on
     stderr. The numerical clause comes first because ThetaUnsolvableError
-    and LinAlgError are ValueErrors.
+    and LinAlgError are ValueErrors. numpy's floating-point warnings are
+    silenced: a failure they foretell is reported by its own message.
     """
     config = None
     try:
         config = build_config()
-        result = run_scenario(config, out_dir)
+        with np.errstate(all="ignore"):
+            result = run_scenario(config, out_dir)
     except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)

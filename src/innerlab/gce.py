@@ -30,6 +30,7 @@ NEWTON_MAX_ITER = 60
 SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
 KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 36)
 KRYLOV_CYCLES = 1  # GMRES cycles; the line search absorbs an unfinished correction
+MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
 
 
 class NewtonError(RuntimeError):
@@ -311,21 +312,6 @@ def green_potential(atoms, grid: PolarGrid):
 # the nonlinear solver
 
 
-@dataclass
-class GceProblem:
-    """Delta u = 4 e^{2u} + 2 pi sum mt delta_a on the grid disk, u = h on its rim.
-
-    Atoms may lie anywhere in the open unit disk: those outside the grid
-    disk contribute no delta there, only a harmonic potential, and are
-    folded into the singular split for smoothness (the solution does not
-    depend on them beyond the boundary data, which the caller supplies).
-    """
-
-    grid: PolarGrid
-    atoms: tuple  # (a, mt) pairs with |a| < 1
-    boundary: np.ndarray  # h at the n_theta rim nodes
-
-
 class _SmoothSystem:
     """The discrete smooth system Delta_h w = 4 q e^{2w} on a grid.
 
@@ -472,8 +458,14 @@ def _newton_solve(system: _SmoothSystem, w):
     return w, info
 
 
-def solve_dirichlet(problem: GceProblem):
-    """Unique solution of the curvature equation with Dirichlet data.
+def solve_dirichlet(grid: PolarGrid, atoms, boundary):
+    """Unique solution of Delta u = 4 e^{2u} + 2 pi sum mt delta_a on the
+    grid disk with u = boundary at the n_theta rim nodes.
+
+    The (a, mt) atoms may lie anywhere in the open unit disk: those outside
+    the grid disk contribute no delta there, only a harmonic potential, and
+    are folded into the singular split for smoothness (the solution does not
+    depend on them beyond the boundary data, which the caller supplies).
 
     Returns (GridFunction carrying the atoms, info dict: newton_iters,
     residual, krylov_iters, min_step, flagged_nodes). Newton stops once the
@@ -482,12 +474,11 @@ def solve_dirichlet(problem: GceProblem):
     source + 1 (_SmoothSystem.scaled_error). A line search that stalls is
     accepted when that scaled residual is already at most 50 * NEWTON_TOL.
     """
-    grid = problem.grid
-    atoms = tuple((complex(a), float(m)) for a, m in problem.atoms)
+    atoms = tuple((complex(a), float(m)) for a, m in atoms)
     for a, _ in atoms:
         if abs(a) >= 1.0:
             raise ValueError("atoms must lie strictly inside the unit disk")
-    system = _SmoothSystem.with_data(grid, atoms, problem.boundary)
+    system = _SmoothSystem.with_data(grid, atoms, boundary)
     w0 = harmonic_extension(system.w_bc, grid).interior_values()
     w, info = _newton_solve(system, w0)
     rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), system.w_bc])
@@ -506,14 +497,7 @@ def pde_residual(gf: GridFunction) -> float:
 # Perron hulls and nearly-maximal solutions
 
 
-def perron_hull_r(
-    sub,
-    nu_atoms,
-    r: float,
-    n_r: int = 64,
-    n_theta: int = 128,
-    check_subsolution: bool = True,
-):
+def perron_hull_r(sub, nu_atoms, r: float, n_r: int, n_theta: int, check_subsolution: bool = True):
     """Minimal solution on D_r dominating the subsolution, matching it on dD_r.
 
     `sub` follows the GridFunction protocol (smooth(z) + .atoms). Atoms of
@@ -527,7 +511,7 @@ def perron_hull_r(
     h = _cell_averaged_boundary(sub, grid)
     if check_subsolution:
         _check_discrete_subsolution(sub, grid, atoms)
-    return solve_dirichlet(GceProblem(grid, atoms, h))
+    return solve_dirichlet(grid, atoms, h)
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -589,10 +573,10 @@ class NearlyMaximalResult:
         return u
 
 
-def _probe_points(r_max: float = 0.8, n_ang: int = 48):
+def _probe_points(r_max: float):
     radii = np.linspace(0.1, min(r_max, 0.8), 8)
     radii = np.concatenate([[0.02], radii])
-    th = np.arange(n_ang) * (TAU / n_ang) + 0.0391
+    th = np.arange(48) * (TAU / 48) + 0.0391
     return (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
 
 
@@ -612,11 +596,7 @@ def _plus_log_inner(u, omega: DiskMeasure) -> AnalyticField:
 
 
 def nearly_maximal(
-    omega: DiskMeasure,
-    ladder=(2, 3, 4, 5, 6, 7),
-    n_r: int = 96,
-    n_theta: int = 192,
-    stop_tol: float = 1e-4,
+    omega: DiskMeasure, ladder, n_r: int, n_theta: int, stop_tol: float = 1e-4
 ) -> NearlyMaximalResult:
     """Solution with boundary deficiency mu and singularity nu-tilde.
 
@@ -635,10 +615,18 @@ def nearly_maximal(
     return res
 
 
+def _check_rungs(ladder):
+    if any(not 1 <= k <= MAX_RUNG for k in ladder):
+        raise ValueError(
+            f"ladder rungs must lie in 1..{MAX_RUNG}, where r_k = 1 - 2^-k is a double in (0, 1)"
+        )
+
+
 def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     """Hulls of `sub` along the ladder; the result's deficiency is left empty."""
     if not ladder:
         raise ValueError("need at least one ladder rung")
+    _check_rungs(ladder)
     # the probes are sized from the first rung, the innermost disk
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder rungs must strictly increase")
@@ -763,7 +751,7 @@ def radial_solution(r: float, c_value: float, n_steps: int = 4096):
     return rho, us
 
 
-def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder=(2, 3, 4, 5, 6), n_r=64, n_theta=128):
+def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder, n_r: int, n_theta: int):
     """Compare u_{om1+om2} against the hull of u_{om1} + log|I_{om2}|.
 
     The right side's rungs stop strictly inside the disk where u_{om1} is
@@ -773,6 +761,7 @@ def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder=(2, 3, 4, 5, 6), n_r=
     over |z| <= 0.8 measures the identity, not the solver reproducing
     itself.
     """
+    _check_rungs(ladder)
     # the right side's last hull has radius 1 - 2^-k for the second-to-last
     # rung k, and it is probed out to |z| = 0.8
     if len(ladder) < 2 or 1.0 - 2.0 ** -ladder[-2] < 0.8:
@@ -794,7 +783,7 @@ def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder=(2, 3, 4, 5, 6), n_r=
     }
 
 
-def diffuse_experiment(ns, big_ms, ladder=(2, 3, 4, 5, 6), n_r=80, n_theta=256):
+def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
     """Gap |u_{mu_{n,M}}(0) - u_D(0)| across the (n, M) table.
 
     Rows: (n, M, theta_n, u_at_0, gap, status); unsolvable (n, M) pairs

@@ -158,7 +158,7 @@ class OuterSpec:
         return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def decay_profile(spec: OuterSpec, orders=(1, 2, 3), n_side: int = 40):
+def decay_profile(spec: OuterSpec, orders=(1, 2, 3)):
     """sup over a near-E probe sweep of |Phi(z)| * dist(z, E)^(-N).
 
     Probes approach each gap endpoint radially and tangentially at dyadic
@@ -168,10 +168,8 @@ def decay_profile(spec: OuterSpec, orders=(1, 2, 3), n_side: int = 40):
     pts = []
     for g in spec.base.gaps:
         for endpoint in (g.start, g.end % TAU):
-            for i in range(1, n_side + 1):
-                d = 2.0 ** (-i / 2.5) * 0.5
-                if d < 1e-8:
-                    break
+            for i in range(1, 41):
+                d = 2.0 ** (-i / 2.5) * 0.5  # down to 7.6e-6
                 pts.append((1.0 - d) * np.exp(1j * endpoint))
                 pts.append((1.0 - d) * np.exp(1j * (endpoint + 0.7 * d)))
     z = np.array(pts, dtype=np.complex128)

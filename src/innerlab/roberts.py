@@ -36,6 +36,8 @@ from .measures import DiskMeasure
 
 # frozen corpus constant for the local-entropy budget ||E_cone||_{BC_eta} <= K * mass / c
 K_LOCAL_ENTROPY = 6.0
+VERIFY_ATOL = 1e-12  # slack of verify's mass conservation and sliding-arc caps
+STAR_TOL = 1e-9  # slack of verify's cone containment checks
 
 
 class InvariantViolation(AssertionError):
@@ -252,20 +254,14 @@ class VerifyReport:
     metrics: dict
 
 
-def verify(
-    d: RobertsDecomposition,
-    omega: DiskMeasure,
-    p: RobertsParams,
-    atol: float = 1e-12,
-    star_tol: float = 1e-9,
-) -> VerifyReport:
+def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> VerifyReport:
     failures = []
     metrics = {}
 
     total_in = omega.blaschke_mass()
     total_out = math.fsum(m.blaschke_mass() for _, m in d.layers) + d.cone.blaschke_mass()
     metrics["mass_error"] = abs(total_in - total_out)
-    if metrics["mass_error"] > atol * max(1.0, total_in):
+    if metrics["mass_error"] > VERIFY_ATOL * max(1.0, total_in):
         failures.append(f"mass conservation off by {metrics['mass_error']:.3e}")
 
     # layer supports and sliding-arc bounds
@@ -284,7 +280,7 @@ def verify(
         width = TAU / n
         for ang0, _ in pts:
             s = math.fsum(m for ang, m in pts if (ang - ang0) % TAU < width)
-            if s > cap + atol:
+            if s > cap + VERIFY_ATOL:
                 failures.append(
                     f"layer {j}: sliding arc at {ang0:.4f} carries {s:.6g} > {cap:.6g}"
                 )
@@ -293,10 +289,10 @@ def verify(
     # cone containment in the star over E_cone
     spec = StarSpec(d.cone_set, order=1.0, aperture=1.0, include_core=True)
     for ang, _ in d.cone.boundary:
-        if not d.cone_set.contains_angle(ang, tol=star_tol):
+        if not d.cone_set.contains_angle(ang, tol=STAR_TOL):
             failures.append(f"cone boundary atom at angle {ang:.6f} outside E_cone")
     for a, _ in d.cone.interior:
-        if not star_contains(spec, a, tol=star_tol):
+        if not star_contains(spec, a, tol=STAR_TOL):
             failures.append(f"cone interior atom at {a:.6f} outside the star")
 
     metrics["cone_entropy"] = d.cone_set.entropy()
@@ -304,14 +300,13 @@ def verify(
     return VerifyReport(not failures, failures, metrics)
 
 
-def local_entropy_bounds(d: RobertsDecomposition, eta: float | None = None):
+def local_entropy_bounds(d: RobertsDecomposition):
     """Local entropies of (E*_cone, E_cone) at threshold eta = 1/(2 n2).
 
     Enforces the frozen budget K * mass / c on both values.
     """
     p = d.params
-    if eta is None:
-        eta = 1.0 / (2.0 * p.n2)
+    eta = 1.0 / (2.0 * p.n2)
     mass = math.fsum(m.blaschke_mass() for _, m in d.layers) + d.cone.blaschke_mass()
     star_val = d.star_core_set.local_entropy(eta)
     cone_val = d.cone_set.local_entropy(eta)

@@ -36,7 +36,7 @@ def _poly_val_and_scale(c, z):
     return v, s
 
 
-def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
+def all_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial, multiplicities repeated."""
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.size == 0 or not np.any(c != 0):
@@ -69,7 +69,7 @@ def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
         pv, scale = _poly_val_and_scale(c, z)
         res = np.abs(pv) / np.maximum(scale, 1e-300)
         worst = float(res.max())
-        if worst <= tol:
+        if worst <= RESIDUAL_TOL:
             break
         dv = polyval(dc, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -88,18 +88,18 @@ def all_roots(coeffs, tol: float = RESIDUAL_TOL) -> np.ndarray:
             last = worst
     else:
         raise RootFindingError(
-            f"Aberth iteration did not reach residual {tol} in {MAX_ITER} steps"
+            f"Aberth iteration did not reach residual {RESIDUAL_TOL} in {MAX_ITER} steps"
         )
     return np.concatenate([zero_roots, z])
 
 
-def cluster_roots(roots, radius: float = CLUSTER_RADIUS):
+def cluster_roots(roots):
     """Greedy clustering into (centroid, multiplicity) pairs."""
     roots = sorted(roots, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
     out = []
     for r in roots:
         for i, (ctr, mult) in enumerate(out):
-            if abs(r - ctr) <= radius:
+            if abs(r - ctr) <= CLUSTER_RADIUS:
                 out[i] = ((ctr * mult + r) / (mult + 1), mult + 1)
                 break
         else:

@@ -8,7 +8,6 @@ from scipy.special import betaln
 
 from innerlab.bergman import (
     BergmanSpaceSpec,
-    SubspaceProbe,
     distance_to_one,
     h2_norm_and_lp,
 )
@@ -45,8 +44,8 @@ class TestNorms:
         z = rho[:, None] * np.exp(1j * theta)[None, :]
         n1, n2 = (2 * math.pi * (wr @ (np.abs(h(z)) ** 2).mean(axis=1)) for h in (f, g))
         assert n1 == pytest.approx(n2, rel=1e-14)
-        d1, _ = distance_to_one(SubspaceProbe(f, 20), spec)
-        d2, _ = distance_to_one(SubspaceProbe(g, 20), spec)
+        d1, _ = distance_to_one(f, 20, spec)
+        d2, _ = distance_to_one(g, 20, spec)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_weighted_monomial_closed_form(self):
@@ -94,41 +93,39 @@ class TestDistanceToOne:
     def test_monomial_generator(self):
         spec = BergmanSpaceSpec()
         for m in (5, 20):
-            d, rep = distance_to_one(SubspaceProbe(lambda z: z, m), spec)
+            d, rep = distance_to_one(lambda z: z, m, spec)
             assert d == pytest.approx(SQRT_PI, abs=1e-10)
             assert not rep["regularized"]
 
     def test_constant_generator(self):
         spec = BergmanSpaceSpec()
-        d, _ = distance_to_one(SubspaceProbe(lambda z: np.ones_like(z), 10), spec)
+        d, _ = distance_to_one(lambda z: np.ones_like(z), 10, spec)
         assert d == pytest.approx(0.0, abs=1e-7)
 
     def test_trend_nonincreasing_and_rotation_invariant(self):
         spec = BergmanSpaceSpec(n_r=160, n_theta=256)
         gen = InnerFunctionRep(singular_atoms=[(0.0, 1.0)])
-        d, rep = distance_to_one(SubspaceProbe(gen, 24), spec)
+        d, rep = distance_to_one(gen, 24, spec)
         caps, vals = zip(*rep["trend"])
         assert list(vals) == sorted(vals, reverse=True)
         # unimodular prefactor leaves |I| and hence the Gram unchanged
         rot = InnerFunctionRep(singular_atoms=[(0.0, 1.0)], rotation=np.exp(1.3j))
-        d_rot, _ = distance_to_one(SubspaceProbe(rot, 24), spec)
+        d_rot, _ = distance_to_one(rot, 24, spec)
         assert d_rot == pytest.approx(d, rel=1e-12)
         # moving the atom is exact in the continuum, quadrature-limited here
         moved = InnerFunctionRep(singular_atoms=[(2.2, 1.0)])
-        d_mv, _ = distance_to_one(SubspaceProbe(moved, 24), spec)
+        d_mv, _ = distance_to_one(moved, 24, spec)
         assert d_mv == pytest.approx(d, rel=2e-3)
 
     def test_prototype_singular_floor_vs_diffuse_ladder(self):
         spec = BergmanSpaceSpec(n_r=160, n_theta=512)
-        d_sing, _ = distance_to_one(
-            SubspaceProbe(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20), spec
-        )
+        d_sing, _ = distance_to_one(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20, spec)
         assert d_sing > 0.3
         prev = None
         for n in (32, 64):
             mu = diffuse_family(n, 10.0)
             gen = InnerFunctionRep(singular_atoms=mu.boundary)
-            d, _ = distance_to_one(SubspaceProbe(gen, 20), spec)
+            d, _ = distance_to_one(gen, 20, spec)
             if prev is not None:
                 assert d < prev
             prev = d
@@ -138,21 +135,13 @@ class TestDistanceToOne:
         # atoms at +-eps merging into one: subspace distances converge to
         # the limit generator's distance
         spec = BergmanSpaceSpec(n_r=160, n_theta=512)
-        d_lim, _ = distance_to_one(
-            SubspaceProbe(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20), spec
-        )
+        d_lim, _ = distance_to_one(InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 20, spec)
         diffs = []
         for eps in (0.5, 0.1, 0.02, 0.004):
             gen = InnerFunctionRep(
                 singular_atoms=[(eps, 0.5), (2 * math.pi - eps, 0.5)]
             )
-            d, _ = distance_to_one(SubspaceProbe(gen, 20), spec)
+            d, _ = distance_to_one(gen, 20, spec)
             diffs.append(abs(d - d_lim))
         assert diffs == sorted(diffs, reverse=True)
         assert diffs[-1] < 1e-3
-
-    def test_requires_hilbert_case(self):
-        with pytest.raises(ValueError):
-            distance_to_one(
-                SubspaceProbe(lambda z: z, 5), BergmanSpaceSpec(p=3.0)
-            )

@@ -1,6 +1,13 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import child_env
 
+from innerlab import frozen
 from innerlab.bc_sets import TAU, BCSet, StarSpec, star_contains
 from innerlab.calibration import _probes_outside
 
@@ -37,3 +44,30 @@ def test_matches_per_draw_loop(case):
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random() == ref_rng.random()
+
+
+def test_calibrate_script_passes_the_frozen_guards():
+    # benchmarks/calibrate.py prints the values frozen.py is regenerated
+    # from; each must pass the guard the acceptance suite puts on it
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "calibrate.py"
+    res = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=child_env()
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    constants = dict(ln.split(" = ") for ln in lines if not ln.startswith("#"))
+    assert sorted(constants) == [
+        "HYPERBOLIC_DECAY_RATIO", "ORDER4_CIRCLE_RATIO", "ORDER4_DISK_RATIO", "OUTER_DECAY_ORDER3",
+    ]
+    for name, value in constants.items():
+        assert 0.0 < float(value) <= getattr(frozen, name) * 1.05, name
+    comments = [ln for ln in lines if ln.startswith("#")]
+    assert len(comments) == 3
+    ratios = re.fullmatch(r"# comparison gamma/c measured: \[(.*)\]", comments[0]).group(1)
+    for ratio in map(float, ratios.split(", ")):
+        assert frozen.COMPARISON_BAND_LO <= ratio <= frozen.COMPARISON_BAND_HI
+    lo, hi = re.fullmatch(r"# star area/entropy measured band: \[(.*), (.*)\]", comments[1]).groups()
+    assert frozen.STAR_AREA_BAND_LO <= float(lo) <= float(hi) <= frozen.STAR_AREA_BAND_HI
+    dist = re.fullmatch(r"# singular generator distance measured: (.*) \(floor stays below it\)",
+                        comments[2]).group(1)
+    assert float(dist) >= frozen.SINGULAR_DISTANCE_FLOOR

@@ -388,24 +388,53 @@ def test_outer_points_on_circle_allowed(tmp_path):
 NUMERICAL_FAILURES = {
     # the Newton state turns NaN in the first step
     "huge-constant-data": (
-        "gce-dirichlet", {"n_r": 8, "n_theta": 8, "boundary": {"kind": "constant", "value": 1e308}}),
-    "tiny-radius": ("gce-dirichlet", {"n_r": 8, "n_theta": 8, "radius": 1e-300}),
-    # the generator underflows to 0 on every node, so the Gram matrix is singular
+        "gce-dirichlet", {"n_r": 8, "n_theta": 8, "boundary": {"kind": "constant", "value": 1e308}},
+        "PolarGrid(R=0.9, 8x8): scaled residual is nan at Newton step 0"),
+    "tiny-radius": (
+        "gce-dirichlet", {"n_r": 8, "n_theta": 8, "radius": 1e-300},
+        "PolarGrid(R=1e-300, 8x8): scaled residual is nan at Newton step 0"),
+    # the generator underflows to 0 on every node, so the Gram matrix would be singular
     "huge-singular-mass": (
-        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e200}]}}),
+        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e200}]}},
+        "the generator underflows to 0 at every quadrature node"),
     # the generator is NaN near the atom
     "overflowing-singular-mass": (
-        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}}),
+        "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}},
+        "the generator is not finite at the quadrature nodes"),
 }
 
 
-@pytest.mark.parametrize("kind,params", list(NUMERICAL_FAILURES.values()), ids=list(NUMERICAL_FAILURES))
-def test_valid_input_numerical_failure_exits_2(tmp_path, kind, params):
+@pytest.mark.parametrize(
+    "kind,params,message", list(NUMERICAL_FAILURES.values()), ids=list(NUMERICAL_FAILURES)
+)
+def test_valid_input_numerical_failure_exits_2(tmp_path, kind, params, message):
+    # the message is the whole of stderr: no numpy warning comes before it
     (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": params}))
     res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
     assert res.returncode == 2, res.stderr
-    assert res.stderr.splitlines()[-1].startswith("numerical failure:"), res.stderr
-    assert "Traceback" not in res.stderr
+    assert res.stderr == f"numerical failure: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("nearly-maximal", {"measure": {}, "ladder": [2, 10**400]}),
+        ("nearly-maximal", {"measure": {}, "ladder": [2, 60], "n_r": 8, "n_theta": 8}),
+        ("fund3-check",
+         {"measure1": {}, "measure2": {}, "ladder": [2, 3, 10000, 10001], "n_r": 8, "n_theta": 8}),
+    ],
+    ids=["rung-overflows-float", "rung-60", "fund3-rung-10000"],
+)
+def test_ladder_rung_out_of_range_exits_1(tmp_path, kind, params):
+    # beyond k = 53, r_k = 1 - 2^-k is no double below 1: no rung is solved
+    (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": params}))
+    res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == (
+        f"validation error: {kind}: ladder rungs must lie in 1..53, "
+        "where r_k = 1 - 2^-k is a double in (0, 1)\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
