@@ -265,10 +265,17 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
     # angular depth at which theta*d^alpha reaches 1 (empty radial fibre)
     s = 0.5 * spec.aperture ** (-1.0 / spec.order)
     psi_cut = 2.0 * math.asin(s) if s < 1.0 else math.inf
+    # gaps differ only in the upper limit: integrate once per distinct limit,
+    # and sum per gap in gap order
+    half_gap = {}
     total = 0.0
     for g in e.gaps:
         upper = min(0.5 * g.rad_length, psi_cut)
-        total += 2.0 * dyadic_gauss(lambda psi: _radial_star_profile(spec, psi), upper, levels, order)
+        if upper not in half_gap:
+            half_gap[upper] = 2.0 * dyadic_gauss(
+                lambda psi: _radial_star_profile(spec, psi), upper, levels, order
+            )
+        total += half_gap[upper]
     return total
 
 

@@ -7,7 +7,10 @@ on a five-point polar grid (radial nodes graded toward the boundary as
 rho = R * t(2-t), boundary data exact), preconditioned by a fast polar
 solver. The maximal solution is u_D = -log(1 - |z|^2).
 
-Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r};
+Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r},
+their Newton iteration starting at the subsolution u they dominate (the
+harmonic extension of the rim data, near log 1/(1-r) on deep rungs,
+overshoots the interior and costs more steps the deeper the rung);
 nearly-maximal solutions follow the ladder r_k = 1 - 2^{-k} applied to
 the subsolution u_D + log|I_omega| and report the boundary deficiency
 (circle averages of u_D - u) along the way.
@@ -31,6 +34,10 @@ SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
 KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 36)
 KRYLOV_CYCLES = 1  # GMRES cycles; the line search absorbs an unfinished correction
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
+# points per evaluation of a subsolution at the interior nodes: keeps the kernels'
+# (points x atoms) temporaries small; one evaluation of every node against 64
+# boundary atoms raised a diffuse-experiment run's peak RSS by 14 MB
+SUB_CHUNK = 2048
 
 
 class NewtonError(RuntimeError):
@@ -458,7 +465,7 @@ def _newton_solve(system: _SmoothSystem, w):
     return w, info
 
 
-def solve_dirichlet(grid: PolarGrid, atoms, boundary):
+def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     """Unique solution of Delta u = 4 e^{2u} + 2 pi sum mt delta_a on the
     grid disk with u = boundary at the n_theta rim nodes.
 
@@ -466,6 +473,12 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary):
     the grid disk contribute no delta there, only a harmonic potential, and
     are folded into the singular split for smoothness (the solution does not
     depend on them beyond the boundary data, which the caller supplies).
+
+    `start`, if given, holds values of u at PolarGrid.interior_nodes(),
+    typically a subsolution the solution dominates; Newton then starts from
+    its smooth part start + s. Where that sum is not finite (a node on an
+    atom, where u is -inf) and when start is None, Newton starts from the
+    harmonic extension of the rim data.
 
     Returns (GridFunction carrying the atoms, info dict: newton_iters,
     residual, krylov_iters, min_step, flagged_nodes). Newton stops once the
@@ -480,6 +493,13 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary):
             raise ValueError("atoms must lie strictly inside the unit disk")
     system = _SmoothSystem.with_data(grid, atoms, boundary)
     w0 = harmonic_extension(system.w_bc, grid).interior_values()
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != w0.shape:
+            raise ValueError("a start must hold one value per interior node")
+        with np.errstate(invalid="ignore"):
+            w_start = start + system.s
+        w0 = np.where(np.isfinite(w_start), w_start, w0)
     w, info = _newton_solve(system, w0)
     rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), system.w_bc])
     info["flagged_nodes"] = int(np.sum(system.flagged))
@@ -505,13 +525,20 @@ def perron_hull_r(sub, nu_atoms, r: float, n_r: int, n_theta: int, check_subsolu
     The discrete subsolution check certifies user-supplied fields; it needs
     the data's potential kernels resolved by the grid, so callers holding
     an analytic subsolution guarantee may pass check_subsolution=False.
+    Newton starts at the subsolution, which the hull dominates: sub is
+    evaluated once at the interior nodes, for the check and the start.
     """
     grid = PolarGrid(r, n_r, n_theta)
     atoms = tuple((complex(a), float(m)) for a, m in nu_atoms)
     h = _cell_averaged_boundary(sub, grid)
+    nodes = grid.interior_nodes()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sub_int = np.concatenate(
+            [sub(nodes[i:i + SUB_CHUNK]) for i in range(0, nodes.size, SUB_CHUNK)]
+        )
     if check_subsolution:
-        _check_discrete_subsolution(sub, grid, atoms)
-    return solve_dirichlet(grid, atoms, h)
+        _check_discrete_subsolution(sub, sub_int, grid, atoms)
+    return solve_dirichlet(grid, atoms, h, start=sub_int)
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -534,13 +561,13 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
-def _check_discrete_subsolution(sub, grid, atoms):
+def _check_discrete_subsolution(sub, sub_int, grid, atoms):
     """Raise SubsolutionError where Delta_h sub falls below 4 e^{2 sub} by
     more than SUBSOLUTION_TOL, relative to 1 + the source, with sub's nodal
-    values as the rim data."""
+    values as the rim data; sub_int holds sub at the interior nodes."""
     system = _SmoothSystem.with_data(grid, atoms, sub(grid.rim_nodes()))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_sub = np.asarray(sub(grid.interior_nodes())) + system.s
+    with np.errstate(invalid="ignore"):
+        w_sub = sub_int + system.s
     good = np.isfinite(w_sub)
     w_sub = np.where(good, w_sub, 0.0)
     viol = np.where(good, -system.residual(w_sub) / (1.0 + system.source(w_sub)), 0.0)
@@ -616,20 +643,22 @@ def nearly_maximal(
 
 
 def _check_rungs(ladder):
+    """Raise ValueError unless there is a rung, each lies in 1..MAX_RUNG and
+    they strictly increase."""
+    if not ladder:
+        raise ValueError("need at least one ladder rung")
     if any(not 1 <= k <= MAX_RUNG for k in ladder):
         raise ValueError(
             f"ladder rungs must lie in 1..{MAX_RUNG}, where r_k = 1 - 2^-k is a double in (0, 1)"
         )
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("ladder rungs must strictly increase")
 
 
 def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     """Hulls of `sub` along the ladder; the result's deficiency is left empty."""
-    if not ladder:
-        raise ValueError("need at least one ladder rung")
     _check_rungs(ladder)
     # the probes are sized from the first rung, the innermost disk
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder rungs must strictly increase")
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
     hulls, increments, radii = [], [], []
@@ -791,6 +820,7 @@ def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
     """
     from .measures import ThetaUnsolvableError, theta_for
 
+    _check_rungs(ladder)
     rows = []
     for big_m in big_ms:
         for n in ns:

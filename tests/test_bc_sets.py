@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerlab import bc_sets
 from innerlab.bc_sets import (
     CORE_RADIUS,
     TAU,
@@ -175,6 +176,37 @@ class TestStar:
             errs.append(abs(star_area_integral(StarSpec(e), levels=35, order=16) - limit))
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 0.02 * limit
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [TAU * k / 32 for k in range(32)],
+            # two clusters: both wide gaps are cut at the same angular depth
+            list(np.concatenate([np.random.default_rng(5).uniform(0.0, 0.5, 6),
+                                 math.pi + np.random.default_rng(6).uniform(0.0, 0.5, 6)])),
+        ],
+        ids=["equally-spaced-32", "seeded-clusters"],
+    )
+    def test_area_integral_once_per_distinct_limit(self, monkeypatch, points):
+        spec = StarSpec(BCSet.from_points(points))
+        psi_cut = 2.0 * math.asin(0.5)
+        limits = [min(0.5 * g.rad_length, psi_cut) for g in spec.base.gaps]
+        want = 0.0
+        for upper in limits:
+            want += 2.0 * bc_sets.dyadic_gauss(
+                lambda psi: bc_sets._radial_star_profile(spec, psi), upper, 35, 16
+            )
+        calls = []
+        real = bc_sets.dyadic_gauss
+
+        def counted(fn, upper, levels, order):
+            calls.append(upper)
+            return real(fn, upper, levels, order)
+
+        monkeypatch.setattr(bc_sets, "dyadic_gauss", counted)
+        assert star_area_integral(spec, 35, 16) == want
+        assert sorted(calls) == sorted(set(limits))
+        assert len(calls) < len(limits)
 
 
 class TestHyperbolicDistToStar:

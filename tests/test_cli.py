@@ -438,6 +438,23 @@ def test_ladder_rung_out_of_range_exits_1(tmp_path, kind, params):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "ladder,message",
+    [([5, 2, 100], "ladder rungs must lie in 1..53, where r_k = 1 - 2^-k is a double in (0, 1)"),
+     ([5, 2], "ladder rungs must strictly increase")],
+    ids=["out-of-range", "decreasing"],
+)
+def test_diffuse_bad_ladder_exits_1_without_a_solvable_row(tmp_path, ladder, message):
+    # theta_n is unsolvable for n = 8 at M = 10, so no row reaches a solve:
+    # the ladder is checked up front
+    params = {"n": [8], "M": [10.0], "ladder": ladder}
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "diffuse-experiment", "params": params}))
+    res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == f"validation error: diffuse-experiment: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_deeply_nested_json_exits_1(tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000)
     out = tmp_path / "o"

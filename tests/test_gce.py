@@ -177,6 +177,42 @@ class TestNewtonKrylov:
             solve_dirichlet(*spiky_problem())
 
 
+class TestSubsolutionStart:
+    """perron_hull_r starts Newton at the subsolution; start=None at the
+    harmonic extension of the rim data, as gce-dirichlet does."""
+
+    @staticmethod
+    def delta0_rungs():
+        # (subsolution start, harmonic start) solves per rung of the delta_0 ladder
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        for k in range(2, 8):
+            r = 1.0 - 2.0 ** -k
+            grid = PolarGrid(r, 48, 96)
+            harmonic = solve_dirichlet(grid, sub.atoms, gce._cell_averaged_boundary(sub, grid))
+            yield perron_hull_r(sub, sub.atoms, r, 48, 96, check_subsolution=False), harmonic
+
+    def test_fewer_newton_steps_on_delta0_ladder(self):
+        steps = [
+            (info["newton_iters"], h_info["newton_iters"])
+            for (_, info), (_, h_info) in self.delta0_rungs()
+        ]
+        assert all(sub <= harm for sub, harm in steps), steps
+        assert steps[-1][0] < steps[-1][1], steps
+
+    def test_same_solution_at_tight_tolerance(self, monkeypatch):
+        monkeypatch.setattr(gce, "NEWTON_TOL", 1e-12)
+        probes = gce._probe_points(r_max=0.7)
+        for (hull, info), (harm, h_info) in self.delta0_rungs():
+            assert max(info["residual"], h_info["residual"]) <= 1e-12
+            assert float(np.max(np.abs(hull(probes) - harm(probes)))) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(1,), (24, 32), (1 + 23 * 32 + 1,)])
+    def test_start_of_wrong_shape_rejected(self, shape):
+        grid, atoms, h = spiky_problem()
+        with pytest.raises(ValueError, match="one value per interior node"):
+            solve_dirichlet(grid, atoms, h, start=np.zeros(shape))
+
+
 class TestHarmonicExtension:
     def test_constant(self):
         grid = PolarGrid(0.9, 16, 32)
