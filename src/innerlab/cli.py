@@ -237,7 +237,7 @@ def _run_entropy(p, meta):
         raise ValueError("need degree >= 2 and count >= 1")
     rows = entropy_table(p["degree"], p["seed"], p["count"])
     csv = _csv_text(["degree", "formula_entropy", "quadrature_entropy", "abs_diff"], rows, meta)
-    return {"entropy.csv": csv}, {"rows": len(rows)}
+    return {"entropy.csv": csv}
 
 
 def _measure_payload(m: DiskMeasure):
@@ -270,9 +270,7 @@ def _run_roberts(p, meta):
     rows = [(j, m.blaschke_mass()) for j, m in d.layers]
     rows.append(("cone", d.cone.blaschke_mass()))
     csv = _csv_text(["component", "mass"], rows, meta)
-    return {"roberts.json": _json_text(payload), "roberts.csv": csv}, {
-        "verify_ok": rep.ok
-    }
+    return {"roberts.json": _json_text(payload), "roberts.csv": csv}
 
 
 def _run_gce_dirichlet(p, meta):
@@ -304,7 +302,7 @@ def _run_gce_dirichlet(p, meta):
             "values": [[float(v) for v in row] for row in rings],
         },
     }
-    return {"gce.csv": csv, "gce.json": _json_text(payload)}, info
+    return {"gce.csv": csv, "gce.json": _json_text(payload)}
 
 
 def _run_nearly_maximal(p, meta):
@@ -319,13 +317,13 @@ def _run_nearly_maximal(p, meta):
         "deficiency": res.deficiency,
         "extrapolation_ratio": res.extrapolation_ratio,
     }
-    return {"nearly_maximal.csv": csv, "nearly_maximal.json": _json_text(payload)}, {}
+    return {"nearly_maximal.csv": csv, "nearly_maximal.json": _json_text(payload)}
 
 
 def _run_diffuse(p, meta):
     rows = diffuse_experiment(p["n"], p["M"], ladder=p["ladder"], n_r=p["n_r"], n_theta=p["n_theta"])
     csv = _csv_text(["n", "M", "theta_n", "u_at_0", "u_D_gap", "status"], rows, meta)
-    return {"diffuse.csv": csv}, {"rows": len(rows)}
+    return {"diffuse.csv": csv}
 
 
 def _run_outer(p, meta):
@@ -336,14 +334,13 @@ def _run_outer(p, meta):
         raise ScenarioError(
             f"params.points[{int(np.argmax(on_set))}] lies on E, where log|Phi| is -infinity"
         )
-    spec = OuterSpec(p["set"], p["depth"])
-    vals = spec(z)
-    rows = [
-        (float(q.real), float(q.imag), float(abs(v)), float(spec.log_abs(q)))
-        for q, v in zip(z, vals)
-    ]
+    expo = OuterSpec(p["set"], p["depth"]).exponent(z)
+    phi = np.exp(-expo)
+    # hypot, not np.abs: numpy's complex abs can differ from it in the last bit
+    abs_phi = np.hypot(phi.real, phi.imag)
+    rows = zip(z.real.tolist(), z.imag.tolist(), abs_phi.tolist(), (-expo.real).tolist())
     csv = _csv_text(["re", "im", "abs_phi", "log_abs_phi"], rows, meta)
-    return {"outer.csv": csv}, {"tail_mass": spec.tail_mass_total}
+    return {"outer.csv": csv}
 
 
 def _run_bergman_distance(p, meta):
@@ -352,15 +349,14 @@ def _run_bergman_distance(p, meta):
     rows = [(cap, val) for cap, val in rep["trend"]]
     csv = _csv_text(["degree_cap", "distance"], rows, meta)
     payload = {"distance": dist, "regularized": rep["regularized"], "trend": rows}
-    return {"bergman.csv": csv, "bergman.json": _json_text(payload)}, {}
+    return {"bergman.csv": csv, "bergman.json": _json_text(payload)}
 
 
 def _run_fund3(p, meta):
     rep = check_fund3(
         p["measure1"], p["measure2"], ladder=p["ladder"], n_r=p["n_r"], n_theta=p["n_theta"]
     )
-    payload = {"sup_difference": rep["sup_difference"]}
-    return {"fund3.json": _json_text(payload)}, payload
+    return {"fund3.json": _json_text({"sup_difference": rep["sup_difference"]})}
 
 
 class Kind(NamedTuple):
@@ -395,7 +391,8 @@ SCENARIOS = {
 }
 
 
-def run_scenario(config: dict, out_dir: str) -> dict:
+def run_scenario(config: dict, out_dir: str) -> list:
+    """Run a scenario and write its files; returns the paths written."""
     scenario = Scenario.from_config(config)
     meta = {
         "innerlab_version": __version__,
@@ -404,7 +401,7 @@ def run_scenario(config: dict, out_dir: str) -> dict:
         "kind": scenario.kind,
         "newton_tol": f"{NEWTON_TOL:g}",
     }
-    files, info = SCENARIOS[scenario.kind].runner(scenario.params, meta)
+    files = SCENARIOS[scenario.kind].runner(scenario.params, meta)
     if scenario.output:
         out_dir = os.path.join(out_dir, scenario.output)
     written = []
@@ -416,7 +413,7 @@ def run_scenario(config: dict, out_dir: str) -> dict:
             written.append(path)
     except OSError as exc:
         raise ScenarioError(f"cannot write output: {exc}") from exc
-    return {"written": written, "info": info}
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +454,14 @@ def _run_and_report(build_config, out_dir: str):
     try:
         config = build_config()
         with np.errstate(all="ignore"):
-            result = run_scenario(config, out_dir)
+            written = run_scenario(config, out_dir)
     except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
     except ValueError as exc:
         click.echo(f"validation error: {_label(config)}: {exc}", err=True)
         sys.exit(1)
-    for path in result["written"]:
+    for path in written:
         click.echo(path)
 
 

@@ -517,19 +517,19 @@ def pde_residual(gf: GridFunction) -> float:
 # Perron hulls and nearly-maximal solutions
 
 
-def perron_hull_r(sub, nu_atoms, r: float, n_r: int, n_theta: int, check_subsolution: bool = True):
+def perron_hull_r(sub, r: float, n_r: int, n_theta: int, check_subsolution: bool = True):
     """Minimal solution on D_r dominating the subsolution, matching it on dD_r.
 
-    `sub` follows the GridFunction protocol (smooth(z) + .atoms). Atoms of
-    nu outside D_r contribute no delta and enter only through the split.
-    The discrete subsolution check certifies user-supplied fields; it needs
-    the data's potential kernels resolved by the grid, so callers holding
-    an analytic subsolution guarantee may pass check_subsolution=False.
+    `sub` follows the GridFunction protocol (smooth(z) + .atoms), and its
+    atoms are nu's: those outside D_r contribute no delta and enter only
+    through the split. The discrete subsolution check certifies
+    user-supplied fields; it needs the data's potential kernels resolved by
+    the grid, so callers holding an analytic subsolution guarantee may pass
+    check_subsolution=False.
     Newton starts at the subsolution, which the hull dominates: sub is
     evaluated once at the interior nodes, for the check and the start.
     """
     grid = PolarGrid(r, n_r, n_theta)
-    atoms = tuple((complex(a), float(m)) for a, m in nu_atoms)
     h = _cell_averaged_boundary(sub, grid)
     nodes = grid.interior_nodes()
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -537,8 +537,8 @@ def perron_hull_r(sub, nu_atoms, r: float, n_r: int, n_theta: int, check_subsolu
             [sub(nodes[i:i + SUB_CHUNK]) for i in range(0, nodes.size, SUB_CHUNK)]
         )
     if check_subsolution:
-        _check_discrete_subsolution(sub, sub_int, grid, atoms)
-    return solve_dirichlet(grid, atoms, h, start=sub_int)
+        _check_discrete_subsolution(sub, sub_int, grid)
+    return solve_dirichlet(grid, sub.atoms, h, start=sub_int)
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -561,11 +561,11 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
-def _check_discrete_subsolution(sub, sub_int, grid, atoms):
+def _check_discrete_subsolution(sub, sub_int, grid):
     """Raise SubsolutionError where Delta_h sub falls below 4 e^{2 sub} by
     more than SUBSOLUTION_TOL, relative to 1 + the source, with sub's nodal
     values as the rim data; sub_int holds sub at the interior nodes."""
-    system = _SmoothSystem.with_data(grid, atoms, sub(grid.rim_nodes()))
+    system = _SmoothSystem.with_data(grid, sub.atoms, sub(grid.rim_nodes()))
     with np.errstate(invalid="ignore"):
         w_sub = sub_int + system.s
     good = np.isfinite(w_sub)
@@ -665,7 +665,7 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     prev_vals = None
     for k in ladder:
         r = 1.0 - 2.0 ** (-k)
-        gf, _ = perron_hull_r(sub, sub.atoms, r, n_r, n_theta, check_subsolution=False)
+        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False)
         vals = gf(probes)
         hulls.append(gf)
         radii.append(r)

@@ -14,18 +14,11 @@ points, zeros and circle averages of log|F'|.
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyadd, polyder, polyval
 
 from . import kernels
 from .measures import DiskMeasure
-from .roots import (
-    RootFindingError,
-    all_roots,
-    cluster_roots,
-    polyadd,
-    polyder,
-    polymul,
-    polyval,
-)
+from .roots import RootFindingError, all_roots, cluster_roots
 
 TAU = 2.0 * math.pi
 
@@ -138,22 +131,24 @@ class InnerFunctionRep:
         if self._numden is None:
             num = np.array([self.rotation], dtype=np.complex128)
             den = np.array([1.0 + 0j], dtype=np.complex128)
+            # np.convolve, not polymul: polymul drops D's zero top coefficients
+            # (zeros at the origin), which moves the last bits of F'
             for a, m in self.zeros:
                 for _ in range(m):
-                    num = polymul(num, [-a, 1.0])
-                    den = polymul(den, [1.0, -np.conj(a)])
+                    num = np.convolve(num, [-a, 1.0])
+                    den = np.convolve(den, [1.0, -np.conj(a)])
             self._numden = (num, den)
         return self._numden
 
     def deriv_poly(self):
         """Numerator P of F' = P/D^2 (ascending coefficients)."""
         num, den = self.numden()
-        return polyadd(polymul(polyder(num), den), -polymul(num, polyder(den)))
+        return polyadd(np.convolve(polyder(num), den), -np.convolve(num, polyder(den)))
 
     def deriv(self, z):
         z = np.asarray(z, dtype=np.complex128)
         _, den = self.numden()
-        out = polyval(self.deriv_poly(), z) / polyval(den, z) ** 2
+        out = polyval(z, self.deriv_poly()) / polyval(z, den) ** 2
         return complex(out) if out.ndim == 0 else out
 
 
@@ -247,6 +242,6 @@ def circle_entropy_quadrature(f: InnerFunctionRep) -> float:
 
     def fn(theta):
         z = np.exp(1j * theta)
-        return np.log(np.abs(polyval(p, z))) - 2.0 * np.log(np.abs(polyval(den, z)))
+        return np.log(np.abs(polyval(z, p))) - 2.0 * np.log(np.abs(polyval(z, den)))
 
     return doubling_circle_mean(fn, 1e-10, 1 << 20, 0.318)

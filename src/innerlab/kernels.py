@@ -4,6 +4,8 @@ Each kernel broadcasts probe points against atoms and reduces over the
 atom axis, so the work is a few array operations per call. The test
 suite checks each against an independent reference: the pointwise
 potentials of `inner`, a direct sum, and a brute-force subset search.
+The subset scan is the exception to one broadcast: it grows its 2^n masks
+in n array steps, one atom at a time.
 
 Conventions: probe points are complex128 arrays, atom locations either
 complex128 (interior) or float64 angles (boundary), masses float64.
@@ -59,40 +61,43 @@ def outer_exponent(z, anchors, dirs, masses):
 # angle-sorted boundary atoms, maximize sum of masses subject to the
 # entropy of the point set {angles[i] : i in S} being <= budget.
 # Returns (best_mass, best_mask); ties keep the smallest bitmask.
+#
+# The arrays are indexed by mask. Step k appends every subset of atoms
+# 0..k-1 extended by atom k, carrying its mass, first and last atom and
+# open-chain entropy c(i1,i2) + c(i2,i3) + ...; closing the chain with
+# c(last, first) gives the point set's entropy (0 for a singleton).
 
 ENTROPY_SLACK = 1e-12
 
 
 def subset_entropy_scan(angles, masses, budget):
     n = angles.size
-    nmask = 1 << n
-    masks = np.arange(nmask, dtype=np.int64)
-    total = np.zeros(nmask)
-    for i in range(n):
-        total += masses[i] * ((masks >> i) & 1)
-    ent = np.zeros(nmask)
+    c = np.zeros((n, n))  # c[i, j]: entropy of the gap from atom i to atom j
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            d = angles[j] - angles[i]
-            if d <= 0.0:
-                d += TAU
-            ell = d / TAU
-            c = -ell * np.log(ell)
-            # j is the cyclic successor of i iff no index strictly between is set
-            between = 0
-            k = (i + 1) % n
-            while k != j:
-                between |= 1 << k
-                k = (k + 1) % n
-            adj = (((masks >> i) & 1) == 1) & (((masks >> j) & 1) == 1)
-            adj &= (masks & between) == 0
-            ent += c * adj
-    ok = (ent <= budget + ENTROPY_SLACK) & (masks > 0)
+            if i != j:
+                d = angles[j] - angles[i]
+                if d <= 0.0:
+                    d += TAU
+                ell = d / TAU
+                c[i, j] = -ell * np.log(ell)
+    total = np.zeros(1)
+    chain = np.zeros(1)
+    first = np.zeros(1, dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    for k in range(n):
+        chain_k = chain + c[last, k]
+        first_k = first.copy()
+        chain_k[0], first_k[0] = 0.0, k  # the empty set grows into {k}
+        total = np.concatenate([total, total + masses[k]])
+        chain = np.concatenate([chain, chain_k])
+        first = np.concatenate([first, first_k])
+        last = np.concatenate([last, np.full(last.size, k)])
+    ent = chain + c[last, first]
+    ok = ent <= budget + ENTROPY_SLACK
+    ok[0] = False  # the empty set
     score = np.where(ok, total, -1.0)
     best = int(np.argmax(score))  # argmax keeps the first (smallest) mask on ties
     if score[best] < 0.0:
         return 0.0, 0
-    return float(total[best]), int(masks[best])
-
+    return float(total[best]), best

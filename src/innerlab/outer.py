@@ -13,10 +13,13 @@ for radian length w), which keeps every term's real part positive and
 hence |Phi_E| <= 1 on the disk. The |k| > K tail of each gap side is
 attached analytically as a point mass at the gap endpoint; the residual
 truncation error is quadratic in the tail size instead of linear.
+
+The pieces are arrays (gap index, k, start, radian length), so OuterSpec
+needs memory linear in their number; only `weights`, for the tail
+estimate, forms the pieces x pieces matrix of h_F.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,103 +47,81 @@ def profile_phi(t):
     return 1.0 + (t - 1.0) * s
 
 
-@dataclass(frozen=True)
-class JInterval:
-    gap_index: int
-    k: int  # 0 = middle third, -k left side, +k right side
-    start: float  # radians
-    rad_length: float
-
-    @property
-    def length(self) -> float:
-        """Normalized length (fraction of the circle)."""
-        return self.rad_length / TAU
-
-    @property
-    def midpoint(self) -> float:
-        return self.start + 0.5 * self.rad_length
-
-
 def subdivide(e: BCSet, depth: int = 20):
-    """The pieces J_{n,k}, |k| <= depth, of every gap of E."""
+    """The pieces J_{n,k}, |k| <= depth, of every gap of E, as arrays.
+
+    Returns (gap index, k, start, radian length), gap by gap and within a
+    gap k = 0, -1, +1, -2, +2, ...: 0 is the middle third, -k the left
+    side piece, +k the right.
+    """
     if not e.gaps:
         raise ValueError("need a set with at least one gap")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    out = []
-    for n, g in enumerate(e.gaps):
-        length = g.rad_length
-        out.append(JInterval(n, 0, g.start + length / 3.0, length / 3.0))
-        for k in range(1, depth + 1):
-            piece = length / (3.0 * 2.0 ** k)
-            out.append(JInterval(n, -k, g.start + piece, piece))
-            out.append(
-                JInterval(n, k, g.start + length - 2.0 * piece, piece)
-            )
-    return out
+    # 2.0 ** 1024 raises OverflowError, before any array of the depth's size
+    scale = np.array([3.0 * 2.0 ** j for j in range(depth + 1)])
+    k = np.zeros(2 * depth + 1, dtype=np.int64)
+    k[1::2] = -np.arange(1, depth + 1)
+    k[2::2] = np.arange(1, depth + 1)
+    g_start = np.array([[g.start] for g in e.gaps])
+    g_len = np.array([[g.rad_length] for g in e.gaps])
+    piece = g_len / scale[np.abs(k)]
+    start = np.where(k > 0, g_start + g_len - 2.0 * piece, g_start + piece)
+    gaps = np.repeat(np.arange(len(e.gaps)), k.size)
+    return gaps, np.tile(k, len(e.gaps)), start.ravel(), piece.ravel()
 
 
-def weights(intervals):
-    """(h_F, lambda_F) arrays for the smoothed construction.
+def _lambda(ell):
+    """lambda_F = profile(log(1/|J|)) >= 1, unbounded as |J| -> 0."""
+    return profile_phi(np.log(1.0 / ell))
+
+
+def weights(ell):
+    """(h_F, lambda_F) arrays for pieces of normalized lengths ell.
 
     h_F(J) sums |J'| log(1/|J'|) over pieces shorter than 2|J| through the
-    bump; lambda_F(J) = profile(log(1/|J|)) >= 1 and grows without bound
-    as |J| -> 0. Lengths are normalized to circle fractions.
+    bump; lengths are fractions of the circle.
     """
-    ell = np.array([j.length for j in intervals])
     ent = -ell * np.log(ell)
     ratio = ell[None, :] / ell[:, None]  # |J'| / |J|
     h = (bump_psi(ratio) * ent[None, :]).sum(axis=1)
-    lam = profile_phi(np.log(1.0 / ell))
-    return h, lam
+    return h, _lambda(ell)
 
 
 def _tail_mass(gap_norm_length: float, depth: int) -> float:
-    """sum over k > depth of lambda(l_k) l_k log(1/l_k), one gap side."""
-    total = 0.0
-    k = depth + 1
-    while True:
-        ell = gap_norm_length / (3.0 * 2.0 ** k)
-        if ell < _TINY:
-            break
-        lg = math.log(1.0 / ell)
-        total += float(profile_phi(lg)) * ell * lg
-        k += 1
-    return total
+    """sum over k > depth of lambda(l_k) l_k log(1/l_k), one gap side,
+    in order of k while l_k >= 1e-280 (k < 929 for a gap of length <= 1)."""
+    ell = gap_norm_length / np.ldexp(3.0, np.arange(depth + 1, 1000))
+    ell = ell[ell >= _TINY]
+    lg = np.array([math.log(1.0 / x) for x in ell.tolist()])  # libm's log
+    return float(np.cumsum(np.append(0.0, profile_phi(lg) * ell * lg))[-1])
 
 
 class OuterSpec:
-    """Precomputed evaluation data for Phi_E at truncation depth K."""
+    """Precomputed evaluation data for Phi_E at truncation depth K: the
+    pieces' anchors, then each gap's two endpoint tail masses."""
 
-    __slots__ = ("base", "depth", "intervals", "h_values", "lambdas",
-                 "anchors", "dirs", "masses", "tail_mass_total")
+    __slots__ = ("base", "depth", "anchors", "dirs", "masses")
 
     def __init__(self, base: BCSet, depth: int = 20):
         self.base = base
         self.depth = depth
-        self.intervals = subdivide(base, depth)
-        self.h_values, self.lambdas = weights(self.intervals)
-
-        anchors, dirs, masses = [], [], []
-        for j, lam in zip(self.intervals, self.lambdas):
-            w = j.rad_length
-            r_a = math.cos(0.5 * w) + math.sin(0.5 * w)  # right-angle point, outside
-            anchors.append(r_a * np.exp(1j * j.midpoint))
-            dirs.append(np.exp(1j * j.midpoint))
-            masses.append(lam * j.length * math.log(1.0 / j.length))
-        tail_total = 0.0
-        for n, g in enumerate(base.gaps):
-            m_tail = _tail_mass(g.length, depth)
-            tail_total += 2.0 * m_tail
-            for endpoint in (g.start, g.end):
-                zeta = np.exp(1j * endpoint)
-                anchors.append(zeta)
-                dirs.append(zeta)
-                masses.append(m_tail)
-        self.anchors = np.array(anchors, dtype=np.complex128)
-        self.dirs = np.array(dirs, dtype=np.complex128)
-        self.masses = np.array(masses, dtype=np.float64)
-        self.tail_mass_total = tail_total
+        _, _, start, w = subdivide(base, depth)
+        ell = w / TAU
+        # the mass takes libm's log, lambda numpy's: they can differ in the last bit
+        log_inv = np.array([math.log(x) for x in (1.0 / ell).tolist()])
+        dirs = np.exp(1j * (start + 0.5 * w))
+        r_a = np.cos(0.5 * w) + np.sin(0.5 * w)  # right-angle point, outside
+        lengths = [g.length for g in base.gaps]
+        tail = {x: _tail_mass(x, depth) for x in set(lengths)}
+        ends = np.exp(1j * np.array([(g.start, g.end) for g in base.gaps]).ravel())
+        self.anchors = np.concatenate([r_a * dirs, ends])
+        self.dirs = np.concatenate([dirs, ends])
+        self.masses = np.concatenate(
+            [_lambda(ell) * ell * log_inv, np.repeat([tail[x] for x in lengths], 2)]
+        )
+        if not np.isfinite(self.masses).all():  # pieces too short for 1/|J| to be finite
+            raise FloatingPointError(f"outer-function masses are not finite at depth {depth}")
 
     def exponent(self, z):
         """S(z) with Re S >= 0; Phi = exp(-S)."""

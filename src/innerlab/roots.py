@@ -15,6 +15,7 @@ agnostic sums (entropy, Green sums) absorb with no loss.
 """
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 RESIDUAL_TOL = 1e-12
 CLUSTER_RADIUS = 1e-7
@@ -71,7 +72,7 @@ def all_roots(coeffs) -> np.ndarray:
         worst = float(res.max())
         if worst <= RESIDUAL_TOL:
             break
-        dv = polyval(dc, z)
+        dv = polyval(z, dc)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(dv != 0, pv / dv, 0.0)
             diff = z[:, None] - z[None, :]
@@ -105,30 +106,3 @@ def cluster_roots(roots):
         else:
             out.append((r, 1))
     return out
-
-
-def polymul(a, b):
-    return np.convolve(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def polyadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = np.array(a, dtype=np.complex128)
-    out[: len(b)] += b
-    return out
-
-
-def polyder(a):
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size <= 1:
-        return np.zeros(1, dtype=np.complex128)
-    return a[1:] * np.arange(1, a.size)
-
-
-def polyval(a, z):
-    a = np.asarray(a, dtype=np.complex128)
-    v = np.zeros_like(np.asarray(z, dtype=np.complex128))
-    for k in range(a.size - 1, -1, -1):
-        v = v * z + a[k]
-    return v

@@ -401,6 +401,15 @@ NUMERICAL_FAILURES = {
     "overflowing-singular-mass": (
         "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}},
         "the generator is not finite at the quadrature nodes"),
+    # past depth ~1010 the pieces are too short for finite masses; past
+    # 1023 the divisor 3*2^k of their lengths overflows, before any array
+    # of the depth's size is built
+    **{f"outer-depth-{depth}": (
+        "outer-eval", {"set": {"points": [0.0, 3.0, 3.1]}, "depth": depth},
+        f"outer-function masses are not finite at depth {depth}") for depth in (1020, 1023)},
+    **{f"outer-depth-{depth}": (
+        "outer-eval", {"set": {"points": [0.0, 3.0, 3.1]}, "depth": depth},
+        "(34, 'Numerical result out of range')") for depth in (1024, 10**9)},
 }
 
 

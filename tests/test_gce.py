@@ -189,7 +189,7 @@ class TestSubsolutionStart:
             r = 1.0 - 2.0 ** -k
             grid = PolarGrid(r, 48, 96)
             harmonic = solve_dirichlet(grid, sub.atoms, gce._cell_averaged_boundary(sub, grid))
-            yield perron_hull_r(sub, sub.atoms, r, 48, 96, check_subsolution=False), harmonic
+            yield perron_hull_r(sub, r, 48, 96, check_subsolution=False), harmonic
 
     def test_fewer_newton_steps_on_delta0_ladder(self):
         steps = [
@@ -323,14 +323,14 @@ class TestDirichlet:
 
 class TestPerron:
     def test_fixes_solutions(self):
-        hull, _ = perron_hull_r(maximal_field(), (), 0.9, 48, 96)
+        hull, _ = perron_hull_r(maximal_field(), 0.9, 48, 96)
         _, rings = hull.total_nodes()
         assert float(np.max(np.abs(rings - u_max(hull.grid.ring_nodes())))) < 3e-4
 
     def test_rejects_supersolution(self):
         bad = AnalyticField(lambda z: u_max(z) + 0.15)
         with pytest.raises(SubsolutionError):
-            perron_hull_r(bad, (), 0.8, 32, 64)
+            perron_hull_r(bad, 0.8, 32, 64)
 
     def test_dominates_subsolution_and_monotone_in_r(self):
         om = DiskMeasure(interior=[(0j, 1.0)])
@@ -338,7 +338,7 @@ class TestPerron:
         probes = 0.5 * np.exp(1j * np.linspace(0, TAU, 8))
         vals = []
         for r in (0.75, 0.875, 0.9375):
-            hull, _ = perron_hull_r(sub, om.interior, r, 48, 96)
+            hull, _ = perron_hull_r(sub, r, 48, 96)
             assert np.all(hull(probes) >= sub(probes) - 1e-10)
             vals.append(hull(probes))
         assert np.all(vals[1] >= vals[0] - 1e-8)
@@ -351,7 +351,7 @@ class TestPerron:
         probes = np.array([0.3, 0.5 * np.exp(1.7j), 0.6j])
         errs = []
         for r in (0.875, 0.96875, 0.9921875):
-            hull, _ = perron_hull_r(sub, om.interior, r, 64, 128)
+            hull, _ = perron_hull_r(sub, r, 64, 128)
             errs.append(float(np.max(np.abs(hull(probes) - orc(probes)))))
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 1e-3

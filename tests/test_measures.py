@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -105,22 +104,43 @@ class TestMaxStarMass:
         with pytest.raises(ValueError):
             max_star_mass(om, 1.0, mode="exact")
 
+    @staticmethod
+    def brute_force(ang, mas, limit):
+        """(best mass, smallest mask reaching it) over every subset."""
+
+        def entropy(points):
+            pts = sorted(set(points))
+            gaps = [((q - p) % TAU) / TAU for p, q in zip(pts, pts[1:] + pts[:1])]
+            return math.fsum(-g * math.log(g) for g in gaps if 0.0 < g < 1.0)
+
+        k = ang.size
+        best, best_mask = -1.0, 0
+        for mask in range(1, 1 << k):
+            chosen = [i for i in range(k) if (mask >> i) & 1]
+            mass = math.fsum(mas[chosen])
+            if mass > best and entropy(ang[chosen].tolist()) <= limit:
+                best, best_mask = mass, mask
+        return best, best_mask
+
     def test_subset_scan_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            k = int(rng.integers(1, 11))
+
+        def draw(k, equal_masses=False):
             ang = np.sort(rng.uniform(0, TAU, k))
-            mas = rng.uniform(0.1, 1.0, k)
-            budget = float(rng.uniform(0.0, math.log(max(k, 2))))
+            mas = np.full(k, 0.5) if equal_masses else rng.uniform(0.1, 1.0, k)
+            return ang, mas, float(rng.uniform(0.0, math.log(max(k, 2))))
+
+        cases = [draw(int(rng.integers(1, 11))) for _ in range(10)]
+        # equal masses make many subsets tie: the smallest mask must win
+        cases += [draw(k, equal_masses=True) for k in (3, 6, 9, 12, 14)]
+        cases.append(draw(14))
+        for ang, mas, budget in cases:
+            k = ang.size
             limit = budget + kernels.ENTROPY_SLACK
-            best = max(
-                math.fsum(mas[list(sub)])
-                for size in range(1, k + 1)
-                for sub in itertools.combinations(range(k), size)
-                if BCSet.from_points(ang[list(sub)]).entropy() <= limit
-            )
+            best, best_mask = self.brute_force(ang, mas, limit)
             got_mass, got_mask = kernels.subset_entropy_scan(ang, mas, budget)
             assert got_mass == pytest.approx(best, abs=1e-12)
+            assert got_mask == best_mask
             chosen = [i for i in range(k) if (got_mask >> i) & 1]
             assert got_mass == pytest.approx(math.fsum(mas[chosen]), abs=1e-12)
             assert BCSet.from_points(ang[chosen]).entropy() <= limit

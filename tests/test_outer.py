@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,35 +22,37 @@ def two_point_set():
 class TestSubdivide:
     def test_middle_third_and_sides(self):
         e = BCSet.from_points([0.0])  # one gap of full length
-        js = subdivide(e, depth=3)
-        by_k = {j.k: j for j in js}
-        assert by_k[0].length == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert by_k[-1].length == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert by_k[1].length == pytest.approx(1.0 / 6.0, abs=1e-15)
+        _, k, _, w = subdivide(e, depth=3)
+        length = dict(zip(k.tolist(), (w / TAU).tolist()))
+        assert length[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert length[-1] == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert length[1] == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_order_within_each_gap(self):
+        gap, k, _, _ = subdivide(two_point_set(), 3)
+        assert gap.tolist() == [0] * 7 + [1] * 7
+        assert k.tolist() == [0, -1, 1, -2, 2, -3, 3] * 2
 
     def test_pieces_disjoint_and_fill(self):
         e = two_point_set()
         for depth in (5, 12):
-            js = sorted(
-                (j for j in subdivide(e, depth) if j.gap_index == 0),
-                key=lambda j: j.start,
-            )
-            for a, b in zip(js[:-1], js[1:]):
-                assert a.start + a.rad_length <= b.start + 1e-12
-            total = sum(j.length for j in js)
+            gap, _, start, w = subdivide(e, depth)
+            order = np.argsort(start[gap == 0])
+            start, w = start[gap == 0][order], w[gap == 0][order]
+            assert np.all(start[:-1] + w[:-1] <= start[1:] + 1e-12)
+            total = sum((w / TAU).tolist())
             gap_len = e.gaps[0].length
             tail = 2.0 * gap_len / (3.0 * 2.0 ** depth)
             assert total == pytest.approx(gap_len - tail, abs=1e-13)
 
     def test_distance_to_set_equals_length(self):
         e = two_point_set()
-        for j in subdivide(e, 8):
-            if j.k == 0:
-                continue
-            d_left = (j.start - 0.0) % TAU
-            d_right = (math.pi - (j.start + j.rad_length)) % TAU
-            d = min(d_left % math.pi, d_right % math.pi) / TAU
-            assert d == pytest.approx(j.length, rel=1e-9)
+        _, k, start, w = subdivide(e, 8)
+        start, w = start[k != 0], w[k != 0]
+        d_left = (start - 0.0) % TAU
+        d_right = (math.pi - (start + w)) % TAU
+        d = np.minimum(d_left % math.pi, d_right % math.pi) / TAU
+        assert d == pytest.approx(w / TAU, rel=1e-9)
 
 
 class TestWeights:
@@ -61,26 +64,84 @@ class TestWeights:
 
     def test_lambda_values(self):
         e = two_point_set()
-        js = subdivide(e, 25)
-        _, lam = weights(js)
-        for j, l in zip(js, lam):
-            if j.length > math.exp(-1):
-                assert l == 1.0
-            if j.length < math.exp(-2):
-                assert l == pytest.approx(math.log(1 / j.length), rel=1e-12)
+        ell = subdivide(e, 25)[3] / TAU
+        _, lam = weights(ell)
+        assert np.all(lam[ell > math.exp(-1)] == 1.0)
+        short = ell < math.exp(-2)
+        assert lam[short] == pytest.approx([math.log(1 / x) for x in ell[short]], rel=1e-12)
         assert np.all(lam >= 1.0)
 
     def test_tail_bound_shape(self):
         # pieces with small cumulative entropy h carry geometrically small
         # weighted mass, mirroring the uniform tail estimate
         e = two_point_set()
-        js = subdivide(e, 30)
-        h, lam = weights(js)
-        ent = np.array([lam_i * j.length * math.log(1 / j.length) for j, lam_i in zip(js, lam)])
+        ell = subdivide(e, 30)[3] / TAU
+        h, lam = weights(ell)
+        ent = lam * ell * np.log(1 / ell)
         for k in (3, 6, 9):
             lhs = ent[h <= math.exp(-k)].sum()
             rhs = sum((j + 1) * math.exp(-j) for j in range(k, 200))
             assert lhs <= 6.0 * rhs
+
+
+def piece_by_piece(e, depth):
+    """(anchors, dirs, masses) built one piece and one gap end at a time."""
+    anchors, dirs, masses = [], [], []
+    for g in e.gaps:
+        length = g.rad_length
+        pieces = [(g.start + length / 3.0, length / 3.0)]
+        for k in range(1, depth + 1):
+            piece = length / (3.0 * 2.0 ** k)
+            pieces += [(g.start + piece, piece), (g.start + length - 2.0 * piece, piece)]
+        for start, w in pieces:
+            ell = w / TAU
+            direction = np.exp(1j * (start + 0.5 * w))
+            anchors.append((math.cos(0.5 * w) + math.sin(0.5 * w)) * direction)
+            dirs.append(direction)
+            masses.append(float(profile_phi(np.log(1.0 / ell))) * ell * math.log(1.0 / ell))
+    for g in e.gaps:
+        tail, k = 0.0, depth + 1
+        while (ell := g.length / (3.0 * 2.0 ** k)) >= 1e-280:
+            lg = math.log(1.0 / ell)
+            tail += float(profile_phi(lg)) * ell * lg
+            k += 1
+        for endpoint in (g.start, g.end):
+            anchors.append(np.exp(1j * endpoint))
+            dirs.append(np.exp(1j * endpoint))
+            masses.append(tail)
+    return np.array(anchors), np.array(dirs), np.array(masses)
+
+
+_SEEDED = np.random.default_rng(1212)
+OUTER_SETS = {
+    "criterion-10": [0.0, 2.2, math.pi, 4.8],
+    "two-point": [0.0, math.pi],
+    **{f"seeded-{n}": _SEEDED.uniform(0, TAU, n).tolist() for n in (3, 8, 21, 50)},
+}
+
+
+@pytest.mark.parametrize("depth", [20, 30])
+@pytest.mark.parametrize("points", OUTER_SETS.values(), ids=OUTER_SETS.keys())
+def test_spec_equals_piece_by_piece_construction(points, depth):
+    e = BCSet.from_points(points)
+    spec = OuterSpec(e, depth)
+    anchors, dirs, masses = piece_by_piece(e, depth)
+    np.testing.assert_array_equal(spec.anchors, anchors)
+    np.testing.assert_array_equal(spec.dirs, dirs)
+    np.testing.assert_array_equal(spec.masses, masses)
+
+
+def test_spec_memory_linear_in_pieces():
+    # 64 gaps at depth 20 are 2,624 pieces: a pieces x pieces matrix of
+    # float64 alone would take 55 MB
+    e = BCSet.from_points([TAU * k / 64 for k in range(64)])
+    tracemalloc.start()
+    try:
+        OuterSpec(e, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 class TestPhi:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
-from innerlab.roots import all_roots, cluster_roots, polyval
+from innerlab.roots import all_roots, cluster_roots
 
 
 def sorted_roots(rs):
@@ -34,7 +35,7 @@ class TestAllRoots:
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         for r in all_roots(c):
             scale = sum(abs(ck) * abs(r) ** k for k, ck in enumerate(c))
-            assert abs(polyval(c, r)) <= 1e-11 * scale
+            assert abs(polyval(r, c)) <= 1e-11 * scale
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
