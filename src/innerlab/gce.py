@@ -5,7 +5,7 @@ s(z) = sum mt * G(z, a), the smooth remainder solves Delta w = 4 q e^{2w}
 with q = exp(-2s) in [0, 1], which a damped Newton-GMRES iteration handles
 on a five-point polar grid (radial nodes graded toward the boundary as
 rho = R * t(2-t), boundary data exact), preconditioned by a fast polar
-solver. The maximal solution is u_D = -log(1 - |z|^2).
+solver factored once per solve. The maximal solution is u_D = -log(1 - |z|^2).
 
 Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r},
 their Newton iteration starting at the subsolution u they dominate (the
@@ -31,13 +31,14 @@ TAU = 2.0 * math.pi
 NEWTON_TOL = 1e-10  # scaled residual at which the Newton iteration stops
 NEWTON_MAX_ITER = 60
 SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
-KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 36)
+KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 12)
 KRYLOV_CYCLES = 1  # GMRES cycles; the line search absorbs an unfinished correction
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
-# points per evaluation of a subsolution at the interior nodes: keeps the kernels'
-# (points x atoms) temporaries small; one evaluation of every node against 64
-# boundary atoms raised a diffuse-experiment run's peak RSS by 14 MB
-SUB_CHUNK = 2048
+# a subsolution's closure hides how many atoms its kernels see, so its row
+# slices at the interior nodes are sized for diffuse_family(64, M)'s boundary
+# (2,048 points a slice): one evaluation of every node against those 64 atoms
+# raised a diffuse-experiment run's peak RSS by 14 MB
+SUB_ATOMS = 64
 
 
 class NewtonError(RuntimeError):
@@ -375,7 +376,8 @@ def _polar_preconditioner(grid: PolarGrid, d):
     whose angular term is a_t * 2cos(2 pi m / n_theta); mode 0 is bordered
     by the center row. With the center first and then each mode's rings,
     mode by mode, the whole system is a single tridiagonal matrix, factored
-    once. It inverts the Jacobian exactly when d is constant on each ring.
+    once. It inverts the Jacobian exactly when d is constant on each ring;
+    _newton_solve builds it from its first step's d and keeps it.
     """
     n_r, n_t = grid.n_r, grid.n_theta
     a_m, a_p, a_0, a_t, c = _ring_coefficients(grid)
@@ -413,15 +415,17 @@ def _newton_solve(system: _SmoothSystem, w):
     """Damped Newton iteration on the smooth system from the interior values w.
 
     Each correction solves J delta = -r, J = L - diag(2 source(w)), by GMRES
-    preconditioned with _polar_preconditioner, to an Eisenstat-Walker type
-    forcing term: loose far from the root, tightening as the scaled error
-    err falls (a fixed tight tolerance spends the full GMRES cycle on every
-    correction). The info dict counts Newton steps and GMRES iterations and
-    keeps the final scaled residual and the smallest line-search step.
+    to an Eisenstat-Walker type forcing term: loose far from the root,
+    tightening as the scaled error err falls (a fixed tight tolerance spends
+    the full GMRES cycle on every correction). The preconditioner is lagged:
+    _polar_preconditioner is factored at the first correction and serves
+    every later one, while GMRES applies the current J. The info dict counts
+    Newton steps and GMRES iterations and keeps the final scaled residual
+    and the smallest line-search step.
     """
     n = w.size
     r = system.residual(w)
-    krylov_iters, min_step = 0, 1.0
+    krylov_iters, min_step, precond = 0, 1.0, None
     for it in range(NEWTON_MAX_ITER):
         err = system.scaled_error(w, r)
         if not math.isfinite(err):
@@ -429,7 +433,8 @@ def _newton_solve(system: _SmoothSystem, w):
         if err <= NEWTON_TOL:
             break
         d = 2.0 * system.source(w)
-        precond = LinearOperator((n, n), _polar_preconditioner(system.grid, d))
+        if precond is None:  # lagged: the first correction's d serves the whole solve
+            precond = LinearOperator((n, n), _polar_preconditioner(system.grid, d))
         forcing = min(1e-2, max(1e-12, 1e-3 * math.sqrt(err)))
         iters = []
         delta, _ = gmres(
@@ -533,9 +538,7 @@ def perron_hull_r(sub, r: float, n_r: int, n_theta: int, check_subsolution: bool
     h = _cell_averaged_boundary(sub, grid)
     nodes = grid.interior_nodes()
     with np.errstate(invalid="ignore", divide="ignore"):
-        sub_int = np.concatenate(
-            [sub(nodes[i:i + SUB_CHUNK]) for i in range(0, nodes.size, SUB_CHUNK)]
-        )
+        sub_int = kernels.in_row_slices(sub, nodes, SUB_ATOMS)
     if check_subsolution:
         _check_discrete_subsolution(sub, sub_int, grid)
     return solve_dirichlet(grid, sub.atoms, h, start=sub_int)

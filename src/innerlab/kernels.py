@@ -5,7 +5,9 @@ atom axis, so the work is a few array operations per call. The test
 suite checks each against an independent reference: the pointwise
 potentials of `inner`, a direct sum, and a brute-force subset search.
 The subset scan is the exception to one broadcast: it grows its 2^n masks
-in n array steps, one atom at a time.
+in n array steps, one atom at a time. The outer exponent, whose anchors
+number thousands for a large set, broadcasts in row slices of at most
+CHUNK_PAIRS pairs (`in_row_slices`, which also slices gce's subsolution).
 
 Conventions: probe points are complex128 arrays, atom locations either
 complex128 (interior) or float64 angles (boundary), masses float64.
@@ -14,6 +16,17 @@ complex128 (interior) or float64 angles (boundary), masses float64.
 import numpy as np
 
 TAU = 2.0 * np.pi
+# (point, atom) pairs per row slice: 1 MB per float64 (points x atoms) temporary
+CHUNK_PAIRS = 1 << 17
+
+
+def in_row_slices(fn, z, n_atoms):
+    """fn over a 1-d z, evaluated CHUNK_PAIRS // n_atoms points at a time (at
+    least one) and concatenated, so its temporaries stay bounded."""
+    step = max(1, CHUNK_PAIRS // max(1, n_atoms))
+    if z.size <= step:
+        return fn(z)
+    return np.concatenate([fn(z[i:i + step]) for i in range(0, z.size, step)])
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +64,12 @@ def poisson_sum(z, angles, masses):
 def outer_exponent(z, anchors, dirs, masses):
     if anchors.size == 0:
         return np.zeros(z.shape, dtype=np.complex128)
-    zc = z[..., None]
-    terms = (dirs * masses) / (anchors - zc)
-    return terms.sum(axis=-1)
+    weights = dirs * masses
+
+    def rows(zs):
+        return (weights / (anchors - zs[:, None])).sum(axis=1)
+
+    return in_row_slices(rows, z.ravel(), anchors.size).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

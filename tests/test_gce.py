@@ -171,6 +171,33 @@ class TestNewtonKrylov:
         assert 0.0 < info["min_step"] <= 1.0
         assert info["residual"] <= gce.NEWTON_TOL
 
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        calls = []
+        splu = gce.splu
+        monkeypatch.setattr(gce, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+        return calls
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        # the preconditioner is factored at the first correction and kept for
+        # every later one, however many Newton steps the solve takes
+        calls = self.count_factorizations(monkeypatch)
+        _, info = solve_dirichlet(*spiky_problem())
+        assert info["newton_iters"] > 1 and len(calls) == 1
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        for r in (0.75, 0.9375):
+            _, info = perron_hull_r(sub, r, 48, 96, check_subsolution=False)
+            assert info["newton_iters"] > 1
+        assert len(calls) == 3
+
+    def test_converged_start_factors_nothing(self, monkeypatch):
+        grid = PolarGrid(0.9, 24, 32)
+        h = u_max(grid.rim_nodes())
+        gf, _ = solve_dirichlet(grid, (), h)
+        calls = self.count_factorizations(monkeypatch)
+        _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
+        assert info["newton_iters"] == 0 and calls == []
+
     def test_newton_error_names_grid_and_residual(self, monkeypatch):
         monkeypatch.setattr(gce, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonError, match=r"^PolarGrid\(R=0\.9, 24x32\): .*scaled residual \d"):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from innerlab import kernels
 from innerlab.bc_sets import TAU, BCSet
 from innerlab.outer import (
     OuterSpec,
@@ -138,6 +139,36 @@ def test_spec_memory_linear_in_pieces():
     tracemalloc.start()
     try:
         OuterSpec(e, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def disk_points(n, seed):
+    rng = np.random.default_rng(seed)
+    return 0.99 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TAU, n))
+
+
+@pytest.mark.parametrize("points", OUTER_SETS.values(), ids=OUTER_SETS.keys())
+def test_exponent_slices_equal_one_broadcast(points):
+    spec = OuterSpec(BCSet.from_points(points), 20)
+    # three full row slices and a short one
+    z = disk_points(3 * (kernels.CHUNK_PAIRS // spec.anchors.size) + 7, len(points))
+    one_shot = ((spec.dirs * spec.masses) / (spec.anchors - z[:, None])).sum(axis=-1)
+    np.testing.assert_array_equal(spec.exponent(z), one_shot)
+    grid_z, grid_phi = z[:-1].reshape(3, -1), np.exp(-one_shot[:-1]).reshape(3, -1)
+    np.testing.assert_array_equal(spec(grid_z), grid_phi)
+
+
+def test_exponent_memory_bounded_in_points():
+    # 100 points at depth 30 are 6,300 anchors: one broadcast of 3,000
+    # points would build two complex temporaries of 302 MB each
+    spec = OuterSpec(BCSet.from_points(np.random.default_rng(3).uniform(0, TAU, 100).tolist()), 30)
+    z = disk_points(3000, 3)
+    tracemalloc.start()
+    try:
+        spec.exponent(z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
