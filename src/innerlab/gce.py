@@ -4,8 +4,9 @@ Interior delta-atoms are removed analytically: writing u = w - s with
 s(z) = sum mt * G(z, a), the smooth remainder solves Delta w = 4 q e^{2w}
 with q = exp(-2s) in [0, 1], which a damped Newton-GMRES iteration handles
 on a five-point polar grid (radial nodes graded toward the boundary as
-rho = R * t(2-t), boundary data exact), preconditioned by a fast polar
-solver factored once per solve. The maximal solution is u_D = -log(1 - |z|^2).
+rho = R * t(2-t), boundary data exact), right-preconditioned by a fast
+polar solver factored once per solve and applied once per GMRES iteration.
+The maximal solution is u_D = -log(1 - |z|^2).
 
 Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r},
 their Newton iteration starting at the subsolution u they dominate (the
@@ -13,7 +14,8 @@ harmonic extension of the rim data, near log 1/(1-r) on deep rungs,
 overshoots the interior and costs more steps the deeper the rung);
 nearly-maximal solutions follow the ladder r_k = 1 - 2^{-k} applied to
 the subsolution u_D + log|I_omega| and report the boundary deficiency
-(circle averages of u_D - u) along the way.
+(circle averages of u_D - u) along the way. The hulls increase with k, so
+each rung starts inside the previous disk at the previous rung's hull.
 """
 
 import math
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RectBivariateSpline
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from . import kernels
 from .measures import DiskMeasure, diffuse_family
@@ -31,8 +34,9 @@ TAU = 2.0 * math.pi
 NEWTON_TOL = 1e-10  # scaled residual at which the Newton iteration stops
 NEWTON_MAX_ITER = 60
 SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
-KRYLOV_RESTART = 40  # GMRES iterations per Newton correction (the most measured is 12)
-KRYLOV_CYCLES = 1  # GMRES cycles; the line search absorbs an unfinished correction
+# GMRES iterations per Newton correction, without restart (the most measured
+# is 13); the line search absorbs an unfinished correction
+KRYLOV_RESTART = 40
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
 # a subsolution's closure hides how many atoms its kernels see, so its row
 # slices at the interior nodes are sized for diffuse_family(64, M)'s boundary
@@ -411,19 +415,61 @@ def _polar_preconditioner(grid: PolarGrid, d):
     return solve
 
 
+def _gmres(L, d, precond, b, rtol):
+    """Solve (L - diag(d)) x = b by right-preconditioned GMRES from x = 0.
+
+    FGMRES-style: the preconditioned directions Z = precond(V) are kept and
+    x = Z y, so each iteration applies precond exactly once, and the
+    Givens-rotated least-squares residual is the true residual |b - J x|
+    (to rounding; V is orthogonalized by classical Gram-Schmidt applied
+    twice). Stops once that residual is at most rtol * |b|, or after
+    KRYLOV_RESTART iterations. Returns (x, iterations).
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    m = KRYLOV_RESTART
+    V, Z = np.empty((m + 1, b.size)), np.empty((m, b.size))  # rows are touched as used
+    R = np.zeros((m, m))
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    V[0], g[0] = b / beta, beta
+    for j in range(m):
+        Z[j] = precond(V[j])
+        w = L @ Z[j] - d * Z[j]
+        h = V[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        h2 = V[:j + 1] @ w
+        w -= h2 @ V[:j + 1]
+        h += h2
+        h_next = float(np.linalg.norm(w))
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        rho = math.hypot(h[j], h_next)
+        cs[j], sn[j] = h[j] / rho, h_next / rho
+        h[j] = rho
+        R[:j + 1, j] = h
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        if abs(g[j + 1]) <= rtol * beta:
+            break
+        V[j + 1] = w / h_next
+    k = j + 1
+    y = solve_triangular(R[:k, :k], g[:k])
+    return y @ Z[:k], k
+
+
 def _newton_solve(system: _SmoothSystem, w):
     """Damped Newton iteration on the smooth system from the interior values w.
 
-    Each correction solves J delta = -r, J = L - diag(2 source(w)), by GMRES
-    to an Eisenstat-Walker type forcing term: loose far from the root,
-    tightening as the scaled error err falls (a fixed tight tolerance spends
-    the full GMRES cycle on every correction). The preconditioner is lagged:
-    _polar_preconditioner is factored at the first correction and serves
-    every later one, while GMRES applies the current J. The info dict counts
-    Newton steps and GMRES iterations and keeps the final scaled residual
-    and the smallest line-search step.
+    Each correction solves J delta = -r, J = L - diag(2 source(w)), by
+    right-preconditioned GMRES (_gmres, one preconditioner application per
+    iteration) to an Eisenstat-Walker type forcing term: loose far from the
+    root, tightening as the scaled error err falls (a fixed tight tolerance
+    spends the full Krylov budget on every correction). The preconditioner
+    is lagged: _polar_preconditioner is factored at the first correction and
+    serves every later one, while GMRES applies the current J as
+    L @ v - d * v. The info dict counts Newton steps and GMRES iterations
+    and keeps the final scaled residual and the smallest line-search step.
     """
-    n = w.size
     r = system.residual(w)
     krylov_iters, min_step, precond = 0, 1.0, None
     for it in range(NEWTON_MAX_ITER):
@@ -434,15 +480,10 @@ def _newton_solve(system: _SmoothSystem, w):
             break
         d = 2.0 * system.source(w)
         if precond is None:  # lagged: the first correction's d serves the whole solve
-            precond = LinearOperator((n, n), _polar_preconditioner(system.grid, d))
+            precond = _polar_preconditioner(system.grid, d)
         forcing = min(1e-2, max(1e-12, 1e-3 * math.sqrt(err)))
-        iters = []
-        delta, _ = gmres(
-            system.L - sp.diags(d), -r, rtol=forcing, atol=0.0,
-            restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES, M=precond,
-            callback=iters.append, callback_type="pr_norm",
-        )
-        krylov_iters += len(iters)
+        delta, iters = _gmres(system.L, d, precond, -r, forcing)
+        krylov_iters += iters
         lam, ok = 1.0, False
         nr0 = float(np.linalg.norm(r))
         for _ in range(40):
@@ -522,7 +563,9 @@ def pde_residual(gf: GridFunction) -> float:
 # Perron hulls and nearly-maximal solutions
 
 
-def perron_hull_r(sub, r: float, n_r: int, n_theta: int, check_subsolution: bool = True):
+def perron_hull_r(
+    sub, r: float, n_r: int, n_theta: int, check_subsolution: bool = True, previous=None
+):
     """Minimal solution on D_r dominating the subsolution, matching it on dD_r.
 
     `sub` follows the GridFunction protocol (smooth(z) + .atoms), and its
@@ -531,17 +574,42 @@ def perron_hull_r(sub, r: float, n_r: int, n_theta: int, check_subsolution: bool
     user-supplied fields; it needs the data's potential kernels resolved by
     the grid, so callers holding an analytic subsolution guarantee may pass
     check_subsolution=False.
-    Newton starts at the subsolution, which the hull dominates: sub is
-    evaluated once at the interior nodes, for the check and the start.
+    Newton starts below the hull: at the subsolution, evaluated once at the
+    interior nodes for the check and the start. `previous`, if given, is the
+    hull of the same sub on a smaller disk with the same n_theta (the last
+    ladder rung), which this hull dominates there by comparison: inside
+    that disk Newton starts at it instead, and sub is evaluated only
+    outside, unless the check needs it everywhere.
     """
     grid = PolarGrid(r, n_r, n_theta)
     h = _cell_averaged_boundary(sub, grid)
     nodes = grid.interior_nodes()
+    start = np.empty(0) if previous is None else _continued_start(previous, grid, nodes)
+    skip = 0 if check_subsolution else start.size  # sub is needed only where the start uses it
     with np.errstate(invalid="ignore", divide="ignore"):
-        sub_int = kernels.in_row_slices(sub, nodes, SUB_ATOMS)
+        sub_int = kernels.in_row_slices(sub, nodes[skip:], SUB_ATOMS)
     if check_subsolution:
         _check_discrete_subsolution(sub, sub_int, grid)
-    return solve_dirichlet(grid, sub.atoms, h, start=sub_int)
+    start = np.concatenate([start, sub_int[start.size - skip:]])
+    return solve_dirichlet(grid, sub.atoms, h, start=start)
+
+
+def _continued_start(previous: GridFunction, grid: PolarGrid, nodes) -> np.ndarray:
+    """previous's u at grid's interior nodes strictly inside its disk: the
+    center and the rings below its radius, a prefix of nodes. Its smooth
+    spline is evaluated once, on the tensor grid of those rings' radii (in
+    previous's graded coordinate) and grid.theta."""
+    if previous.grid.n_theta != grid.n_theta or not previous.grid.radius < grid.radius:
+        raise ValueError(
+            "a previous hull needs the same n_theta and a smaller radius "
+            f"(got {previous.grid!r} for {grid!r})"
+        )
+    rho = grid.rho[grid.rho < previous.grid.radius]
+    t = 1.0 - np.sqrt(1.0 - rho / previous.grid.radius)  # invert t(2-t)
+    w = previous._ensure_spline()(t, grid.theta, grid=True)
+    inside = nodes[:1 + w.size]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.concatenate([[previous.center], w.ravel()]) - _singular_part(previous.atoms, inside)
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -551,7 +619,8 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     sampling once they drop below the angular spacing; box averages keep
     their integrated effect (and the interior only sees low modes). The
     supersampling factor adapts to the spike width; S = 1 would reduce to
-    midpoint sampling.
+    midpoint sampling. Up to 512 samples per cell, so sub is evaluated in
+    row slices, like at the interior nodes.
     """
     r = grid.radius
     dth = TAU / grid.n_theta
@@ -560,7 +629,9 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
         grid.theta[:, None]
         + ((np.arange(s_factor) + 0.5) / s_factor - 0.5)[None, :] * dth
     )
-    vals = np.asarray(sub(r * np.exp(1j * fine.ravel())), dtype=np.float64)
+    vals = np.asarray(
+        kernels.in_row_slices(sub, r * np.exp(1j * fine.ravel()), SUB_ATOMS), dtype=np.float64
+    )
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
@@ -665,10 +736,11 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
     hulls, increments, radii = [], [], []
-    prev_vals = None
+    prev_vals, gf = None, None
     for k in ladder:
         r = 1.0 - 2.0 ** (-k)
-        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False)
+        # each rung starts at the last hull, which it dominates on the smaller disk
+        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False, previous=gf)
         vals = gf(probes)
         hulls.append(gf)
         radii.append(r)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.sparse.linalg import spsolve
 from innerlab import gce
 from innerlab.gce import (
     AnalyticField,
+    GridFunction,
     NewtonError,
     PolarGrid,
     SubsolutionError,
@@ -26,7 +28,7 @@ from innerlab.gce import (
     u_max,
 )
 from innerlab.inner import InnerFunctionRep, poisson
-from innerlab.measures import DiskMeasure
+from innerlab.measures import DiskMeasure, diffuse_family
 
 TAU = 2.0 * math.pi
 
@@ -198,10 +200,71 @@ class TestNewtonKrylov:
         _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
         assert info["newton_iters"] == 0 and calls == []
 
+    def test_one_preconditioner_application_per_gmres_iteration(self, monkeypatch):
+        calls = []
+        factor = gce._polar_preconditioner
+
+        def counted(grid, d):
+            solve = factor(grid, d)
+            return lambda b: calls.append(1) or solve(b)
+
+        monkeypatch.setattr(gce, "_polar_preconditioner", counted)
+        _, info = solve_dirichlet(*spiky_problem())
+        assert info["krylov_iters"] > info["newton_iters"] > 1
+        assert len(calls) == info["krylov_iters"]
+        grid = PolarGrid(0.9, 24, 32)
+        h = u_max(grid.rim_nodes())
+        gf, _ = solve_dirichlet(grid, (), h)
+        calls.clear()
+        _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
+        assert info["newton_iters"] == 0 and calls == []
+
     def test_newton_error_names_grid_and_residual(self, monkeypatch):
         monkeypatch.setattr(gce, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonError, match=r"^PolarGrid\(R=0\.9, 24x32\): .*scaled residual \d"):
             solve_dirichlet(*spiky_problem())
+
+
+class TestGmres:
+    """gce._gmres, the right-preconditioned GMRES of each Newton correction."""
+
+    @staticmethod
+    def problem(ring_constant):
+        grid = PolarGrid(0.9, 24, 32)
+        rng = np.random.default_rng(7)
+        if ring_constant:
+            d = np.concatenate([[3.0], np.repeat(rng.uniform(0.0, 500.0, 23), 32)])
+        else:
+            d = rng.uniform(0.0, 500.0, grid.interior_count())
+        L = grid.operators()[0]
+        return grid, L, d, L - sp.diags(d), rng.standard_normal(grid.interior_count())
+
+    def test_exact_preconditioner_converges_in_one_iteration(self):
+        grid, L, d, J, b = self.problem(ring_constant=True)
+        x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), b, 1e-10)
+        assert iters == 1
+        assert np.linalg.norm(b - J @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10, 1e-12])
+    def test_true_residual_meets_rtol(self, rtol):
+        grid, L, d, J, b = self.problem(ring_constant=False)
+        x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), b, rtol)
+        assert 1 < iters < gce.KRYLOV_RESTART
+        assert np.linalg.norm(b - J @ x) <= rtol * np.linalg.norm(b)
+
+    def test_stops_after_krylov_restart_iterations(self):
+        # without a preconditioner the budget runs out; the iterate still
+        # lowers the residual, and the line search takes what it gives
+        _, L, d, J, b = self.problem(ring_constant=False)
+        x, iters = gce._gmres(L, d, lambda v: v, b, 1e-10)
+        assert iters == gce.KRYLOV_RESTART
+        assert np.linalg.norm(b - J @ x) < 0.1 * np.linalg.norm(b)
+
+    def test_zero_right_side(self):
+        grid, L, d, _, b = self.problem(ring_constant=False)
+        with np.errstate(all="raise"):
+            x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), np.zeros_like(b), 1e-6)
+        assert iters == 0 and x.shape == b.shape and not x.any()
 
 
 class TestSubsolutionStart:
@@ -238,6 +301,71 @@ class TestSubsolutionStart:
         grid, atoms, h = spiky_problem()
         with pytest.raises(ValueError, match="one value per interior node"):
             solve_dirichlet(grid, atoms, h, start=np.zeros(shape))
+
+
+class TestRungContinuation:
+    """A ladder rung starts Newton at the previous rung's hull inside its
+    disk (perron_hull_r(..., previous=)) and at the subsolution outside."""
+
+    @staticmethod
+    def delta0_rungs():
+        # (continued start, subsolution start) solves per rung of the delta_0 ladder
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        previous = None
+        for k in range(2, 8):
+            r = 1.0 - 2.0 ** -k
+            continued = perron_hull_r(sub, r, 48, 96, check_subsolution=False, previous=previous)
+            yield continued, perron_hull_r(sub, r, 48, 96, check_subsolution=False)
+            previous = continued[0]
+
+    def test_no_more_newton_steps_than_subsolution_start(self):
+        steps = [
+            (info["newton_iters"], s_info["newton_iters"])
+            for (_, info), (_, s_info) in self.delta0_rungs()
+        ]
+        assert all(cont <= sub for cont, sub in steps), steps
+        assert sum(cont for cont, _ in steps) < sum(sub for _, sub in steps), steps
+
+    def test_same_solution_at_tight_tolerance(self, monkeypatch):
+        monkeypatch.setattr(gce, "NEWTON_TOL", 1e-12)
+        probes = gce._probe_points(r_max=0.7)
+        for (hull, info), (ref, s_info) in self.delta0_rungs():
+            assert max(info["residual"], s_info["residual"]) <= 1e-12
+            assert float(np.max(np.abs(hull(probes) - ref(probes)))) <= 1e-9
+
+    def test_checked_rung_starts_the_same(self):
+        # the check evaluates sub at every node; the start still continues
+        # the previous hull inside its disk
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        previous, _ = perron_hull_r(sub, 0.75, 48, 96, check_subsolution=False)
+        gf, info = perron_hull_r(sub, 0.875, 48, 96, check_subsolution=False, previous=previous)
+        gf_checked, info_checked = perron_hull_r(sub, 0.875, 48, 96, previous=previous)
+        assert info_checked == info
+        assert np.array_equal(gf_checked.rings, gf.rings)
+
+    @pytest.mark.parametrize(
+        "radius,n_theta",
+        [(0.75, 64), (0.875, 96), (0.9375, 96)],
+        ids=["other-n_theta", "same-radius", "larger-radius"],
+    )
+    def test_mismatched_previous_rejected(self, radius, n_theta):
+        previous = GridFunction(PolarGrid(radius, 16, n_theta), 0.0, np.zeros((16, n_theta)))
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        with pytest.raises(ValueError, match="same n_theta and a smaller radius"):
+            perron_hull_r(sub, 0.875, 48, 96, check_subsolution=False, previous=previous)
+
+    def test_ladder_passes_each_hull_to_the_next_rung(self, monkeypatch):
+        seen = []
+        hull = gce.perron_hull_r
+
+        def recorded(*args, **kwargs):
+            out = hull(*args, **kwargs)
+            seen.append((kwargs.get("previous"), out[0]))
+            return out
+
+        monkeypatch.setattr(gce, "perron_hull_r", recorded)
+        nearly_maximal(DiskMeasure(interior=[(0j, 1.0)]), ladder=(2, 3, 4), n_r=24, n_theta=32)
+        assert [prev for prev, _ in seen] == [None] + [gf for _, gf in seen[:-1]]
 
 
 class TestHarmonicExtension:
@@ -382,6 +510,23 @@ class TestPerron:
             errs.append(float(np.max(np.abs(hull(probes) - orc(probes)))))
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 1e-3
+
+    def test_rim_evaluation_memory_bounded(self):
+        # rung 10 at 80x256 supersamples 101 points per cell: one evaluation
+        # of those 25,856 rim points against 64 boundary atoms peaked at 40.8 MB
+        sub = gce._plus_log_inner(maximal_field(), diffuse_family(64, 10.0))
+        grid = PolarGrid(1.0 - 2.0 ** -10, 80, 256)
+        tracemalloc.start()
+        try:
+            h = gce._cell_averaged_boundary(sub, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        dth = TAU / grid.n_theta
+        fine = grid.theta[:, None] + ((np.arange(101) + 0.5) / 101 - 0.5) * dth
+        one_shot = sub(grid.radius * np.exp(1j * fine)).mean(axis=1)
+        np.testing.assert_allclose(h, one_shot, rtol=1e-13)
 
 
 class TestNearlyMaximal:
@@ -554,7 +699,6 @@ class TestDiffuseScaling:
     def test_single_atom_row_matches_direct_solve(self):
         # n = 1: the family is one unit atom; the experiment row reproduces
         # a direct solve of the same measure
-        from innerlab.measures import diffuse_family
         rows = diffuse_experiment([1], [0.2], ladder=(2, 3, 4), n_r=24, n_theta=64)
         (n, big_m, th, u0, gap, status), = rows
         assert status == "ok"
@@ -563,7 +707,6 @@ class TestDiffuseScaling:
         assert u0 == pytest.approx(float(res(0j, extrapolate=False)), abs=1e-12)
 
     def test_scaled_down_measure_sits_closer_to_maximal(self):
-        from innerlab.measures import diffuse_family
         om = diffuse_family(32, 10.0)
         full = nearly_maximal(om, ladder=(2, 3, 4, 5), n_r=40, n_theta=128, stop_tol=0.0)
         half_om = DiskMeasure(boundary=[(t, 0.5 * m) for t, m in om.boundary])
