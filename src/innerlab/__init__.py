@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .backend import backend_name  # noqa: F401
 from .bc_sets import (  # noqa: F401
     BCSet,
-    CircleArc,
     StarSpec,
     hyperbolic_dist_to_star,
     star_area_integral,

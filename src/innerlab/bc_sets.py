@@ -1,10 +1,11 @@
 """Finite-entropy closed sets on the unit circle and their star geometry.
 
-A set E is stored through its complementary open arcs ("gaps"); the
-represented closed set is the circle minus the gap interiors. Arc
-lengths are normalized to fractions of the circle, so every entropy
-term ell*log(1/ell) is nonnegative. Euclidean (chord) distance is used
-throughout for dist(., E).
+A set E is stored through its complementary open arcs ("gaps"), as one
+array of (start, length) rows: the starts in [0, 2*pi), sorted, and the
+lengths; the represented closed set is the circle minus the gap
+interiors. Lengths are normalized to fractions of the circle, so every
+entropy term ell*log(1/ell) is nonnegative. Euclidean (chord) distance
+is used throughout for dist(., E).
 
 The queries (`chord`, `dist_angle_to_set`, `BCSet.contains_angle`,
 `star_contains`, `hyperbolic_dist_to_star`) take a scalar or an array and
@@ -48,77 +49,68 @@ def chord(delta):
     return _scalar_or_array(delta, 2.0 * np.sin(0.5 * np.minimum(d, TAU - d)))
 
 
-@dataclass(frozen=True)
-class CircleArc:
-    """Open arc starting at `start` (radians) of normalized length in (0,1]."""
-
-    start: float
-    length: float
-
-    def __post_init__(self):
-        if not (0.0 < self.length <= 1.0 + _EPS):
-            raise ValueError(f"arc length must be in (0,1], got {self.length}")
-        object.__setattr__(self, "length", min(self.length, 1.0))
-        object.__setattr__(self, "start", _norm_angle(self.start))
-
-    @property
-    def rad_length(self) -> float:
-        return self.length * TAU
-
-    @property
-    def end(self) -> float:
-        """End angle, possibly >= 2*pi (unwrapped)."""
-        return self.start + self.rad_length
-
-    def entropy_term(self) -> float:
-        return -self.length * math.log(self.length) if self.length < 1.0 else 0.0
-
-
 class BCSet:
-    """Closed subset of the circle given by pairwise-disjoint open gaps."""
+    """Closed subset of the circle given by pairwise-disjoint open gaps.
+
+    `gaps` is an (n, 2) read-only array of (start, length) rows sorted by
+    start: starts in [0, 2*pi), lengths as fractions of the circle in (0, 1].
+    """
 
     __slots__ = ("gaps", "_starts", "_ends")
 
-    def __init__(self, gaps):
-        gaps = tuple(sorted(gaps, key=lambda a: a.start))
-        total = math.fsum(g.length for g in gaps)
+    def __init__(self, starts, lengths):
+        starts = np.asarray(starts, dtype=np.float64)
+        lengths = np.asarray(lengths, dtype=np.float64)
+        if starts.ndim != 1 or starts.shape != lengths.shape:
+            raise ValueError("need one-dimensional starts and lengths of one size")
+        if not (np.isfinite(starts).all() and np.isfinite(lengths).all()):
+            raise ValueError("gap starts and lengths must be finite")
+        bad = ~((lengths > 0.0) & (lengths <= 1.0 + _EPS))
+        if bad.any():
+            raise ValueError(f"arc length must be in (0,1], got {lengths[bad][0]}")
+        starts = _norm_angle(starts)
+        order = np.argsort(starts, kind="stable")
+        starts, lengths = starts[order], np.minimum(lengths, 1.0)[order]
+        total = math.fsum(lengths.tolist())
         if total > 1.0 + 1e-9:
             raise ValueError(f"gap lengths sum to {total} > 1")
-        if len(gaps) > 1:
-            # arcs may share endpoints but not overlap
-            for i in range(len(gaps) - 1):
-                if gaps[i].end > gaps[i + 1].start + 1e-12:
-                    raise ValueError("gap arcs overlap")
-            if gaps[-1].end - TAU > gaps[0].start + 1e-12:
-                raise ValueError("gap arcs overlap around the wrap")
-        self.gaps = gaps
+        ends = starts + lengths * TAU
+        # arcs may share endpoints but not overlap
+        if np.any(ends[:-1] > starts[1:] + 1e-12):
+            raise ValueError("gap arcs overlap")
+        if len(starts) > 1 and ends[-1] - TAU > starts[0] + 1e-12:
+            raise ValueError("gap arcs overlap around the wrap")
+        self.gaps = np.column_stack([starts, lengths])
+        self.gaps.flags.writeable = False
         # the full circle gets one empty arc, so every lookup has a candidate
-        self._starts = np.array([g.start for g in gaps] or [0.0])
-        self._ends = np.array([g.end for g in gaps] or [0.0])
+        self._starts = starts if len(starts) else np.zeros(1)
+        self._ends = ends if len(starts) else np.zeros(1)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_points(cls, angles) -> "BCSet":
         """Finite set of circle points (angles in radians)."""
-        pts = sorted(set(_norm_angle(np.asarray(angles, dtype=np.float64)).tolist()))
-        if not pts:
+        pts = np.asarray(angles, dtype=np.float64).ravel()
+        if not np.isfinite(pts).all():
+            raise ValueError("point angles must be finite")
+        if not pts.size:
             raise ValueError("need at least one point")
+        pts = _norm_angle(pts)
+        pts = pts[np.argsort(pts, kind="stable")]
+        # the first of equal angles, as a set keeps it (0.0 and -0.0 are equal)
+        pts = pts[np.append(True, pts[1:] != pts[:-1])]
         if len(pts) == 1:
-            return cls([CircleArc(pts[0], 1.0)])
-        gaps = []
-        for i, p in enumerate(pts):
-            q = pts[(i + 1) % len(pts)]
-            ln = ((q - p) % TAU) / TAU
-            if ln > 0.0:
-                gaps.append(CircleArc(p, ln))
-        return cls(gaps)
+            return cls(pts, [1.0])
+        # np.remainder is Python's float %
+        ln = np.remainder(np.append(pts[1:], pts[0]) - pts, TAU) / TAU
+        return cls(pts[ln > 0.0], ln[ln > 0.0])
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def gap_measure(self) -> float:
-        return math.fsum(g.length for g in self.gaps)
+        return math.fsum(self.gaps[:, 1].tolist())
 
     @property
     def set_measure(self) -> float:
@@ -126,12 +118,15 @@ class BCSet:
         return max(0.0, 1.0 - self.gap_measure)
 
     def entropy(self) -> float:
-        return math.fsum(g.entropy_term() for g in self.gaps)
+        return self.local_entropy(1.0)
 
     def local_entropy(self, eta: float) -> float:
+        """Entropy of the gaps shorter than eta; a gap of length 1 adds 0."""
         if eta <= 0.0:
             raise ValueError("threshold must be positive")
-        return math.fsum(g.entropy_term() for g in self.gaps if g.length < eta)
+        # libm's log, in gap order: np.log can differ in the last bit
+        cut = min(eta, 1.0)
+        return math.fsum(-x * math.log(x) for x in self.gaps[:, 1].tolist() if x < cut)
 
     def _gap_of(self, phi, tol: float = 0.0):
         """(start, end, inside) of the one gap that can hold each angle.
@@ -153,11 +148,8 @@ class BCSet:
     def __eq__(self, other):
         if not isinstance(other, BCSet):
             return NotImplemented
-        if len(self.gaps) != len(other.gaps):
-            return False
-        return all(
-            abs(a.start - b.start) < 1e-12 and abs(a.length - b.length) < 1e-12
-            for a, b in zip(self.gaps, other.gaps)
+        return self.gaps.shape == other.gaps.shape and bool(
+            np.all(np.abs(self.gaps - other.gaps) < 1e-12)
         )
 
     def __repr__(self):
@@ -256,7 +248,7 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
     if levels <= 0 or order <= 0:
         raise ValueError("resolution must be positive")
     e = spec.base
-    if not e.gaps:
+    if not len(e.gaps):
         raise ValueError("set with empty gap list is degenerate for the area integral")
     if e.set_measure > 1e-9:
         raise ValueError(
@@ -269,8 +261,7 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
     # and sum per gap in gap order
     half_gap = {}
     total = 0.0
-    for g in e.gaps:
-        upper = min(0.5 * g.rad_length, psi_cut)
+    for upper in np.minimum(0.5 * (e.gaps[:, 1] * TAU), psi_cut).tolist():
         if upper not in half_gap:
             half_gap[upper] = 2.0 * dyadic_gauss(
                 lambda psi: _radial_star_profile(spec, psi), upper, levels, order

@@ -17,6 +17,7 @@ import numpy as np
 from .bc_sets import TAU, BCSet, StarSpec, dist_angle_to_set, hyperbolic_dist_to_star, star_contains
 from .inner import InnerFunctionRep, critical_points, log_abs_inner
 from .measures import DiskMeasure
+from .roots import RootFindingError
 
 MASS_CAP = 2.0
 
@@ -27,7 +28,7 @@ def _seeded_set(rng, n_lo=3, n_hi=7) -> BCSet:
 
 def _star_atoms(rng, e: BCSet, count: int, mass_total: float):
     """Interior atoms inside the order-1 star over E (rays over set points)."""
-    pts = [g.start for g in e.gaps]
+    pts = e.gaps[:, 0].tolist()
     atoms = []
     w = rng.dirichlet(np.ones(count)) * mass_total
     for i in range(count):
@@ -84,7 +85,7 @@ def hyperbolic_decay_ratio(seed: int = 2025) -> float:
 def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
     """Seeded candidate with F(0)=0 whose critical points land in K_E."""
     star = StarSpec(e, order=1.0, include_core=True)
-    pts = [g.start for g in e.gaps]
+    pts = e.gaps[:, 0].tolist()
     for _ in range(40):
         zeros = [(0j, 1)]
         for _ in range(degree - 1):
@@ -94,7 +95,7 @@ def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
         f = InnerFunctionRep(zeros)
         try:
             crits = critical_points(f)
-        except Exception:
+        except RootFindingError:
             continue
         if np.all(star_contains(star, [c for c, _ in crits], tol=1e-9)):
             mass = sum((1.0 - abs(c)) * m for c, m in crits)

@@ -29,17 +29,18 @@ class DiskMeasure:
         by_loc = {}
         for a, m in interior:
             a = complex(a)
-            if abs(a) >= 1.0:
-                raise ValueError(f"interior atom at |a| = {abs(a)} >= 1")
-            if m <= 0.0:
-                raise ValueError("masses must be positive")
+            # NaN fails every comparison: ask for what must hold
+            if not abs(a) < 1.0:
+                raise ValueError(f"interior atom at |a| = {abs(a)}, need |a| < 1")
+            if not 0.0 < m < math.inf:
+                raise ValueError("masses must be positive and finite")
             by_loc[a] = by_loc.get(a, 0.0) + float(m)
         self.interior = tuple(sorted(by_loc.items(), key=lambda t: (t[0].real, t[0].imag)))
         by_ang = {}
         for ang, m in boundary:
+            if not (math.isfinite(float(ang)) and 0.0 < m < math.inf):
+                raise ValueError("boundary atoms need a finite angle and a positive finite mass")
             ang = _norm_angle(float(ang))
-            if m <= 0.0:
-                raise ValueError("masses must be positive")
             by_ang[ang] = by_ang.get(ang, 0.0) + float(m)
         self.boundary = tuple(sorted(by_ang.items()))
 

@@ -54,7 +54,7 @@ def subdivide(e: BCSet, depth: int = 20):
     gap k = 0, -1, +1, -2, +2, ...: 0 is the middle third, -k the left
     side piece, +k the right.
     """
-    if not e.gaps:
+    if not len(e.gaps):
         raise ValueError("need a set with at least one gap")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -63,8 +63,7 @@ def subdivide(e: BCSet, depth: int = 20):
     k = np.zeros(2 * depth + 1, dtype=np.int64)
     k[1::2] = -np.arange(1, depth + 1)
     k[2::2] = np.arange(1, depth + 1)
-    g_start = np.array([[g.start] for g in e.gaps])
-    g_len = np.array([[g.rad_length] for g in e.gaps])
+    g_start, g_len = e.gaps[:, :1], e.gaps[:, 1:] * TAU
     piece = g_len / scale[np.abs(k)]
     start = np.where(k > 0, g_start + g_len - 2.0 * piece, g_start + piece)
     gaps = np.repeat(np.arange(len(e.gaps)), k.size)
@@ -112,9 +111,10 @@ class OuterSpec:
         log_inv = np.array([math.log(x) for x in (1.0 / ell).tolist()])
         dirs = np.exp(1j * (start + 0.5 * w))
         r_a = np.cos(0.5 * w) + np.sin(0.5 * w)  # right-angle point, outside
-        lengths = [g.length for g in base.gaps]
+        lengths = base.gaps[:, 1].tolist()
         tail = {x: _tail_mass(x, depth) for x in set(lengths)}
-        ends = np.exp(1j * np.array([(g.start, g.end) for g in base.gaps]).ravel())
+        g_start = base.gaps[:, 0]
+        ends = np.exp(1j * np.column_stack([g_start, g_start + base.gaps[:, 1] * TAU]).ravel())
         self.anchors = np.concatenate([r_a * dirs, ends])
         self.dirs = np.concatenate([dirs, ends])
         self.masses = np.concatenate(
@@ -146,14 +146,12 @@ def decay_profile(spec: OuterSpec, orders=(1, 2, 3)):
     distances; the suprema are finite for every order because Phi vanishes
     to infinite order on E.
     """
-    pts = []
-    for g in spec.base.gaps:
-        for endpoint in (g.start, g.end % TAU):
-            for i in range(1, 41):
-                d = 2.0 ** (-i / 2.5) * 0.5  # down to 7.6e-6
-                pts.append((1.0 - d) * np.exp(1j * endpoint))
-                pts.append((1.0 - d) * np.exp(1j * (endpoint + 0.7 * d)))
-    z = np.array(pts, dtype=np.complex128)
+    g_start, g_len = spec.base.gaps[:, 0], spec.base.gaps[:, 1] * TAU
+    endpoint = np.column_stack([g_start, np.remainder(g_start + g_len, TAU)]).reshape(-1, 1)
+    d = np.array([2.0 ** (-i / 2.5) * 0.5 for i in range(1, 41)])  # down to 7.6e-6
+    radial = (1.0 - d) * np.exp(1j * endpoint)
+    tangential = (1.0 - d) * np.exp(1j * (endpoint + 0.7 * d))
+    z = np.stack([radial, tangential], axis=-1).ravel()
     la = spec.log_abs(z)
     on_circle = dist_angle_to_set(np.angle(z) % TAU, spec.base)
     dist = np.maximum(on_circle, 1.0 - np.hypot(z.real, z.imag))

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .bc_sets import TAU, BCSet, CircleArc, StarSpec, star_contains
+from .bc_sets import TAU, BCSet, StarSpec, star_contains
 from .measures import DiskMeasure
 
 # frozen corpus constant for the local-entropy budget ||E_cone||_{BC_eta} <= K * mass / c
@@ -240,7 +240,8 @@ def decompose(omega: DiskMeasure, p: RobertsParams) -> RobertsDecomposition:
 
 def _circle_set(gaps, unit: int) -> BCSet:
     """BCSet of integer gaps (lo, hi), in units of 1/unit of the circle."""
-    return BCSet([CircleArc(TAU * (lo / unit), (hi - lo) / unit) for lo, hi in gaps])
+    # Python's int / int rounds once, also for units above 2**53
+    return BCSet([TAU * (lo / unit) for lo, _ in gaps], [(hi - lo) / unit for lo, hi in gaps])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from innerlab.bc_sets import (
     CORE_RADIUS,
     TAU,
     BCSet,
-    CircleArc,
     StarSpec,
     arc_gap_entropy,
     dist_angle_to_set,
@@ -40,7 +39,7 @@ class TestEntropy:
         # brute-force sum over gaps against the closed form n*(1/n)*log n
         for n in (2, 3, 5, 8, 17, 64):
             e = equally_spaced(n)
-            brute = math.fsum(-g.length * math.log(g.length) for g in e.gaps)
+            brute = math.fsum(-x * math.log(x) for x in e.gaps[:, 1].tolist())
             assert e.entropy() == pytest.approx(brute, abs=1e-15)
             assert e.entropy() == pytest.approx(math.log(n), abs=1e-12)
 
@@ -148,7 +147,7 @@ class TestStar:
 
     def test_area_integral_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            star_area_integral(StarSpec(BCSet([])))
+            star_area_integral(StarSpec(BCSet([], [])))
 
     def test_area_integral_resolution_stable(self):
         spec = StarSpec(BCSet.from_points([0.0, math.pi]))
@@ -190,7 +189,7 @@ class TestStar:
     def test_area_integral_once_per_distinct_limit(self, monkeypatch, points):
         spec = StarSpec(BCSet.from_points(points))
         psi_cut = 2.0 * math.asin(0.5)
-        limits = [min(0.5 * g.rad_length, psi_cut) for g in spec.base.gaps]
+        limits = [min(0.5 * (x * TAU), psi_cut) for x in spec.base.gaps[:, 1].tolist()]
         want = 0.0
         for upper in limits:
             want += 2.0 * bc_sets.dyadic_gauss(
@@ -235,16 +234,25 @@ class TestHyperbolicDistToStar:
 # the scalar formulas, one angle or point at a time
 
 
-def ref_gap(phi, e, tol=0.0):
-    """The first gap whose interior, shrunk by tol, holds the angle phi, or None."""
+def ref_norm(phi):
     q = math.fmod(phi, TAU)
     if q < 0.0:
         q += TAU
-    q = 0.0 if q >= TAU else q
-    for g in e.gaps:
-        p = q if q >= g.start else q + TAU
-        if g.start + tol < p < g.end - tol:
-            return g
+    return 0.0 if q >= TAU else q
+
+
+def ref_arcs(e):
+    """(start, end) of each gap, the end unwrapped past 2*pi when it wraps."""
+    return [(s, s + ln * TAU) for s, ln in e.gaps.tolist()]
+
+
+def ref_gap(phi, e, tol=0.0):
+    """The first gap (start, end) whose interior, shrunk by tol, holds the angle phi, or None."""
+    q = ref_norm(phi)
+    for start, end in ref_arcs(e):
+        p = q if q >= start else q + TAU
+        if start + tol < p < end - tol:
+            return start, end
     return None
 
 
@@ -259,8 +267,9 @@ def ref_dist(phi, e):
     g = ref_gap(phi, e)
     if g is None:
         return 0.0
-    p = phi if phi >= g.start else phi + TAU
-    return min(ref_chord(p - g.start), ref_chord(g.end - p))
+    start, end = g
+    p = phi if phi >= start else phi + TAU
+    return min(ref_chord(p - start), ref_chord(end - p))
 
 
 def ref_star_contains(spec, z, tol=0.0):
@@ -294,7 +303,7 @@ QUERY_SETS = {
     # every point past pi: angles in (-pi, 0) fall before the first gap
     "lower-half": BCSet.from_points([3.5, 4.0, 5.5]),
     "one-point": BCSet.from_points([1.3]),
-    "full-circle": BCSet([]),
+    "full-circle": BCSet([], []),
     "sixteen": equally_spaced(16),
     "seeded": BCSet.from_points(np.random.default_rng(5).uniform(0, TAU, 9)),
 }
@@ -303,7 +312,7 @@ QUERY_SETS = {
 def query_angles(e):
     """Angles in (-pi, pi] and [0, 2*pi), the gap endpoints and their turns."""
     rng = np.random.default_rng(17)
-    ends = [x for g in e.gaps for x in (g.start, g.end, g.end - TAU, g.start - TAU)]
+    ends = [x for s, t in ref_arcs(e) for x in (s, t, t - TAU, s - TAU)]
     fixed = [0.0, -0.0, math.pi, -math.pi + 1e-12, TAU, -1e-17, *ends]
     return np.concatenate([rng.uniform(-math.pi, math.pi, 400), rng.uniform(0, TAU, 400), fixed])
 
@@ -357,9 +366,72 @@ class TestArrayQueries:
 
 
 def test_gap_validation():
-    with pytest.raises(ValueError):
-        CircleArc(0.0, 0.0)
-    with pytest.raises(ValueError):
-        CircleArc(0.0, 1.5)
-    with pytest.raises(ValueError):
-        BCSet([CircleArc(0.0, 0.5), CircleArc(1.0, 0.5)])  # overlap
+    with pytest.raises(ValueError, match="arc length"):
+        BCSet([0.0], [0.0])
+    with pytest.raises(ValueError, match="arc length"):
+        BCSet([0.0], [1.5])
+    with pytest.raises(ValueError, match="gap arcs overlap$"):
+        BCSet([0.0, 1.0], [0.5, 0.5])  # overlap
+    with pytest.raises(ValueError, match="around the wrap"):
+        BCSet([0.5, 5.0], [0.1, 0.3])
+    with pytest.raises(ValueError, match="sum to"):
+        BCSet([0.0, 4.0], [0.6, 0.6])
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BCSet.from_points([0.0, INF]),
+        lambda: BCSet.from_points([NAN, 1.0]),
+        lambda: BCSet.from_points([NAN]),
+        lambda: BCSet.from_points([-INF]),
+        lambda: BCSet([NAN], [0.5]),
+        lambda: BCSet([INF, 1.0], [0.1, 0.1]),
+        lambda: BCSet([0.0], [NAN]),
+        lambda: BCSet([0.0, 2.0], [0.1, INF]),
+    ],
+    ids=["point-inf", "point-nan-first", "point-nan-alone", "point-minus-inf",
+         "start-nan", "start-inf", "length-nan", "length-inf"],
+)
+def test_rejects_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def ref_from_points(angles):
+    """(start, length, end) of each gap of from_points, one gap at a time, in
+    scalar arithmetic: sorted distinct normalized angles, the gap from each to
+    the next, its start normalized again and its end start + length * 2*pi."""
+    pts = sorted(set(ref_norm(float(a)) for a in angles))
+    if len(pts) == 1:
+        pairs = [(pts[0], 1.0)]
+    else:
+        pairs = [(p, ((q - p) % TAU) / TAU) for p, q in zip(pts, pts[1:] + pts[:1])]
+    return [(ref_norm(p), ln, ref_norm(p) + ln * TAU) for p, ln in pairs if ln > 0.0]
+
+
+POINT_SETS = {
+    "wrapping": [0.5, 2.0, 4.0],
+    "lower-half": [3.5, 4.0, 5.5],
+    "one-point": [1.3],
+    "sixteen": [TAU * k / 16 for k in range(16)],
+    "seeded": np.random.default_rng(5).uniform(0, TAU, 9),
+    "past-2pi": [TAU, TAU + 1.0, 3.0 * TAU + 2.5, 7.0, 100.0],
+    "negative": [-0.5, -TAU + 0.1, -100.0, -1e-17, -math.pi],
+    # equal after normalization; -0.0 first keeps its sign, as a set does
+    "duplicates": [-0.0, 0.0, TAU, -TAU, 2.0 * TAU, 1.0, 1.0, 3.0, -3.0 + TAU, 3.0 - TAU],
+    "seeded-wide": np.random.default_rng(8).uniform(-30.0, 30.0, 40),
+    # the first gap's length underflows to 0 and is dropped
+    "subnormal-gap": [0.0, 5e-324, 2.0],
+}
+
+
+@pytest.mark.parametrize("name", POINT_SETS)
+def test_from_points_matches_scalar_arithmetic(name):
+    e = BCSet.from_points(POINT_SETS[name])
+    got = [(s.hex(), ln.hex(), t.hex()) for (s, ln), t in zip(e.gaps.tolist(), e._ends.tolist())]
+    want = [tuple(x.hex() for x in gap) for gap in ref_from_points(POINT_SETS[name])]
+    assert got == want

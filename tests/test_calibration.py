@@ -1,15 +1,17 @@
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import child_env
 
-from innerlab import frozen
+from innerlab import calibration, frozen
 from innerlab.bc_sets import TAU, BCSet, StarSpec, star_contains
-from innerlab.calibration import _probes_outside
+from innerlab.calibration import _blaschke_with_critical_structure_in_star, _probes_outside
+from innerlab.roots import RootFindingError
 
 
 def probes_one_at_a_time(rng, spec, count):
@@ -61,6 +63,11 @@ def test_calibrate_script_passes_the_frozen_guards():
     ]
     for name, value in constants.items():
         assert 0.0 < float(value) <= getattr(frozen, name) * 1.05, name
+        # frozen.py holds these measurements: to 1e-12 relative, or to half a unit
+        # in the last digit it keeps (OUTER_DECAY_ORDER3 has 12 significant digits)
+        frozen_value = getattr(frozen, name)
+        last_digit = 0.5 * 10.0 ** Decimal(repr(frozen_value)).as_tuple().exponent
+        assert abs(float(value) - frozen_value) <= max(1e-12 * frozen_value, last_digit), name
     comments = [ln for ln in lines if ln.startswith("#")]
     assert len(comments) == 3
     ratios = re.fullmatch(r"# comparison gamma/c measured: \[(.*)\]", comments[0]).group(1)
@@ -71,3 +78,23 @@ def test_calibrate_script_passes_the_frozen_guards():
     dist = re.fullmatch(r"# singular generator distance measured: (.*) \(floor stays below it\)",
                         comments[2]).group(1)
     assert float(dist) >= frozen.SINGULAR_DISTANCE_FLOOR
+
+
+@pytest.mark.parametrize("error,skipped", [(RootFindingError, True), (TypeError, False)])
+def test_candidate_search_skips_only_root_finding_failures(monkeypatch, error, skipped):
+    calls = []
+
+    def failing(f):
+        calls.append(f)
+        raise error("no roots")
+
+    monkeypatch.setattr(calibration, "critical_points", failing)
+    rng, e = np.random.default_rng(2026), BCSet.from_points([0.5, 2.0, 4.0])
+    if skipped:
+        # every candidate fails to factor: each is skipped, and none is returned
+        assert _blaschke_with_critical_structure_in_star(rng, e, 4) is None
+        assert len(calls) == 40
+    else:
+        with pytest.raises(error):
+            _blaschke_with_critical_structure_in_star(rng, e, 4)
+        assert len(calls) == 1

@@ -43,6 +43,25 @@ class TestMasses:
         with pytest.raises(ValueError):
             DiskMeasure(boundary=[(0.0, -1.0)])
 
+    @pytest.mark.parametrize(
+        "interior,boundary",
+        [
+            ([(complex(math.nan, 0.0), 1.0)], []),
+            ([(complex(0.1, math.nan), 1.0)], []),
+            ([(0.1, math.inf)], []),
+            ([(0.1, math.nan)], []),
+            ([], [(0.0, math.nan)]),
+            ([], [(0.0, math.inf)]),
+            ([], [(math.nan, 1.0)]),
+            ([], [(math.inf, 1.0)]),
+        ],
+        ids=["interior-nan", "interior-imag-nan", "interior-mass-inf", "interior-mass-nan",
+             "boundary-mass-nan", "boundary-mass-inf", "boundary-angle-nan", "boundary-angle-inf"],
+    )
+    def test_rejects_non_finite(self, interior, boundary):
+        with pytest.raises(ValueError):
+            DiskMeasure(interior=interior, boundary=boundary)
+
 
 class TestStarMass:
     def test_supported_in_star(self):

@@ -42,7 +42,7 @@ class TestSubdivide:
             start, w = start[gap == 0][order], w[gap == 0][order]
             assert np.all(start[:-1] + w[:-1] <= start[1:] + 1e-12)
             total = sum((w / TAU).tolist())
-            gap_len = e.gaps[0].length
+            gap_len = e.gaps[0, 1]
             tail = 2.0 * gap_len / (3.0 * 2.0 ** depth)
             assert total == pytest.approx(gap_len - tail, abs=1e-13)
 
@@ -88,25 +88,25 @@ class TestWeights:
 def piece_by_piece(e, depth):
     """(anchors, dirs, masses) built one piece and one gap end at a time."""
     anchors, dirs, masses = [], [], []
-    for g in e.gaps:
-        length = g.rad_length
-        pieces = [(g.start + length / 3.0, length / 3.0)]
+    for gap_start, gap_len in e.gaps.tolist():
+        length = gap_len * TAU
+        pieces = [(gap_start + length / 3.0, length / 3.0)]
         for k in range(1, depth + 1):
             piece = length / (3.0 * 2.0 ** k)
-            pieces += [(g.start + piece, piece), (g.start + length - 2.0 * piece, piece)]
+            pieces += [(gap_start + piece, piece), (gap_start + length - 2.0 * piece, piece)]
         for start, w in pieces:
             ell = w / TAU
             direction = np.exp(1j * (start + 0.5 * w))
             anchors.append((math.cos(0.5 * w) + math.sin(0.5 * w)) * direction)
             dirs.append(direction)
             masses.append(float(profile_phi(np.log(1.0 / ell))) * ell * math.log(1.0 / ell))
-    for g in e.gaps:
+    for gap_start, gap_len in e.gaps.tolist():
         tail, k = 0.0, depth + 1
-        while (ell := g.length / (3.0 * 2.0 ** k)) >= 1e-280:
+        while (ell := gap_len / (3.0 * 2.0 ** k)) >= 1e-280:
             lg = math.log(1.0 / ell)
             tail += float(profile_phi(lg)) * ell * lg
             k += 1
-        for endpoint in (g.start, g.end):
+        for endpoint in (gap_start, gap_start + gap_len * TAU):
             anchors.append(np.exp(1j * endpoint))
             dirs.append(np.exp(1j * endpoint))
             masses.append(tail)

@@ -228,7 +228,7 @@ def fraction_cone_sets(d, p):
 
 
 def bits(circle_set):
-    return [(g.start.hex(), g.length.hex()) for g in circle_set.gaps]
+    return [(start.hex(), length.hex()) for start, length in circle_set.gaps.tolist()]
 
 
 @pytest.mark.parametrize(
