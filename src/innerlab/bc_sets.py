@@ -9,9 +9,9 @@ is used throughout for dist(., E).
 
 The queries (`chord`, `dist_angle_to_set`, `BCSet.contains_angle`,
 `star_contains`, `hyperbolic_dist_to_star`) take a scalar or an array and
-answer in kind. Each angle is looked up once: the only gap that can hold
-it is the last one starting below it, or the last gap, wrapping past
-2*pi, when none does.
+answer in kind; a non-finite angle or point raises ValueError. Each
+angle is looked up once: the only gap that can hold it is the last one
+starting below it, or the last gap, wrapping past 2*pi, when none does.
 
 The star of order alpha >= 1 and aperture theta in (0,1] over E is
 
@@ -70,7 +70,11 @@ class BCSet:
             raise ValueError(f"arc length must be in (0,1], got {lengths[bad][0]}")
         starts = _norm_angle(starts)
         order = np.argsort(starts, kind="stable")
-        starts, lengths = starts[order], np.minimum(lengths, 1.0)[order]
+        self._set_gaps(starts[order], np.minimum(lengths, 1.0)[order])
+
+    def _set_gaps(self, starts, lengths):
+        """Check and store gaps whose starts are normalized and sorted and
+        whose lengths lie in (0, 1]."""
         total = math.fsum(lengths.tolist())
         if total > 1.0 + 1e-9:
             raise ValueError(f"gap lengths sum to {total} > 1")
@@ -100,11 +104,15 @@ class BCSet:
         pts = pts[np.argsort(pts, kind="stable")]
         # the first of equal angles, as a set keeps it (0.0 and -0.0 are equal)
         pts = pts[np.append(True, pts[1:] != pts[:-1])]
-        if len(pts) == 1:
-            return cls(pts, [1.0])
-        # np.remainder is Python's float %
-        ln = np.remainder(np.append(pts[1:], pts[0]) - pts, TAU) / TAU
-        return cls(pts[ln > 0.0], ln[ln > 0.0])
+        ln = np.ones(1)
+        if len(pts) > 1:
+            # np.remainder is Python's float %
+            ln = np.remainder(np.append(pts[1:], pts[0]) - pts, TAU) / TAU
+        keep = ln > 0.0
+        # the starts are normalized and sorted already: __init__ would redo both
+        e = cls.__new__(cls)
+        e._set_gaps(pts[keep], ln[keep])
+        return e
 
     # -- basic queries -----------------------------------------------------
 
@@ -135,6 +143,8 @@ class BCSet:
         (wrapping past 2*pi) when none does; `inside` is strict membership
         in its interior shrunk by `tol` at both ends.
         """
+        if not np.isfinite(phi).all():
+            raise ValueError("query angles must be finite")
         q = np.asarray(_norm_angle(phi))
         k = np.searchsorted(self._starts, q) - 1
         s, t = self._starts[k], self._ends[k]
@@ -208,10 +218,17 @@ class StarSpec:
             raise ValueError("aperture must be in (0,1]")
 
 
+def _finite_points(z):
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.isfinite(z).all():
+        raise ValueError("query points must be finite")
+    return z
+
+
 def star_contains(spec: StarSpec, z, tol: float = 0.0):
     """Membership of the point(s) z in the star; `tol` loosens both sides
     (for verifier use)."""
-    z = np.asarray(z, dtype=np.complex128)
+    z = _finite_points(z)
     r = np.hypot(z.real, z.imag)
     if np.any(r > 1.0 + 1e-9):
         raise ValueError("point must lie in the closed disk")
@@ -303,7 +320,7 @@ def hyperbolic_dist_to_star(z, spec: StarSpec, n_samples: int = 2048):
     densely in angle, once per call, and takes the min over sampled points;
     the core ball distance is handled analytically.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = _finite_points(z)
     r = np.hypot(z.real, z.imag)
     if np.any(r >= 1.0):
         raise ValueError("point must lie in the open disk")

@@ -435,3 +435,36 @@ def test_from_points_matches_scalar_arithmetic(name):
     got = [(s.hex(), ln.hex(), t.hex()) for (s, ln), t in zip(e.gaps.tolist(), e._ends.tolist())]
     want = [tuple(x.hex() for x in gap) for gap in ref_from_points(POINT_SETS[name])]
     assert got == want
+
+
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "minus-inf"])
+class TestRejectsNonFiniteQuery:
+    """Every comparison with NaN is False, so a NaN angle used to read as a
+    point of the set: dist_angle_to_set(nan, E) was 0.0, contains_angle True."""
+
+    E = BCSet.from_points([0.0, 2.0])
+
+    @staticmethod
+    def angle(bad, form):
+        return bad if form == "scalar" else np.array([1.0, bad])
+
+    @staticmethod
+    def point(bad, form):
+        return complex(bad, 0.0) if form == "scalar" else np.array([0.3 + 0.1j, complex(0.0, bad)])
+
+    def test_dist_angle_to_set(self, bad, form):
+        with pytest.raises(ValueError, match="query angles must be finite"):
+            dist_angle_to_set(self.angle(bad, form), self.E)
+
+    def test_contains_angle(self, bad, form):
+        with pytest.raises(ValueError, match="query angles must be finite"):
+            self.E.contains_angle(self.angle(bad, form))
+
+    def test_star_contains(self, bad, form):
+        with pytest.raises(ValueError, match="query points must be finite"):
+            star_contains(StarSpec(self.E), self.point(bad, form))
+
+    def test_hyperbolic_dist_to_star(self, bad, form):
+        with pytest.raises(ValueError, match="query points must be finite"):
+            hyperbolic_dist_to_star(self.point(bad, form), StarSpec(self.E), n_samples=64)

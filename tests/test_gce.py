@@ -112,6 +112,31 @@ class TestOperators:
         scale = abs(L) @ np.abs(u_int) + abs(B) @ np.abs(u_rim) + np.abs(target)
         assert float(np.max(np.abs(r) / scale)) <= 1e-13
 
+    def test_pattern_built_once_per_shape(self, monkeypatch):
+        # a ladder has one grid shape: every rung refills the first rung's
+        # pattern with its own coefficients, and the values do not change
+        assembled = []
+        assemble = gce._assemble_laplacian
+
+        def recorded(grid):
+            ops = assemble(grid)
+            assembled.append((grid, ops))
+            return ops
+
+        monkeypatch.setattr(gce, "_assemble_laplacian", recorded)
+        gce._laplacian_pattern.cache_clear()
+        ladder = tuple(range(2, 8))
+        om = DiskMeasure(interior=[(0j, 1.0)])
+        nearly_maximal(om, ladder=ladder, n_r=48, n_theta=96, stop_tol=0.0)
+        info = gce._laplacian_pattern.cache_info()
+        assert len(assembled) == len(ladder) and (info.misses, info.hits) == (1, len(ladder) - 1)
+        for grid, ops in assembled:
+            gce._laplacian_pattern.cache_clear()  # the pattern built afresh
+            for got, want in zip(ops, assemble(grid)):
+                assert got.shape == want.shape
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
 
 def exact_newton(system, w):
     """Reference damped Newton: the solver's iteration and line search, with
@@ -165,6 +190,32 @@ class TestNewtonKrylov:
         got = gf.interior_values()
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
         assert info["newton_iters"] == iters
+
+    def test_forcing_stops_at_newton_tol(self, monkeypatch):
+        # each correction is solved only as far as the Newton stop needs:
+        # never below 0.1 * NEWTON_TOL / err relative to the residual norm,
+        # and every solve still ends at NEWTON_TOL
+        errs, asked = [], []
+        scaled_error, gmres = gce._SmoothSystem.scaled_error, gce._gmres
+
+        def recorded_error(system, w, r):
+            errs.append(scaled_error(system, w, r))
+            return errs[-1]
+
+        def recorded_gmres(L, d, precond, b, rtol):
+            asked.append((rtol, errs[-1]))
+            return gmres(L, d, precond, b, rtol)
+
+        monkeypatch.setattr(gce._SmoothSystem, "scaled_error", recorded_error)
+        monkeypatch.setattr(gce, "_gmres", recorded_gmres)
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        infos = [
+            solve_dirichlet(*spiky_problem())[1],
+            perron_hull_r(sub, 0.9375, 48, 96, check_subsolution=False)[1],
+        ]
+        assert len(asked) == sum(info["newton_iters"] for info in infos)
+        assert all(rtol >= 0.1 * gce.NEWTON_TOL / err for rtol, err in asked), asked
+        assert all(info["residual"] <= gce.NEWTON_TOL for info in infos), infos
 
     def test_solve_accounting(self):
         _, info = solve_dirichlet(*spiky_problem())
