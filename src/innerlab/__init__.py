@@ -13,11 +13,8 @@ from .bc_sets import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     DiskMeasure,
-    SequenceDiagnostics,
-    classify_sequence,
     diffuse_family,
     max_star_mass,
-    star_mass,
     theta_for,
 )
 from .inner import (  # noqa: F401
@@ -43,7 +40,7 @@ from .gce import (  # noqa: F401
     solve_dirichlet,
     u_max,
 )
-from .outer import OuterSpec, subdivide, weights  # noqa: F401
+from .outer import OuterSpec, subdivide  # noqa: F401
 from .bergman import (  # noqa: F401
     BergmanSpaceSpec,
     distance_to_one,

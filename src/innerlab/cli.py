@@ -45,6 +45,7 @@ NUMERICAL_ERRORS = (
     ThetaUnsolvableError,
     OverflowError,
     FloatingPointError,
+    MemoryError,  # a grid too large to allocate
     np.linalg.LinAlgError,
 )
 

@@ -3,17 +3,16 @@
 A DiskMeasure carries interior atoms (a, mt) with |a| < 1 — the measure
 nu-tilde — and boundary atoms (angle, m) — the measure mu. The combined
 finite measure on the closed disk weights interior atoms by (1-|a|)*mt
-("blaschke mass"), the weighting under which star capture, Roberts
-decompositions and diffusion diagnostics operate.
+("blaschke mass"), the weighting under which Roberts decompositions
+operate.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .bc_sets import BCSet, StarSpec, _norm_angle, star_contains
+from .bc_sets import BCSet, _norm_angle
 
 
 class ThetaUnsolvableError(ValueError):
@@ -67,16 +66,6 @@ class DiskMeasure:
             f"DiskMeasure({len(self.interior)} interior, "
             f"{len(self.boundary)} boundary, |omega|={self.blaschke_mass():.6g})"
         )
-
-
-def star_mass(omega: DiskMeasure, spec: StarSpec, tol: float = 0.0) -> float:
-    """Combined mass of atoms inside the star (boundary m, interior (1-|a|)mt)."""
-    points = [complex(math.cos(t), math.sin(t)) for t, _ in omega.boundary]
-    points += [a for a, _ in omega.interior]
-    weights = [m for _, m in omega.boundary] + [(1.0 - abs(a)) * m for a, m in omega.interior]
-    inside = star_contains(spec, points, tol=tol)
-    # summed in atom order: np.sum's pairwise order can change the last bit
-    return float(np.cumsum([0.0, *np.array(weights)[inside]])[-1])
 
 
 def max_star_mass(omega: DiskMeasure, budget: float, mode: str = "exact"):
@@ -155,61 +144,3 @@ def diffuse_family(n: int, big_m: float) -> DiskMeasure:
     """mu_{n,M}: n equal boundary atoms of mass 1/n at angles k*theta_n."""
     th = theta_for(n, big_m)
     return DiskMeasure(boundary=[(k * th, 1.0 / n) for k in range(1, n + 1)])
-
-
-# ---------------------------------------------------------------------------
-# concentrating / diffuse classification
-
-
-@dataclass(frozen=True)
-class SequenceDiagnostics:
-    c_ladder: tuple
-    cone_fractions: tuple  # per measure, per c
-    local_entropy_budgets: tuple  # per measure, at the middle c
-    tag: str  # concentrating | diffuse | mixed
-
-    def __post_init__(self):
-        for row in self.cone_fractions:
-            for f in row:
-                if not (-1e-12 <= f <= 1.0 + 1e-12):
-                    raise ValueError("cone fractions must lie in [0,1]")
-
-
-def classify_sequence(
-    measures,
-    c_ladder=(0.5, 1.0, 2.0),
-    n2: int = 16,
-    max_generation: int = 3,
-) -> SequenceDiagnostics:
-    """Cone-mass fractions of layered decompositions along a c ladder.
-
-    Heuristic tag from the fractions at the largest c: a sequence whose
-    cone keeps holding most of its mass concentrates; one whose cone
-    empties diffuses; a persistent intermediate fraction is mixed.
-    Deterministic for fixed parameters.
-    """
-    from .roberts import RobertsParams, decompose, local_entropy_bounds
-
-    if not measures:
-        raise ValueError("need at least one measure")
-    fractions = []
-    budgets = []
-    mid_c = c_ladder[len(c_ladder) // 2]
-    for om in measures:
-        total = om.blaschke_mass()
-        row = []
-        for c in c_ladder:
-            d = decompose(om, RobertsParams(c=c, n2=n2, max_generation=max_generation))
-            row.append(d.cone.blaschke_mass() / total if total > 0 else 0.0)
-        fractions.append(tuple(row))
-        d_mid = decompose(om, RobertsParams(c=mid_c, n2=n2, max_generation=max_generation))
-        budgets.append(local_entropy_bounds(d_mid)[1])
-    f_first = fractions[0][-1]
-    f_last = fractions[-1][-1]
-    if f_last >= 0.5:
-        tag = "concentrating"
-    elif f_last < 0.1 or (f_last <= 0.5 * f_first and f_last < 0.25):
-        tag = "diffuse"
-    else:
-        tag = "mixed"
-    return SequenceDiagnostics(tuple(c_ladder), tuple(fractions), tuple(budgets), tag)

@@ -15,8 +15,7 @@ attached analytically as a point mass at the gap endpoint; the residual
 truncation error is quadratic in the tail size instead of linear.
 
 The pieces are arrays (gap index, k, start, radian length), so OuterSpec
-needs memory linear in their number; only `weights`, for the tail
-estimate, forms the pieces x pieces matrix of h_F.
+needs memory linear in their number.
 """
 
 import math
@@ -33,11 +32,6 @@ def smoothstep(x):
     """Quintic C^2 step: 0 below 0, 1 above 1."""
     x = np.clip(x, 0.0, 1.0)
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def bump_psi(t):
-    """1 below 1, 0 above 2, smooth C^2 in between."""
-    return 1.0 - smoothstep(np.asarray(t, dtype=np.float64) - 1.0)
 
 
 def profile_phi(t):
@@ -73,18 +67,6 @@ def subdivide(e: BCSet, depth: int = 20):
 def _lambda(ell):
     """lambda_F = profile(log(1/|J|)) >= 1, unbounded as |J| -> 0."""
     return profile_phi(np.log(1.0 / ell))
-
-
-def weights(ell):
-    """(h_F, lambda_F) arrays for pieces of normalized lengths ell.
-
-    h_F(J) sums |J'| log(1/|J'|) over pieces shorter than 2|J| through the
-    bump; lengths are fractions of the circle.
-    """
-    ent = -ell * np.log(ell)
-    ratio = ell[None, :] / ell[:, None]  # |J'| / |J|
-    h = (bump_psi(ratio) * ent[None, :]).sum(axis=1)
-    return h, _lambda(ell)
 
 
 def _tail_mass(gap_norm_length: float, depth: int) -> float:

@@ -255,6 +255,26 @@ class VerifyReport:
     metrics: dict
 
 
+def _sliding_arc_masses(pts, width: float) -> dict:
+    """ang0 -> exact mass of the pts with (ang - ang0) % TAU < width.
+
+    Over the sorted angles each arc is a run whose end only moves forward
+    as ang0 grows. Angles of TAU are summed apart: (TAU - ang0) % TAU is 0
+    for an ang0 below half an ulp of TAU, which puts them out of that order.
+    """
+    srt = sorted(pt for pt in pts if pt[0] < TAU)
+    mass = [m for _, m in srt] * 2  # twice round the circle
+    at_tau = [m for a, m in pts if a == TAU]
+    arcs, hi = {}, 0
+    for ang0 in sorted({a for a, _ in pts}):
+        lo = bisect_left(srt, (ang0,))
+        hi = max(hi, lo)
+        while hi < lo + len(srt) and (srt[hi % len(srt)][0] - ang0) % TAU < width:
+            hi += 1
+        arcs[ang0] = math.fsum(mass[lo:hi] + (at_tau if (TAU - ang0) % TAU < width else []))
+    return arcs
+
+
 def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> VerifyReport:
     failures = []
     metrics = {}
@@ -268,7 +288,6 @@ def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> Ver
     # layer supports and sliding-arc bounds
     for j, layer in d.layers:
         r_lo = p.radius(j - 1)
-        n = p.n_arcs(j)
         cap = 2.0 * p.threshold(j)
         pts = [(ang, m) for ang, m in layer.boundary]
         pts += [
@@ -278,9 +297,9 @@ def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> Ver
         for a, mt in layer.interior:
             if abs(a) < r_lo - 1e-12:
                 failures.append(f"layer {j}: atom at radius {abs(a):.6f} < r_(j-1)")
-        width = TAU / n
+        arcs = _sliding_arc_masses(pts, TAU / p.n_arcs(j))
         for ang0, _ in pts:
-            s = math.fsum(m for ang, m in pts if (ang - ang0) % TAU < width)
+            s = arcs[ang0]
             if s > cap + VERIFY_ATOL:
                 failures.append(
                     f"layer {j}: sliding arc at {ang0:.4f} carries {s:.6g} > {cap:.6g}"

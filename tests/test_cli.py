@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -422,6 +423,35 @@ def test_valid_input_numerical_failure_exits_2(tmp_path, kind, params, message):
     res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
     assert res.returncode == 2, res.stderr
     assert res.stderr == f"numerical failure: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+TOO_LARGE_FOR_MEMORY = {
+    "gce-dirichlet": {"n_theta": 10**12},
+    "nearly-maximal": {"measure": {}, "n_r": 10**11},
+    "bergman-distance": {"generator": {}, "n_r": 10**6, "n_theta": 10**6},
+}
+
+
+def _limit_address_space():
+    # 3 GiB: the first large allocation fails at once, whatever the
+    # host's overcommit policy
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "kind,params", TOO_LARGE_FOR_MEMORY.items(), ids=TOO_LARGE_FOR_MEMORY.keys()
+)
+def test_grid_too_large_for_memory_exits_2(tmp_path, kind, params):
+    # only ever run these sizes under the address-space limit
+    (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": params}))
+    res = subprocess.run(
+        RUN + ["run", "s.json", "--out", "o"], capture_output=True, text=True, cwd=tmp_path,
+        env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("numerical failure: Unable to allocate ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from innerlab import kernels
-from innerlab.bc_sets import TAU, BCSet, StarSpec
+from innerlab.bc_sets import TAU, BCSet
 from innerlab.measures import (
     DiskMeasure,
-    SequenceDiagnostics,
     ThetaUnsolvableError,
-    classify_sequence,
     diffuse_family,
     max_star_mass,
-    star_mass,
     theta_for,
 )
 
@@ -61,30 +58,6 @@ class TestMasses:
     def test_rejects_non_finite(self, interior, boundary):
         with pytest.raises(ValueError):
             DiskMeasure(interior=interior, boundary=boundary)
-
-
-class TestStarMass:
-    def test_supported_in_star(self):
-        e = BCSet.from_points([0.0, math.pi])
-        spec = StarSpec(e)
-        om = DiskMeasure(boundary=[(0.0, 0.4), (math.pi, 0.6)])
-        assert star_mass(om, spec) == pytest.approx(om.blaschke_mass(), abs=1e-15)
-
-    def test_boundary_atom_on_base_set_counts(self):
-        e = BCSet.from_points([1.0])
-        om = DiskMeasure(boundary=[(1.0, 2.0)])
-        assert star_mass(om, StarSpec(e)) == 2.0
-
-    def test_excludes_only_outside_atom(self):
-        e = BCSet.from_points([0.0])
-        spec = StarSpec(e)
-        om = DiskMeasure(
-            boundary=[(0.0, 1.0), (math.pi, 0.25)], interior=[(0.2, 3.0)]
-        )
-        # the pi-atom is off the set; the interior atom sits in the core
-        want = 1.0 + (1.0 - 0.2) * 3.0
-        assert star_mass(om, spec) == pytest.approx(want, abs=1e-12)
-        assert star_mass(om, spec) <= om.blaschke_mass()
 
 
 class TestMaxStarMass:
@@ -196,47 +169,3 @@ class TestTheta:
                 assert math.fsum(inside) <= 1.0 / n + 1e-15
             ell = width
             assert 1.0 / n <= (3.0 / m) * ell * math.log(1.0 / ell) + 1e-12
-
-
-class TestClassify:
-    def test_constant_delta_is_concentrating(self):
-        seq = [DiskMeasure(boundary=[(0.0, 1.0)])] * 4
-        diag = classify_sequence(seq)
-        assert diag.tag == "concentrating"
-        assert all(0 <= f <= 1 for row in diag.cone_fractions for f in row)
-
-    def test_diffuse_family_is_diffuse(self):
-        # M=10 needs n > 10e (theta unsolvable below); use the feasible range
-        seq = [diffuse_family(n, 10.0) for n in (32, 64, 128)]
-        assert classify_sequence(seq).tag == "diffuse"
-
-    def test_mixture_is_mixed(self):
-        seq = [
-            DiskMeasure(boundary=[(0.0, 0.5)] + [(t, 0.5 * m) for t, m in diffuse_family(n, 10.0).boundary])
-            for n in (32, 64, 128)
-        ]
-        assert classify_sequence(seq).tag == "mixed"
-
-    def test_deterministic(self):
-        seq = [diffuse_family(n, 10.0) for n in (32, 64)]
-        d1 = classify_sequence(seq)
-        d2 = classify_sequence(seq)
-        assert d1 == d2
-
-
-class TestStarMassProperties:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    angles = st.lists(st.floats(0, TAU - 1e-9), min_size=1, max_size=6)
-
-    @given(angles, st.floats(1.0, 3.0), st.floats(0.1, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_capture_never_exceeds_total(self, angs, order, aperture):
-        om = DiskMeasure(
-            interior=[(0.4 + 0.2j, 1.3)],
-            boundary=[(a, 0.5) for a in angs],
-        )
-        spec = StarSpec(BCSet.from_points(angs), order, aperture, True)
-        got = star_mass(om, spec)
-        assert -1e-12 <= got <= om.blaschke_mass() + 1e-12

@@ -6,14 +6,7 @@ import pytest
 
 from innerlab import kernels
 from innerlab.bc_sets import TAU, BCSet
-from innerlab.outer import (
-    OuterSpec,
-    bump_psi,
-    decay_profile,
-    profile_phi,
-    subdivide,
-    weights,
-)
+from innerlab.outer import OuterSpec, _lambda, decay_profile, profile_phi, subdivide
 
 
 def two_point_set():
@@ -60,29 +53,15 @@ class TestWeights:
     def test_profile_clamps(self):
         assert profile_phi(0.5) == 1.0
         assert profile_phi(5.0) == 5.0
-        assert bump_psi(0.5) == 1.0
-        assert bump_psi(2.5) == 0.0
 
     def test_lambda_values(self):
         e = two_point_set()
         ell = subdivide(e, 25)[3] / TAU
-        _, lam = weights(ell)
+        lam = _lambda(ell)
         assert np.all(lam[ell > math.exp(-1)] == 1.0)
         short = ell < math.exp(-2)
         assert lam[short] == pytest.approx([math.log(1 / x) for x in ell[short]], rel=1e-12)
         assert np.all(lam >= 1.0)
-
-    def test_tail_bound_shape(self):
-        # pieces with small cumulative entropy h carry geometrically small
-        # weighted mass, mirroring the uniform tail estimate
-        e = two_point_set()
-        ell = subdivide(e, 30)[3] / TAU
-        h, lam = weights(ell)
-        ent = lam * ell * np.log(1 / ell)
-        for k in (3, 6, 9):
-            lhs = ent[h <= math.exp(-k)].sum()
-            rhs = sum((j + 1) * math.exp(-j) for j in range(k, 200))
-            assert lhs <= 6.0 * rhs
 
 
 def piece_by_piece(e, depth):

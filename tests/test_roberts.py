@@ -119,6 +119,52 @@ class TestVerifyCorpus:
         assert any("E_cone" in f or "star" in f for f in rep.failures)
 
 
+def sliding_arc_failures(d, p):
+    """verify's sliding-arc failures by the direct O(P^2) loop."""
+    failures = []
+    for j, layer in d.layers:
+        cap = 2.0 * p.threshold(j)
+        pts = list(layer.boundary)
+        pts += [(math.atan2(a.imag, a.real) % TAU, (1.0 - abs(a)) * mt) for a, mt in layer.interior]
+        width = TAU / p.n_arcs(j)
+        for ang0, _ in pts:
+            s = math.fsum(m for ang, m in pts if (ang - ang0) % TAU < width)
+            if s > cap + 1e-12:
+                failures.append(f"layer {j}: sliding arc at {ang0:.4f} carries {s:.6g} > {cap:.6g}")
+                break
+    return failures
+
+
+# a generation-2 layer holds 0.17 at angle 0.2 (c = 1, n2 = 16): added
+# atoms take it over the cap 2 log(16)/16 = 0.35 in some arc of width
+# TAU/16 = 0.39; boundary atoms come first in verify's order
+OVER_CAP = {
+    # the arcs from 1.0 and from 1.1 are both over the cap: the first in
+    # verify's order is the boundary atom's, not the smaller angle's
+    "inside-one-arc": ([(1.1, 0.2), (1.2, 0.2)], [(0.9 * np.exp(1.0j), 2.0)]),
+    "straddling-2pi": ([(TAU - 0.1, 0.2)], []),
+    # atan2 % TAU puts 0.9 - 1e-17j at angle TAU, at distance 0 from the
+    # arc at angle 0 (the atom 0.9): the arcs at 0 and at TAU are over the
+    # cap, the arcs at 0.2 and 0.3 are not
+    "angle-tau": ([(0.3, 0.1)], [(0.9 - 1e-17j, 3.0), (0.9 + 0j, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("boundary,interior", OVER_CAP.values(), ids=OVER_CAP.keys())
+def test_over_cap_layer_fails_as_the_direct_loop(boundary, interior):
+    om = DiskMeasure(boundary=[(0.2, 1.0)])
+    p = RobertsParams(c=1.0, n2=16, max_generation=3)
+    d = decompose(om, p)
+    assert verify(d, om, p).ok
+    extra = DiskMeasure(interior, boundary)
+    j, layer = d.layers[0]
+    assert j == 2
+    d.layers[0] = (j, layer + extra)
+    rep = verify(d, om + extra, p)
+    assert not rep.ok
+    assert rep.failures == sliding_arc_failures(d, p)
+
+
 class TestStructure:
     def test_cone_monotone_in_c(self):
         rng = np.random.default_rng(77)
