@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import click
@@ -170,34 +170,8 @@ def _subpath(value, where):
     return value
 
 
-_SCENARIO = _object(
-    {"kind": (_kind, REQUIRED), "params": (lambda value, where: value, {}), "output": (_subpath, "")}
-)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A validated scenario: kind, parsed parameters, output subpath, hash."""
-
-    kind: str
-    params: dict
-    output: str
-    digest: str
-
-    @classmethod
-    def from_config(cls, config) -> "Scenario":
-        root = _SCENARIO(config, "scenario")
-        params = _object(SCENARIOS[root["kind"]].params)(root["params"], "params")
-        return cls(root["kind"], params, root["output"], _scenario_hash(config))
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _scenario_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _write_atomic(path: str, data: str):
@@ -394,17 +368,22 @@ SCENARIOS = {
 
 def run_scenario(config: dict, out_dir: str) -> list:
     """Run a scenario and write its files; returns the paths written."""
-    scenario = Scenario.from_config(config)
+    root = _object(
+        {"kind": (_kind, REQUIRED), "params": (lambda value, where: value, {}), "output": (_subpath, "")}
+    )(config, "scenario")
+    kind = SCENARIOS[root["kind"]]
+    params = _object(kind.params)(root["params"], "params")
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     meta = {
         "innerlab_version": __version__,
         "backend": backend_name(),
-        "scenario_hash": scenario.digest,
-        "kind": scenario.kind,
+        "scenario_hash": hashlib.sha256(blob).hexdigest()[:16],
+        "kind": root["kind"],
         "newton_tol": f"{NEWTON_TOL:g}",
     }
-    files = SCENARIOS[scenario.kind].runner(scenario.params, meta)
-    if scenario.output:
-        out_dir = os.path.join(out_dir, scenario.output)
+    files = kind.runner(params, meta)
+    if root["output"]:
+        out_dir = os.path.join(out_dir, root["output"])
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -9,11 +9,11 @@ polar solver factored once per solve and applied once per GMRES iteration.
 The maximal solution is u_D = -log(1 - |z|^2).
 
 Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r},
-their Newton iteration starting at the subsolution u they dominate (the
-harmonic extension of the rim data, near log 1/(1-r) on deep rungs,
-overshoots the interior and costs more steps the deeper the rung);
-nearly-maximal solutions follow the ladder r_k = 1 - 2^{-k} applied to
-the subsolution u_D + log|I_omega| and report the boundary deficiency
+their Newton iteration starting at the smooth part w of the subsolution u
+they dominate (the harmonic extension of the rim data, near log 1/(1-r)
+on deep rungs, overshoots the interior and costs more steps the deeper the
+rung); nearly-maximal solutions follow the ladder r_k = 1 - 2^{-k} applied
+to the subsolution u_D + log|I_omega| and report the boundary deficiency
 (circle averages of u_D - u) along the way. The hulls increase with k, so
 each rung starts inside the previous disk at the previous rung's hull.
 """
@@ -39,11 +39,6 @@ SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
 # over the selftest is 10); the line search absorbs an unfinished correction
 KRYLOV_RESTART = 40
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
-# a subsolution's closure hides how many atoms its kernels see, so its row
-# slices at the interior nodes are sized for diffuse_family(64, M)'s boundary
-# (2,048 points a slice): one evaluation of every node against those 64 atoms
-# raised a diffuse-experiment run's peak RSS by 14 MB
-SUB_ATOMS = 64
 
 
 class NewtonError(RuntimeError):
@@ -187,7 +182,7 @@ def _singular_part(atoms, z):
     m = np.array([mm for _, mm in atoms], dtype=np.float64)
     if a.size == 0:
         return np.zeros(z.shape)
-    return kernels.green_sum(np.ascontiguousarray(z), a, m)
+    return kernels.green_sum(z, a, m)
 
 
 class _SplitField:
@@ -548,11 +543,11 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     are folded into the singular split for smoothness (the solution does not
     depend on them beyond the boundary data, which the caller supplies).
 
-    `start`, if given, holds values of u at PolarGrid.interior_nodes(),
-    typically a subsolution the solution dominates; Newton then starts from
-    its smooth part start + s. Where that sum is not finite (a node on an
-    atom, where u is -inf) and when start is None, Newton starts from the
-    harmonic extension of the rim data.
+    `start`, if given, holds values of the smooth unknown w = u + s at
+    PolarGrid.interior_nodes(), as GridFunction.interior_values() returns
+    them, typically of a subsolution the solution dominates; Newton starts
+    there. When start is None, Newton starts from the harmonic extension of
+    the rim data.
 
     Returns (GridFunction carrying the atoms, info dict: newton_iters,
     residual, krylov_iters, min_step, flagged_nodes). Newton stops once the
@@ -566,14 +561,12 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
         if abs(a) >= 1.0:
             raise ValueError("atoms must lie strictly inside the unit disk")
     system = _SmoothSystem.with_data(grid, atoms, boundary)
-    w0 = harmonic_extension(system.w_bc, grid).interior_values()
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != w0.shape:
+    if start is None:
+        w0 = harmonic_extension(system.w_bc, grid).interior_values()
+    else:
+        w0 = np.asarray(start, dtype=np.float64)
+        if w0.shape != (grid.interior_count(),):
             raise ValueError("a start must hold one value per interior node")
-        with np.errstate(invalid="ignore"):
-            w_start = start + system.s
-        w0 = np.where(np.isfinite(w_start), w_start, w0)
     w, info = _newton_solve(system, w0)
     rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), system.w_bc])
     info["flagged_nodes"] = int(np.sum(system.flagged))
@@ -602,31 +595,31 @@ def perron_hull_r(
     user-supplied fields; it needs the data's potential kernels resolved by
     the grid, so callers holding an analytic subsolution guarantee may pass
     check_subsolution=False.
-    Newton starts below the hull: at the subsolution, evaluated once at the
-    interior nodes for the check and the start. `previous`, if given, is the
-    hull of the same sub on a smaller disk with the same n_theta (the last
-    ladder rung), which this hull dominates there by comparison: inside
-    that disk Newton starts at it instead, and sub is evaluated only
-    outside, unless the check needs it everywhere.
+    Newton starts below the hull: at the subsolution's smooth part
+    sub.smooth, the unknown w = u + s that Newton iterates, evaluated once
+    at the interior nodes for the check and the start. `previous`, if
+    given, is the hull of the same sub on a smaller disk with the same
+    n_theta (the last ladder rung), which this hull dominates there by
+    comparison: inside that disk Newton starts at its smooth part instead,
+    and sub.smooth is evaluated only outside, unless the check needs it
+    everywhere.
     """
     grid = PolarGrid(r, n_r, n_theta)
     h = _cell_averaged_boundary(sub, grid)
-    nodes = grid.interior_nodes()
-    start = np.empty(0) if previous is None else _continued_start(previous, grid, nodes)
+    start = np.empty(0) if previous is None else _continued_start(previous, grid)
     skip = 0 if check_subsolution else start.size  # sub is needed only where the start uses it
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sub_int = kernels.in_row_slices(sub, nodes[skip:], SUB_ATOMS)
+    sub_int = np.asarray(sub.smooth(grid.interior_nodes()[skip:]), dtype=np.float64)
     if check_subsolution:
         _check_discrete_subsolution(sub, sub_int, grid)
     start = np.concatenate([start, sub_int[start.size - skip:]])
     return solve_dirichlet(grid, sub.atoms, h, start=start)
 
 
-def _continued_start(previous: GridFunction, grid: PolarGrid, nodes) -> np.ndarray:
-    """previous's u at grid's interior nodes strictly inside its disk: the
-    center and the rings below its radius, a prefix of nodes. Its smooth
-    spline is evaluated once, on the tensor grid of those rings' radii (in
-    previous's graded coordinate) and grid.theta."""
+def _continued_start(previous: GridFunction, grid: PolarGrid) -> np.ndarray:
+    """previous's smooth part w at grid's interior nodes strictly inside its
+    disk: the center and the rings below its radius, a prefix of
+    grid.interior_nodes(). Its spline is evaluated once, on the tensor grid
+    of those rings' radii (in previous's graded coordinate) and grid.theta."""
     if previous.grid.n_theta != grid.n_theta or not previous.grid.radius < grid.radius:
         raise ValueError(
             "a previous hull needs the same n_theta and a smaller radius "
@@ -635,9 +628,7 @@ def _continued_start(previous: GridFunction, grid: PolarGrid, nodes) -> np.ndarr
     rho = grid.rho[grid.rho < previous.grid.radius]
     t = 1.0 - np.sqrt(1.0 - rho / previous.grid.radius)  # invert t(2-t)
     w = previous._ensure_spline()(t, grid.theta, grid=True)
-    inside = nodes[:1 + w.size]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.concatenate([[previous.center], w.ravel()]) - _singular_part(previous.atoms, inside)
+    return np.concatenate([[previous.center], w.ravel()])
 
 
 def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
@@ -647,8 +638,8 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     sampling once they drop below the angular spacing; box averages keep
     their integrated effect (and the interior only sees low modes). The
     supersampling factor adapts to the spike width; S = 1 would reduce to
-    midpoint sampling. Up to 512 samples per cell, so sub is evaluated in
-    row slices, like at the interior nodes.
+    midpoint sampling. Up to 512 samples per cell; the potential kernels
+    bound their own memory.
     """
     r = grid.radius
     dth = TAU / grid.n_theta
@@ -657,22 +648,18 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
         grid.theta[:, None]
         + ((np.arange(s_factor) + 0.5) / s_factor - 0.5)[None, :] * dth
     )
-    vals = np.asarray(
-        kernels.in_row_slices(sub, r * np.exp(1j * fine.ravel()), SUB_ATOMS), dtype=np.float64
-    )
+    vals = np.asarray(sub(r * np.exp(1j * fine.ravel())), dtype=np.float64)
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
 
 
 def _check_discrete_subsolution(sub, sub_int, grid):
     """Raise SubsolutionError where Delta_h sub falls below 4 e^{2 sub} by
     more than SUBSOLUTION_TOL, relative to 1 + the source, with sub's nodal
-    values as the rim data; sub_int holds sub at the interior nodes."""
+    values as the rim data; sub_int holds sub.smooth at the interior nodes,
+    and nodes on an atom are not checked."""
     system = _SmoothSystem.with_data(grid, sub.atoms, sub(grid.rim_nodes()))
-    with np.errstate(invalid="ignore"):
-        w_sub = sub_int + system.s
-    good = np.isfinite(w_sub)
-    w_sub = np.where(good, w_sub, 0.0)
-    viol = np.where(good, -system.residual(w_sub) / (1.0 + system.source(w_sub)), 0.0)
+    viol = -system.residual(sub_int) / (1.0 + system.source(sub_int))
+    viol[system.flagged] = 0.0
     worst = float(np.max(viol))
     if worst > SUBSOLUTION_TOL:
         raise SubsolutionError(
@@ -717,9 +704,7 @@ def _plus_log_inner(u, omega: DiskMeasure) -> AnalyticField:
     b_mas = np.array([m for _, m in omega.boundary])
 
     def smooth(z):
-        z = np.ascontiguousarray(z)
-        pois = kernels.poisson_sum(np.atleast_1d(z), b_ang, b_mas).reshape(z.shape)
-        return np.asarray(u.smooth(z)) - pois
+        return np.asarray(u.smooth(z)) - kernels.poisson_sum(np.asarray(z), b_ang, b_mas)
 
     return AnalyticField(smooth, atoms=(DiskMeasure(u.atoms) + omega).interior)
 
@@ -763,22 +748,20 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
     # the probes are sized from the first rung, the innermost disk
     r_first = 1.0 - 2.0 ** (-ladder[0])
     probes = _probe_points(r_max=0.95 * r_first)
-    hulls, increments, radii = [], [], []
+    increments, radii = [], []
     prev_vals, gf = None, None
     for k in ladder:
         r = 1.0 - 2.0 ** (-k)
         # each rung starts at the last hull, which it dominates on the smaller disk
-        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False, previous=gf)
+        previous = gf
+        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False, previous=previous)
         vals = gf(probes)
-        hulls.append(gf)
         radii.append(r)
         if prev_vals is not None:
             increments.append(float(np.max(np.abs(vals - prev_vals))))
         prev_vals = vals
         if len(increments) >= 2 and increments[-1] < stop_tol:
             break
-        if len(hulls) > 2:
-            hulls[-3] = None  # keep only the last two fields
 
     # geometric tail estimate: boundary-atom data contracts like sqrt(1-r)
     # (ratio ~ 0.71), interior-only data quadratically (~0.25)
@@ -788,8 +771,7 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
         q = float(np.median(tail))
         if 0.05 <= q <= 0.85 and max(tail) / min(tail) <= 1.25:
             ratio = q
-    previous = hulls[-2] if len(hulls) >= 2 else None
-    return NearlyMaximalResult(hulls[-1], previous, radii, increments, [], ratio)
+    return NearlyMaximalResult(gf, previous, radii, increments, [], ratio)
 
 
 # ---------------------------------------------------------------------------

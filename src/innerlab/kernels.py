@@ -5,9 +5,10 @@ atom axis, so the work is a few array operations per call. The test
 suite checks each against an independent reference: the pointwise
 potentials of `inner`, a direct sum, and a brute-force subset search.
 The subset scan is the exception to one broadcast: it grows its 2^n masks
-in n array steps, one atom at a time. The outer exponent, whose anchors
-number thousands for a large set, broadcasts in row slices of at most
-CHUNK_PAIRS pairs (`in_row_slices`, which also slices gce's subsolution).
+in n array steps, one atom at a time. The three potential kernels broadcast
+in row slices of at most CHUNK_PAIRS pairs (`in_row_slices`), sized by
+their own atom count, so their temporaries stay bounded however many points
+a caller passes.
 
 Conventions: probe points are complex128 arrays, atom locations either
 complex128 (interior) or float64 angles (boundary), masses float64.
@@ -36,12 +37,16 @@ def in_row_slices(fn, z, n_atoms):
 def green_sum(z, atoms, masses):
     if atoms.size == 0:
         return np.zeros(z.shape, dtype=np.float64)
-    zc = z[..., None]
-    num = np.abs(1.0 - zc * np.conj(atoms))
-    den = np.abs(zc - atoms)
-    with np.errstate(divide="ignore"):
-        g = np.log(num) - np.log(den)
-    return g @ masses if g.ndim > 1 else float(np.dot(g, masses))
+    conj = np.conj(atoms)
+
+    def rows(zs):
+        zc = zs[:, None]
+        num = np.abs(1.0 - zc * conj)
+        den = np.abs(zc - atoms)
+        with np.errstate(divide="ignore"):
+            return (np.log(num) - np.log(den)) @ masses
+
+    return in_row_slices(rows, z.ravel(), atoms.size).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +57,12 @@ def poisson_sum(z, angles, masses):
     if angles.size == 0:
         return np.zeros(z.shape, dtype=np.float64)
     zeta = np.exp(1j * angles)
-    zc = z[..., None]
-    k = (1.0 - np.abs(zc) ** 2) / np.abs(zeta - zc) ** 2
-    return k @ masses if k.ndim > 1 else float(np.dot(k, masses))
+
+    def rows(zs):
+        zc = zs[:, None]
+        return ((1.0 - np.abs(zc) ** 2) / np.abs(zeta - zc) ** 2) @ masses
+
+    return in_row_slices(rows, z.ravel(), angles.size).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

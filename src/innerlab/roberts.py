@@ -83,12 +83,19 @@ class _Atom:
     loc: object  # original location: complex (interior) or float angle
 
 
+def _angle_of(a: complex) -> float:
+    """arg a in [0, 2pi): a tiny negative atan2 plus TAU rounds up to TAU,
+    which is the angle 0.0, as in bc_sets._norm_angle."""
+    phi = math.atan2(a.imag, a.real) % TAU
+    return 0.0 if phi == TAU else phi
+
+
 def _atoms_of(omega: DiskMeasure):
     out = []
     for ang, m in omega.boundary:
         out.append(_Atom(ang, 1.0, m, ang))
     for a, mt in omega.interior:
-        out.append(_Atom(math.atan2(a.imag, a.real) % TAU, abs(a), (1.0 - abs(a)) * mt, a))
+        out.append(_Atom(_angle_of(a), abs(a), (1.0 - abs(a)) * mt, a))
     out.sort(key=lambda t: (t.phi, t.rho))
     return out
 
@@ -259,19 +266,17 @@ def _sliding_arc_masses(pts, width: float) -> dict:
     """ang0 -> exact mass of the pts with (ang - ang0) % TAU < width.
 
     Over the sorted angles each arc is a run whose end only moves forward
-    as ang0 grows. Angles of TAU are summed apart: (TAU - ang0) % TAU is 0
-    for an ang0 below half an ulp of TAU, which puts them out of that order.
+    as ang0 grows.
     """
-    srt = sorted(pt for pt in pts if pt[0] < TAU)
+    srt = sorted(pts)
     mass = [m for _, m in srt] * 2  # twice round the circle
-    at_tau = [m for a, m in pts if a == TAU]
     arcs, hi = {}, 0
     for ang0 in sorted({a for a, _ in pts}):
         lo = bisect_left(srt, (ang0,))
         hi = max(hi, lo)
         while hi < lo + len(srt) and (srt[hi % len(srt)][0] - ang0) % TAU < width:
             hi += 1
-        arcs[ang0] = math.fsum(mass[lo:hi] + (at_tau if (TAU - ang0) % TAU < width else []))
+        arcs[ang0] = math.fsum(mass[lo:hi])
     return arcs
 
 
@@ -290,10 +295,7 @@ def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> Ver
         r_lo = p.radius(j - 1)
         cap = 2.0 * p.threshold(j)
         pts = [(ang, m) for ang, m in layer.boundary]
-        pts += [
-            (math.atan2(a.imag, a.real) % TAU, (1.0 - abs(a)) * mt)
-            for a, mt in layer.interior
-        ]
+        pts += [(_angle_of(a), (1.0 - abs(a)) * mt) for a, mt in layer.interior]
         for a, mt in layer.interior:
             if abs(a) < r_lo - 1e-12:
                 failures.append(f"layer {j}: atom at radius {abs(a):.6f} < r_(j-1)")

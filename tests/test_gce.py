@@ -244,12 +244,16 @@ class TestNewtonKrylov:
         assert len(calls) == 3
 
     def test_converged_start_factors_nothing(self, monkeypatch):
+        # a start holds the smooth unknown w, as interior_values() returns it,
+        # also at a node on an atom (the center's delta)
         grid = PolarGrid(0.9, 24, 32)
         h = u_max(grid.rim_nodes())
-        gf, _ = solve_dirichlet(grid, (), h)
         calls = self.count_factorizations(monkeypatch)
-        _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
-        assert info["newton_iters"] == 0 and calls == []
+        for atoms in ((), ((0j, 1.0), (0.3 + 0.1j, 0.5))):
+            gf, _ = solve_dirichlet(grid, atoms, h)
+            calls.clear()
+            _, info = solve_dirichlet(grid, atoms, h, start=gf.interior_values())
+            assert info["newton_iters"] == 0 and calls == [], atoms
 
     def test_one_preconditioner_application_per_gmres_iteration(self, monkeypatch):
         calls = []

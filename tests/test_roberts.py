@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from innerlab.acceptance import _random_measure
-from innerlab.bc_sets import TAU, StarSpec, star_contains
+from innerlab.bc_sets import TAU, StarSpec, _norm_angle, star_contains
 from innerlab.measures import DiskMeasure
 from innerlab.roberts import (
     InvariantViolation,
@@ -125,7 +125,9 @@ def sliding_arc_failures(d, p):
     for j, layer in d.layers:
         cap = 2.0 * p.threshold(j)
         pts = list(layer.boundary)
-        pts += [(math.atan2(a.imag, a.real) % TAU, (1.0 - abs(a)) * mt) for a, mt in layer.interior]
+        pts += [
+            (_norm_angle(math.atan2(a.imag, a.real)), (1.0 - abs(a)) * mt) for a, mt in layer.interior
+        ]
         width = TAU / p.n_arcs(j)
         for ang0, _ in pts:
             s = math.fsum(m for ang, m in pts if (ang - ang0) % TAU < width)
@@ -137,21 +139,21 @@ def sliding_arc_failures(d, p):
 
 # a generation-2 layer holds 0.17 at angle 0.2 (c = 1, n2 = 16): added
 # atoms take it over the cap 2 log(16)/16 = 0.35 in some arc of width
-# TAU/16 = 0.39; boundary atoms come first in verify's order
+# TAU/16 = 0.39; boundary atoms come first in verify's order. Each case
+# ends with the angle of the first arc verify reports
 OVER_CAP = {
     # the arcs from 1.0 and from 1.1 are both over the cap: the first in
     # verify's order is the boundary atom's, not the smaller angle's
-    "inside-one-arc": ([(1.1, 0.2), (1.2, 0.2)], [(0.9 * np.exp(1.0j), 2.0)]),
-    "straddling-2pi": ([(TAU - 0.1, 0.2)], []),
-    # atan2 % TAU puts 0.9 - 1e-17j at angle TAU, at distance 0 from the
-    # arc at angle 0 (the atom 0.9): the arcs at 0 and at TAU are over the
-    # cap, the arcs at 0.2 and 0.3 are not
-    "angle-tau": ([(0.3, 0.1)], [(0.9 - 1e-17j, 3.0), (0.9 + 0j, 0.5)]),
+    "inside-one-arc": ([(1.1, 0.2), (1.2, 0.2)], [(0.9 * np.exp(1.0j), 2.0)], 1.1),
+    "straddling-2pi": ([(TAU - 0.1, 0.2)], [], TAU - 0.1),
+    # atan2 % TAU rounds the angle of 0.9 - 1e-17j up to TAU; it counts at
+    # angle 0.0, with the atom 0.9, where the arc is over the cap
+    "angle-tau": ([(0.3, 0.1)], [(0.9 - 1e-17j, 3.0), (0.9 + 0j, 0.5)], 0.0),
 }
 
 
-@pytest.mark.parametrize("boundary,interior", OVER_CAP.values(), ids=OVER_CAP.keys())
-def test_over_cap_layer_fails_as_the_direct_loop(boundary, interior):
+@pytest.mark.parametrize("boundary,interior,first_arc", OVER_CAP.values(), ids=OVER_CAP.keys())
+def test_over_cap_layer_fails_as_the_direct_loop(boundary, interior, first_arc):
     om = DiskMeasure(boundary=[(0.2, 1.0)])
     p = RobertsParams(c=1.0, n2=16, max_generation=3)
     d = decompose(om, p)
@@ -163,6 +165,7 @@ def test_over_cap_layer_fails_as_the_direct_loop(boundary, interior):
     rep = verify(d, om + extra, p)
     assert not rep.ok
     assert rep.failures == sliding_arc_failures(d, p)
+    assert rep.failures[0].startswith(f"layer 2: sliding arc at {first_arc:.4f} carries")
 
 
 class TestStructure:
