@@ -32,8 +32,6 @@ from .gce import (  # noqa: F401
     check_fund3,
     diffuse_experiment,
     harmonic_extension,
-    green_potential,
-    liouville_pullback,
     nearly_maximal,
     perron_hull_r,
     radial_solution,

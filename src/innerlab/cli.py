@@ -252,6 +252,8 @@ def _run_gce_dirichlet(p, meta):
     grid = PolarGrid(p["radius"], p["n_r"], p["n_theta"])
     bnd = p["boundary"]
     if bnd["kind"] == "maximal":
+        if bnd["value"] is not None:
+            raise ScenarioError("params.boundary.value is read only when its kind is constant")
         # infinite on the unit circle; the solver rejects such data
         with np.errstate(divide="ignore", invalid="ignore"):
             h = u_max(p["radius"] * np.exp(1j * grid.theta))

@@ -29,12 +29,11 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from . import kernels
-from .measures import DiskMeasure, diffuse_family
+from .measures import DiskMeasure, ThetaUnsolvableError, diffuse_family, theta_for
 
 TAU = 2.0 * math.pi
 NEWTON_TOL = 1e-10  # scaled residual at which the Newton iteration stops
 NEWTON_MAX_ITER = 60
-SUBSOLUTION_TOL = 0.05  # slack of the discrete subsolution check
 # GMRES iterations per Newton correction, without restart (the most measured
 # over the selftest is 10); the line search absorbs an unfinished correction
 KRYLOV_RESTART = 40
@@ -42,10 +41,6 @@ MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double bel
 
 
 class NewtonError(RuntimeError):
-    pass
-
-
-class SubsolutionError(ValueError):
     pass
 
 
@@ -192,11 +187,9 @@ class _SplitField:
     __slots__ = ()
 
     def __call__(self, z):
-        z_arr = np.asarray(z, dtype=np.complex128)
-        shape = z_arr.shape
-        s = _singular_part(self.atoms, np.atleast_1d(z_arr).ravel())
-        out = np.atleast_1d(self.smooth(z_arr)).ravel() - s
-        return float(out[0]) if shape == () else out.reshape(shape)
+        z = np.asarray(z, dtype=np.complex128)
+        out = np.asarray(self.smooth(z)) - _singular_part(self.atoms, z)
+        return float(out) if out.ndim == 0 else out
 
 
 class GridFunction(_SplitField):
@@ -249,9 +242,9 @@ class GridFunction(_SplitField):
     def smooth(self, z):
         z_arr = np.asarray(z, dtype=np.complex128)
         shape = z_arr.shape
-        zf = np.atleast_1d(z_arr).ravel()
+        zf = z_arr.ravel()
         r = np.abs(zf) / self.grid.radius
-        if np.any(r > 1.0 + 1e-9):
+        if not np.all(r <= 1.0 + 1e-9):  # also a NaN point
             raise ValueError("point outside the grid disk")
         t = 1.0 - np.sqrt(np.maximum(0.0, 1.0 - np.minimum(r, 1.0)))  # invert t(2-t)
         th = np.angle(zf) % TAU
@@ -307,36 +300,6 @@ def harmonic_extension(h, grid: PolarGrid) -> GridFunction:
     rings = np.fft.irfft(fh[None, :] * decay, grid.n_theta, axis=1)
     rings[-1] = h
     return GridFunction(grid, float(fh[0].real / grid.n_theta), rings)
-
-
-def green_potential(atoms, grid: PolarGrid):
-    """(1/2pi) sum mt G(., a) sampled on the grid, plus a residual report.
-
-    Returns (GridFunction without singular bookkeeping, report). Nodes
-    coinciding with an atom are flagged and carry +inf.
-    """
-    atoms = [(complex(a), float(m)) for a, m in atoms]
-    for a, _ in atoms:
-        if abs(a) >= grid.radius:
-            raise ValueError("atoms must lie strictly inside the grid disk")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = _singular_part(atoms, grid.ring_nodes()) / TAU
-        center = float(_singular_part(atoms, np.array([0j]))[0]) / TAU
-    flagged = int(np.sum(~np.isfinite(vals)))
-    gf = GridFunction(grid, center, vals)
-    # discrete Laplacian residual away from the atoms
-    resid = _SmoothSystem(grid, (), vals[-1]).laplacian(gf.interior_values())
-    pos = grid.interior_nodes()
-    dist = np.full(pos.shape, np.inf)
-    for a, _ in atoms:
-        dist = np.minimum(dist, np.abs(pos - a))
-    far = dist > max(0.2, 8.0 * grid.radius / grid.n_r)
-    report = {
-        "flagged_nodes": flagged,
-        "max_residual_far": float(np.max(np.abs(resid[far]))) if far.any() else 0.0,
-        "boundary_max": float(np.max(np.abs(vals[-1]))) if grid.radius == 1.0 else None,
-    }
-    return gf, report
 
 
 # ---------------------------------------------------------------------------
@@ -584,35 +547,25 @@ def pde_residual(gf: GridFunction) -> float:
 # Perron hulls and nearly-maximal solutions
 
 
-def perron_hull_r(
-    sub, r: float, n_r: int, n_theta: int, check_subsolution: bool = True, previous=None
-):
+def perron_hull_r(sub, r: float, n_r: int, n_theta: int, previous=None):
     """Minimal solution on D_r dominating the subsolution, matching it on dD_r.
 
     `sub` follows the GridFunction protocol (smooth(z) + .atoms), and its
     atoms are nu's: those outside D_r contribute no delta and enter only
-    through the split. The discrete subsolution check certifies
-    user-supplied fields; it needs the data's potential kernels resolved by
-    the grid, so callers holding an analytic subsolution guarantee may pass
-    check_subsolution=False.
-    Newton starts below the hull: at the subsolution's smooth part
-    sub.smooth, the unknown w = u + s that Newton iterates, evaluated once
-    at the interior nodes for the check and the start. `previous`, if
-    given, is the hull of the same sub on a smaller disk with the same
-    n_theta (the last ladder rung), which this hull dominates there by
-    comparison: inside that disk Newton starts at its smooth part instead,
-    and sub.smooth is evaluated only outside, unless the check needs it
-    everywhere.
+    through the split. The caller guarantees that sub is a subsolution;
+    nothing here checks it. Newton starts below the hull: at the
+    subsolution's smooth part sub.smooth, the unknown w = u + s that Newton
+    iterates, evaluated once at the interior nodes. `previous`, if given,
+    is the hull of the same sub on a smaller disk with the same n_theta
+    (the last ladder rung), which this hull dominates there by comparison:
+    inside that disk Newton starts at its smooth part instead, and
+    sub.smooth is evaluated only outside.
     """
     grid = PolarGrid(r, n_r, n_theta)
     h = _cell_averaged_boundary(sub, grid)
     start = np.empty(0) if previous is None else _continued_start(previous, grid)
-    skip = 0 if check_subsolution else start.size  # sub is needed only where the start uses it
-    sub_int = np.asarray(sub.smooth(grid.interior_nodes()[skip:]), dtype=np.float64)
-    if check_subsolution:
-        _check_discrete_subsolution(sub, sub_int, grid)
-    start = np.concatenate([start, sub_int[start.size - skip:]])
-    return solve_dirichlet(grid, sub.atoms, h, start=start)
+    outside = np.asarray(sub.smooth(grid.interior_nodes()[start.size:]), dtype=np.float64)
+    return solve_dirichlet(grid, sub.atoms, h, start=np.concatenate([start, outside]))
 
 
 def _continued_start(previous: GridFunction, grid: PolarGrid) -> np.ndarray:
@@ -650,21 +603,6 @@ def _cell_averaged_boundary(sub, grid: PolarGrid) -> np.ndarray:
     )
     vals = np.asarray(sub(r * np.exp(1j * fine.ravel())), dtype=np.float64)
     return vals.reshape(grid.n_theta, s_factor).mean(axis=1)
-
-
-def _check_discrete_subsolution(sub, sub_int, grid):
-    """Raise SubsolutionError where Delta_h sub falls below 4 e^{2 sub} by
-    more than SUBSOLUTION_TOL, relative to 1 + the source, with sub's nodal
-    values as the rim data; sub_int holds sub.smooth at the interior nodes,
-    and nodes on an atom are not checked."""
-    system = _SmoothSystem.with_data(grid, sub.atoms, sub(grid.rim_nodes()))
-    viol = -system.residual(sub_int) / (1.0 + system.source(sub_int))
-    viol[system.flagged] = 0.0
-    worst = float(np.max(viol))
-    if worst > SUBSOLUTION_TOL:
-        raise SubsolutionError(
-            f"discrete subsolution check violated by {worst:.3g} (tol {SUBSOLUTION_TOL})"
-        )
 
 
 @dataclass
@@ -718,10 +656,8 @@ def nearly_maximal(
     stopping early once the probe increment drops below stop_tol, and
     extrapolates geometrically when the increments contract cleanly.
     """
-    # u_D + log|I_omega| is a subsolution identically (the curvature of the
-    # maximal metric dominates after multiplying by |I| <= 1), so the ladder
-    # skips the discrete check, which would only re-measure its own
-    # resolution of the data's boundary kernels
+    # u_D + log|I_omega| is a subsolution identically: the curvature of the
+    # maximal metric dominates after multiplying by |I| <= 1
     res = _ladder_hulls(_plus_log_inner(maximal_field(), omega), ladder, n_r, n_theta, stop_tol)
     for r in res.ladder_radii:
         ring = (r - 1e-12) * np.exp(1j * np.linspace(0, TAU, 256, endpoint=False))
@@ -754,7 +690,7 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
         r = 1.0 - 2.0 ** (-k)
         # each rung starts at the last hull, which it dominates on the smaller disk
         previous = gf
-        gf, _ = perron_hull_r(sub, r, n_r, n_theta, check_subsolution=False, previous=previous)
+        gf, _ = perron_hull_r(sub, r, n_r, n_theta, previous=previous)
         vals = gf(probes)
         radii.append(r)
         if prev_vals is not None:
@@ -788,18 +724,6 @@ def liouville_density(f):
         return float(out) if out.ndim == 0 else out
 
     return fn
-
-
-def liouville_pullback(f, grid: PolarGrid):
-    """Pullback density sampled on a grid; critical nodes are flagged."""
-    if f.degree < 1:
-        raise ValueError("need a nonconstant map")
-    fn = liouville_density(f)
-    rings = fn(grid.ring_nodes())
-    center = fn(np.array(0j + 0.0, dtype=np.complex128))
-    finite = np.isfinite(rings)
-    report = {"flagged_nodes": int(np.sum(~finite)) + (0 if math.isfinite(center) else 1)}
-    return GridFunction(grid, center if math.isfinite(center) else -745.0, rings), report
 
 
 def radial_solution(r: float, c_value: float, n_steps: int = 4096):
@@ -903,8 +827,6 @@ def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
     Rows: (n, M, theta_n, u_at_0, gap, status); unsolvable (n, M) pairs
     carry status "theta-unsolvable" and NaN numerics.
     """
-    from .measures import ThetaUnsolvableError, theta_for
-
     _check_rungs(ladder)
     rows = []
     for big_m in big_ms:
@@ -917,5 +839,5 @@ def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
             om = diffuse_family(n, big_m)
             res = nearly_maximal(om, ladder=ladder, n_r=n_r, n_theta=n_theta)
             u0 = float(res(np.array(0j), extrapolate=False))
-            rows.append((n, big_m, th, u0, abs(u0 - 0.0), "ok"))
+            rows.append((n, big_m, th, u0, abs(u0), "ok"))
     return rows

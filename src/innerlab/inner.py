@@ -55,15 +55,13 @@ def poisson(z, angle):
 def log_abs_inner(omega: DiskMeasure, z):
     """log|I_omega(z)| <= 0; -inf is signalled for scalar z at an atom."""
     z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
     ia = np.array([a for a, _ in omega.interior], dtype=np.complex128)
     im = np.array([m for _, m in omega.interior], dtype=np.float64)
     ba = np.array([t for t, _ in omega.boundary], dtype=np.float64)
     bm = np.array([m for _, m in omega.boundary], dtype=np.float64)
     out = -(kernels.green_sum(z_arr, ia, im) + kernels.poisson_sum(z_arr, ba, bm))
-    if scalar:
-        val = float(out[0])
+    if out.ndim == 0:
+        val = float(out)
         if not math.isfinite(val):
             raise ValueError("log|I| is -infinite at an atom of the zero structure")
         return val

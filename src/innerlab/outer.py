@@ -107,18 +107,16 @@ class OuterSpec:
 
     def exponent(self, z):
         """S(z) with Re S >= 0; Phi = exp(-S)."""
-        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+        z = np.asarray(z, dtype=np.complex128)
         return kernels.outer_exponent(z, self.anchors, self.dirs, self.masses)
 
     def __call__(self, z):
-        shape = np.shape(z)
         out = np.exp(-self.exponent(z))
-        return complex(out[0]) if shape == () else out.reshape(shape)
+        return complex(out) if out.ndim == 0 else out
 
     def log_abs(self, z):
-        shape = np.shape(z)
         out = -np.real(self.exponent(z))
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return float(out) if out.ndim == 0 else out
 
 
 def decay_profile(spec: OuterSpec, orders=(1, 2, 3)):

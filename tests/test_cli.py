@@ -277,6 +277,7 @@ MALFORMED = {
         {"radius": 0.9, "n_r": 8, "n_theta": 8, "atoms": [{"position": [0.9, 0.0], "mass": 1.0}]},
     ),
     "constant-boundary-without-value": ("gce-dirichlet", {"boundary": {"kind": "constant"}}),
+    "maximal-boundary-with-value": ("gce-dirichlet", {"boundary": {"kind": "maximal", "value": 3.0}}),
     "n2-not-power-of-2": ("roberts", {"measure": {}, "n2": 6}),
     "unknown-param": ("entropy", {"degre": 6}),
     "bool-int": ("entropy", {"degree": True}),

@@ -12,13 +12,10 @@ from innerlab.gce import (
     GridFunction,
     NewtonError,
     PolarGrid,
-    SubsolutionError,
     check_fund3,
     diffuse_experiment,
-    green_potential,
     harmonic_extension,
     liouville_density,
-    liouville_pullback,
     maximal_field,
     nearly_maximal,
     pde_residual,
@@ -211,7 +208,7 @@ class TestNewtonKrylov:
         sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
         infos = [
             solve_dirichlet(*spiky_problem())[1],
-            perron_hull_r(sub, 0.9375, 48, 96, check_subsolution=False)[1],
+            perron_hull_r(sub, 0.9375, 48, 96)[1],
         ]
         assert len(asked) == sum(info["newton_iters"] for info in infos)
         assert all(rtol >= 0.1 * gce.NEWTON_TOL / err for rtol, err in asked), asked
@@ -239,7 +236,7 @@ class TestNewtonKrylov:
         assert info["newton_iters"] > 1 and len(calls) == 1
         sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
         for r in (0.75, 0.9375):
-            _, info = perron_hull_r(sub, r, 48, 96, check_subsolution=False)
+            _, info = perron_hull_r(sub, r, 48, 96)
             assert info["newton_iters"] > 1
         assert len(calls) == 3
 
@@ -334,7 +331,7 @@ class TestSubsolutionStart:
             r = 1.0 - 2.0 ** -k
             grid = PolarGrid(r, 48, 96)
             harmonic = solve_dirichlet(grid, sub.atoms, gce._cell_averaged_boundary(sub, grid))
-            yield perron_hull_r(sub, r, 48, 96, check_subsolution=False), harmonic
+            yield perron_hull_r(sub, r, 48, 96), harmonic
 
     def test_fewer_newton_steps_on_delta0_ladder(self):
         steps = [
@@ -369,8 +366,8 @@ class TestRungContinuation:
         previous = None
         for k in range(2, 8):
             r = 1.0 - 2.0 ** -k
-            continued = perron_hull_r(sub, r, 48, 96, check_subsolution=False, previous=previous)
-            yield continued, perron_hull_r(sub, r, 48, 96, check_subsolution=False)
+            continued = perron_hull_r(sub, r, 48, 96, previous=previous)
+            yield continued, perron_hull_r(sub, r, 48, 96)
             previous = continued[0]
 
     def test_no_more_newton_steps_than_subsolution_start(self):
@@ -388,15 +385,21 @@ class TestRungContinuation:
             assert max(info["residual"], s_info["residual"]) <= 1e-12
             assert float(np.max(np.abs(hull(probes) - ref(probes)))) <= 1e-9
 
-    def test_checked_rung_starts_the_same(self):
-        # the check evaluates sub at every node; the start still continues
-        # the previous hull inside its disk
+    def test_sub_evaluated_only_outside_the_previous_disk(self):
+        # inside the previous disk the start is the previous hull, so no
+        # evaluation of sub.smooth, at the rim or the interior, reaches there
         sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
-        previous, _ = perron_hull_r(sub, 0.75, 48, 96, check_subsolution=False)
-        gf, info = perron_hull_r(sub, 0.875, 48, 96, check_subsolution=False, previous=previous)
-        gf_checked, info_checked = perron_hull_r(sub, 0.875, 48, 96, previous=previous)
-        assert info_checked == info
-        assert np.array_equal(gf_checked.rings, gf.rings)
+        previous, _ = perron_hull_r(sub, 0.75, 48, 96)
+        seen = []
+
+        def recorded(z):
+            seen.append(np.abs(np.asarray(z)).ravel())
+            return sub.smooth(z)
+
+        perron_hull_r(AnalyticField(recorded, sub.atoms), 0.875, 48, 96, previous=previous)
+        radii = np.concatenate(seen)
+        assert radii.min() >= previous.grid.radius
+        assert radii.min() < 0.875  # the interior nodes outside the previous disk
 
     @pytest.mark.parametrize(
         "radius,n_theta",
@@ -407,7 +410,7 @@ class TestRungContinuation:
         previous = GridFunction(PolarGrid(radius, 16, n_theta), 0.0, np.zeros((16, n_theta)))
         sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
         with pytest.raises(ValueError, match="same n_theta and a smaller radius"):
-            perron_hull_r(sub, 0.875, 48, 96, check_subsolution=False, previous=previous)
+            perron_hull_r(sub, 0.875, 48, 96, previous=previous)
 
     def test_ladder_passes_each_hull_to_the_next_rung(self, monkeypatch):
         seen = []
@@ -453,28 +456,34 @@ class TestHarmonicExtension:
         assert gf.rings.min() >= h.min() - 1e-12
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)], ids=["re", "im"])
+def test_nan_point_rejected(z):
+    gf = harmonic_extension(np.zeros(8), PolarGrid(0.9, 8, 8))
+    res = nearly_maximal(DiskMeasure(), ladder=(2, 3), n_r=8, n_theta=8)
+    for field in (gf, res):
+        with pytest.raises(ValueError, match="point outside the grid disk"):
+            field(z)
+
+
 class TestGreenPotential:
+    """The singular part s = sum mt G(., a), (1/2pi) per unit mass, on a grid."""
+
     def test_mass_2pi_at_origin(self):
         grid = PolarGrid(1.0, 24, 48)
-        gf, rep = green_potential([(0j, TAU)], grid)
-        want = np.log(1.0 / grid.rho)
-        assert np.allclose(gf.rings[:, 0], want, atol=1e-12)
-        assert rep["boundary_max"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_linearity(self):
-        grid = PolarGrid(1.0, 16, 32)
-        a1, a2 = 0.3 + 0.1j, -0.5j
-        g1, _ = green_potential([(a1, 1.0)], grid)
-        g2, _ = green_potential([(a2, 2.0)], grid)
-        g12, _ = green_potential([(a1, 1.0), (a2, 2.0)], grid)
-        assert np.allclose(g12.rings, g1.rings + g2.rings, atol=1e-12)
+        vals = gce._singular_part([(0j, TAU)], grid.ring_nodes()) / TAU
+        assert np.allclose(vals[:, 0], np.log(1.0 / grid.rho), atol=1e-12)
+        assert float(np.max(np.abs(vals[-1]))) == pytest.approx(0.0, abs=1e-12)
 
     def test_discrete_laplacian_residual_shrinks(self):
-        vals = []
+        # the five-point Laplacian of the potential, away from its atom
+        atoms, vals = [(0.2 + 0.3j, 1.5)], []
         for n_r, n_t in ((48, 96), (96, 192)):
             grid = PolarGrid(1.0, n_r, n_t)
-            _, rep = green_potential([(0.2 + 0.3j, 1.5)], grid)
-            vals.append(rep["max_residual_far"])
+            pos = grid.interior_nodes()
+            rim = gce._singular_part(atoms, grid.ring_nodes()[-1]) / TAU
+            resid = gce._SmoothSystem(grid, (), rim).laplacian(gce._singular_part(atoms, pos) / TAU)
+            far = np.abs(pos - atoms[0][0]) > max(0.2, 8.0 * grid.radius / grid.n_r)
+            vals.append(float(np.max(np.abs(resid[far]))))
         assert vals[1] < vals[0] / 2
         assert vals[1] < 0.1
 
@@ -536,11 +545,6 @@ class TestPerron:
         hull, _ = perron_hull_r(maximal_field(), 0.9, 48, 96)
         _, rings = hull.total_nodes()
         assert float(np.max(np.abs(rings - u_max(hull.grid.ring_nodes())))) < 3e-4
-
-    def test_rejects_supersolution(self):
-        bad = AnalyticField(lambda z: u_max(z) + 0.15)
-        with pytest.raises(SubsolutionError):
-            perron_hull_r(bad, 0.8, 32, 64)
 
     def test_dominates_subsolution_and_monotone_in_r(self):
         om = DiskMeasure(interior=[(0j, 1.0)])
@@ -679,11 +683,11 @@ class TestRadial:
 
 
 class TestLiouvillePullback:
+    """liouville_density, the pullback log-density, at a grid's ring nodes."""
+
     def test_identity_map(self):
-        grid = PolarGrid(0.9, 16, 32)
-        gf, rep = liouville_pullback(InnerFunctionRep([(0j, 1)]), grid)
-        assert np.allclose(gf.rings, u_max(grid.ring_nodes()), atol=1e-12)
-        assert rep["flagged_nodes"] == 0
+        z = PolarGrid(0.9, 16, 32).ring_nodes()
+        assert np.allclose(liouville_density(InnerFunctionRep([(0j, 1)]))(z), u_max(z), atol=1e-12)
 
     def test_square_value(self):
         fn = liouville_density(InnerFunctionRep([(0j, 2)]))
@@ -691,15 +695,13 @@ class TestLiouvillePullback:
         assert fn(0.5) == pytest.approx(0.06453852113757118, abs=1e-10)
 
     def test_mobius_invariance(self):
-        grid = PolarGrid(0.8, 12, 24)
+        z = PolarGrid(0.8, 12, 24).ring_nodes()
         f = InnerFunctionRep([(0.3 - 0.2j, 1)], rotation=np.exp(0.7j))
-        gf, rep = liouville_pullback(f, grid)
-        assert np.allclose(gf.rings, u_max(grid.ring_nodes()), atol=1e-12)
+        assert np.allclose(liouville_density(f)(z), u_max(z), atol=1e-12)
 
     def test_critical_node_flagged(self):
-        grid = PolarGrid(0.9, 16, 32)
-        _, rep = liouville_pullback(InnerFunctionRep([(0j, 3)]), grid)
-        assert rep["flagged_nodes"] == 1  # F'(0) = 0 at the center node
+        # F'(0) = 0 at the critical point 0 of z^3
+        assert liouville_density(InnerFunctionRep([(0j, 3)]))(0j) == -math.inf
 
 
 class TestFund3:
