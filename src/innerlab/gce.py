@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
@@ -38,6 +37,7 @@ NEWTON_MAX_ITER = 60
 # over the selftest is 10); the line search absorbs an unfinished correction
 KRYLOV_RESTART = 40
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
+PAD = 4  # angular columns copied onto each side before a GridFunction's spline fit
 
 
 class NewtonError(RuntimeError):
@@ -196,8 +196,8 @@ class GridFunction(_SplitField):
     """Smooth nodal values w plus an analytic singular part -sum mt G(., a).
 
     Total field u = w - s. Interpolation happens on the smooth part in
-    graded-radius coordinates (cubic spline, periodic angle padding);
-    the singular part is always evaluated analytically.
+    graded-radius coordinates (not-a-knot bicubic spline, PAD columns of
+    periodic angle padding); the singular part is always evaluated analytically.
     """
 
     __slots__ = ("grid", "center", "rings", "atoms", "_spline")
@@ -226,17 +226,12 @@ class GridFunction(_SplitField):
 
     # -- pointwise evaluation -------------------------------------------------
 
-    def _ensure_spline(self):
+    def _coefficients(self) -> np.ndarray:
+        """The (n_r + 3) x (n_theta + 2 PAD + 2) spline coefficients, fitted once."""
         if self._spline is None:
-            n_r, n_t = self.grid.n_r, self.grid.n_theta
-            t = np.concatenate([[0.0], np.arange(1, n_r + 1) / n_r])
-            vals = np.vstack([np.full(n_t, self.center), self.rings])
-            pad = 4
-            th = np.concatenate(
-                [self.grid.theta[-pad:] - TAU, self.grid.theta, self.grid.theta[:pad] + TAU]
-            )
-            v = np.hstack([vals[:, -pad:], vals, vals[:, :pad]])
-            self._spline = RectBivariateSpline(t, th, v, kx=3, ky=3)
+            vals = np.vstack([np.full(self.grid.n_theta, self.center), self.rings])
+            v = np.hstack([vals[:, -PAD:], vals, vals[:, :PAD]])
+            self._spline = _not_a_knot(v.shape[0]) @ v @ _not_a_knot(v.shape[1]).T
         return self._spline
 
     def smooth(self, z):
@@ -247,12 +242,49 @@ class GridFunction(_SplitField):
         if not np.all(r <= 1.0 + 1e-9):  # also a NaN point
             raise ValueError("point outside the grid disk")
         t = 1.0 - np.sqrt(np.maximum(0.0, 1.0 - np.minimum(r, 1.0)))  # invert t(2-t)
-        th = np.angle(zf) % TAU
-        out = self._ensure_spline()(t, th, grid=False)
+        c = self._coefficients()
+        jr, wr = _bspline_weights(t * self.grid.n_r, c.shape[0])
+        jt, wt = _bspline_weights(np.angle(zf) % TAU * (self.grid.n_theta / TAU) + PAD, c.shape[1])
+        k, n = np.arange(4), c.shape[1]
+        patches = c.ravel()[(jr * n + jt)[:, None, None] + (k[:, None] * n + k)]  # (P, 4, 4)
+        out = np.einsum("pa,pab,pb->p", wr, patches, wt)
         return float(out[0]) if shape == () else out.reshape(shape)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, atoms={len(self.atoms)})"
+
+
+@functools.lru_cache(maxsize=16)
+def _not_a_knot(n: int) -> np.ndarray:
+    """The (n + 2) x n matrix from values at n uniform nodes to the n + 2
+    uniform cubic B-spline coefficients of their not-a-knot interpolant: the
+    inverse of n interpolation rows (1/6, 2/3, 1/6) and two rows
+    (1, -4, 6, -4, 1) with right-hand side 0, which make the third derivative
+    continuous at the second and second-to-last node (a product is faster
+    than triangular solves with an LU factor). Built once per n, read-only."""
+    A = np.zeros((n + 2, n + 2))
+    A[1:-1] = (np.eye(n, n + 2) + 4.0 * np.eye(n, n + 2, 1) + np.eye(n, n + 2, 2)) / 6.0
+    A[0, :5] = A[-1, -5:] = 1.0, -4.0, 6.0, -4.0, 1.0
+    out = np.ascontiguousarray(np.linalg.inv(A)[:, 1:-1])
+    out.flags.writeable = False
+    return out
+
+
+def _bspline_weights(s, m: int):
+    """For positions s (in node units) on an axis of m coefficients: the first
+    of the four coefficients whose B-splines cover each s, and their weights."""
+    j = np.clip(np.floor(s), 0, m - 4).astype(np.intp)
+    u = s - j
+    w = [(1.0 - u) ** 3, (3.0 * u - 6.0) * u * u + 4.0, ((3.0 - 3.0 * u) * u + 3.0) * u + 1.0, u ** 3]
+    return j, np.stack(w, -1) / 6.0
+
+
+def _bspline_matrix(s, m: int) -> np.ndarray:
+    """The (len(s), m) matrix that evaluates an axis's spline at positions s."""
+    j, w = _bspline_weights(s, m)
+    out = np.zeros((s.size, m))
+    out[np.arange(s.size)[:, None], j[:, None] + np.arange(4)] = w
+    return out
 
 
 class AnalyticField(_SplitField):
@@ -464,6 +496,9 @@ def _newton_solve(system: _SmoothSystem, w):
             raise NewtonError(f"{system.grid!r}: scaled residual is {err} at Newton step {it}")
         if err <= NEWTON_TOL:
             break
+        nr0 = float(np.linalg.norm(r))
+        if not math.isfinite(nr0):  # finite entries whose 2-norm overflows
+            raise NewtonError(f"{system.grid!r}: residual norm is {nr0} at Newton step {it}")
         d = 2.0 * system.source(w)
         if precond is None:  # lagged: the first correction's d serves the whole solve
             precond = _polar_preconditioner(system.grid, d)
@@ -471,7 +506,6 @@ def _newton_solve(system: _SmoothSystem, w):
         delta, iters = _gmres(system.L, d, precond, -r, forcing)
         krylov_iters += iters
         lam, ok = 1.0, False
-        nr0 = float(np.linalg.norm(r))
         for _ in range(40):
             w_new = w + lam * delta
             r_new = system.residual(w_new)
@@ -580,7 +614,9 @@ def _continued_start(previous: GridFunction, grid: PolarGrid) -> np.ndarray:
         )
     rho = grid.rho[grid.rho < previous.grid.radius]
     t = 1.0 - np.sqrt(1.0 - rho / previous.grid.radius)  # invert t(2-t)
-    w = previous._ensure_spline()(t, grid.theta, grid=True)
+    c = previous._coefficients()
+    angles = np.arange(grid.n_theta) + PAD  # grid.theta in node units
+    w = _bspline_matrix(t * previous.grid.n_r, c.shape[0]) @ c @ _bspline_matrix(angles, c.shape[1]).T
     return np.concatenate([[previous.center], w.ravel()])
 
 

@@ -57,7 +57,10 @@ class RobertsParams:
             raise ValueError("n2 must be a power of 2, at least 4")
         if self.max_generation < 2:
             raise ValueError("max_generation must be >= 2")
-        if self.n_arcs(self.max_generation) > 1 << 62:
+        # log2 n_j = 2^(j-2) log2 n2, compared before any power is taken; from
+        # j = 8 on it is >= 128 for every n2 >= 4, so capping the shift at 6
+        # changes no verdict
+        if (1 << min(self.max_generation - 2, 6)) * (self.n2.bit_length() - 1) > 62:
             raise ValueError("n_j overflows machine integers at this depth")
 
     def n_arcs(self, j: int) -> int:

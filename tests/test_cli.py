@@ -399,6 +399,10 @@ NUMERICAL_FAILURES = {
     "huge-singular-mass": (
         "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e200}]}},
         "the generator underflows to 0 at every quadrature node"),
+    # the residual's entries are finite but its 2-norm overflows
+    "huge-boundary-mass": (
+        "nearly-maximal", {"measure": {"boundary": [{"angle": 1.0, "mass": 1e200}]}},
+        "PolarGrid(R=0.75, 64x128): residual norm is inf at Newton step 0"),
     # the generator is NaN near the atom
     "overflowing-singular-mass": (
         "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}},
@@ -454,6 +458,32 @@ def test_grid_too_large_for_memory_exits_2(tmp_path, kind, params):
     assert res.stderr.startswith("numerical failure: Unable to allocate ")
     assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("generations", [40, 10**18])
+def test_roberts_depth_past_machine_integers_exits_1(tmp_path, generations):
+    # n_j = 16^(2^38) at generation 40 would take 128 GiB: the guard must
+    # reject the depth without building n_j (the address-space limit turns a
+    # regression into a failure, not a swapping host)
+    params = {"measure": {}, "generations": generations}
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "roberts", "params": params}))
+    res = subprocess.run(
+        RUN + ["run", "s.json", "--out", "o"], capture_output=True, text=True, cwd=tmp_path,
+        env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == "validation error: roberts: n_j overflows machine integers at this depth\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # every innerlab process pays for what the import loads
+    probe = "import sys, innerlab, innerlab.cli; print('scipy.interpolate' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

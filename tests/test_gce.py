@@ -426,6 +426,48 @@ class TestRungContinuation:
         assert [prev for prev, _ in seen] == [None] + [gf for _, gf in seen[:-1]]
 
 
+def fitpack_reference(gf):
+    """FITPACK's not-a-knot bicubic of gf's smooth nodal values on the same
+    padded nodes: the reference that GridFunction's own spline must match."""
+    from scipy.interpolate import RectBivariateSpline  # innerlab itself never imports it
+
+    grid, pad = gf.grid, gce.PAD
+    t = np.arange(grid.n_r + 1) / grid.n_r
+    theta = np.concatenate([grid.theta[-pad:] - TAU, grid.theta, grid.theta[:pad] + TAU])
+    vals = np.vstack([np.full(grid.n_theta, gf.center), gf.rings])
+    return RectBivariateSpline(t, theta, np.hstack([vals[:, -pad:], vals, vals[:, :pad]]), kx=3, ky=3)
+
+
+class TestBicubic:
+    """GridFunction's spline is FITPACK's bicubic to rounding on solved (smooth) fields."""
+
+    @pytest.fixture(scope="class", params=[(24, 32), (128, 256)], ids=["24x32", "128x256"])
+    def field(self, request):
+        n_r, n_theta = request.param
+        grid = PolarGrid(0.9, n_r, n_theta)
+        boundary = u_max(grid.rim_nodes()) + np.cos(3.0 * grid.theta)
+        return solve_dirichlet(grid, [(0.3 + 0.2j, 0.5)], boundary)[0]
+
+    def test_scattered_points_match_fitpack(self, field):
+        R = field.grid.radius
+        rng = np.random.default_rng(0)
+        below_2pi = np.exp(-1e-9j)  # theta = 2 pi - 1e-9
+        special = np.array([0j, R, -R, 1j * R, R * below_2pi, 0.5 * R, 0.5 * R * below_2pi])
+        z = np.concatenate([special, R * np.sqrt(rng.random(4000)) * np.exp(TAU * 1j * rng.random(4000))])
+        t = 1.0 - np.sqrt(1.0 - np.abs(z) / R)
+        expected = fitpack_reference(field)(t, np.angle(z) % TAU, grid=False)
+        np.testing.assert_allclose(field.smooth(z), expected, rtol=0.0, atol=1e-13)
+        assert field._coefficients() is field._coefficients()  # fitted once
+
+    def test_continued_start_matches_fitpack(self, field):
+        grid = PolarGrid(0.95, field.grid.n_r, field.grid.n_theta)
+        rho = grid.rho[grid.rho < field.grid.radius]
+        expected = fitpack_reference(field)(1.0 - np.sqrt(1.0 - rho / field.grid.radius), grid.theta)
+        start = gce._continued_start(field, grid)
+        assert start[0] == field.center
+        np.testing.assert_allclose(start[1:], expected.ravel(), rtol=0.0, atol=1e-13)
+
+
 class TestHarmonicExtension:
     def test_constant(self):
         grid = PolarGrid(0.9, 16, 32)
