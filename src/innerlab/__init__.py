@@ -21,7 +21,6 @@ from .inner import (  # noqa: F401
     InnerFunctionRep,
     circle_entropy_quadrature,
     critical_points,
-    green,
     jensen_entropy,
     log_abs_inner,
 )
@@ -34,7 +33,6 @@ from .gce import (  # noqa: F401
     harmonic_extension,
     nearly_maximal,
     perron_hull_r,
-    radial_solution,
     solve_dirichlet,
     u_max,
 )

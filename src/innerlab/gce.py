@@ -38,6 +38,7 @@ NEWTON_MAX_ITER = 60
 KRYLOV_RESTART = 40
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
 PAD = 4  # angular columns copied onto each side before a GridFunction's spline fit
+W_CLAMP = 150.0  # the source reads e^{2 min(w, W_CLAMP)}, so e^{2w} never overflows
 
 
 class NewtonError(RuntimeError):
@@ -371,7 +372,7 @@ class _SmoothSystem:
         return cls(grid, atoms, h + s_bc)
 
     def source(self, w):
-        return 4.0 * self.q * np.exp(2.0 * np.minimum(w, 150.0))
+        return 4.0 * self.q * np.exp(2.0 * np.minimum(w, W_CLAMP))
 
     def laplacian(self, w):
         return self.L @ w + self.bc
@@ -415,7 +416,12 @@ def _polar_preconditioner(grid: PolarGrid, d):
         [-1, 0, 1],
         format="csc",
     )
-    lu = splu(P, permc_spec="NATURAL")  # keeps the factor banded
+    # -P is a Z-matrix whose rows are weakly dominant once the center unknown
+    # is scaled by n_theta, and strictly dominant at the last ring: a
+    # nonsingular M-matrix, which Gaussian elimination factors without row
+    # pivoting. A tridiagonal matrix has no supernodes. So the factor keeps
+    # identity permutations and at most 4n nonzeros
+    lu = splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1)
 
     def solve(b):
         f = np.fft.rfft(b[1:].reshape(n_r - 1, n_t), axis=1).T.ravel()
@@ -527,6 +533,14 @@ def _newton_solve(system: _SmoothSystem, w):
             f"{system.grid!r}: no convergence in {NEWTON_MAX_ITER} Newton steps "
             f"(scaled residual {err:.3g})"
         )
+    # past W_CLAMP the source is clamped, and against a row scale of |L||w|
+    # the scaled residual cannot see it: such an iterate solves another equation
+    w_max = float(np.max(w, where=system.q > 0.0, initial=-math.inf))
+    if w_max > W_CLAMP:
+        raise NewtonError(
+            f"{system.grid!r}: the accepted iterate has w = {w_max:.3g} > {W_CLAMP:g} "
+            "at a node with q > 0, where the source is clamped"
+        )
     info = {"newton_iters": it, "residual": err, "krylov_iters": krylov_iters, "min_step": min_step}
     return w, info
 
@@ -552,6 +566,7 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     interior node, relative to that row's scale |L||w| + |B||w_bc| +
     source + 1 (_SmoothSystem.scaled_error). A line search that stalls is
     accepted when that scaled residual is already at most 50 * NEWTON_TOL.
+    An accepted w above W_CLAMP at a node with q > 0 raises NewtonError.
     """
     atoms = tuple((complex(a), float(m)) for a, m in atoms)
     for a, _ in atoms:
@@ -568,13 +583,6 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     rings = np.vstack([w[1:].reshape(grid.n_r - 1, grid.n_theta), system.w_bc])
     info["flagged_nodes"] = int(np.sum(system.flagged))
     return GridFunction(grid, w[0], rings, atoms), info
-
-
-def pde_residual(gf: GridFunction) -> float:
-    """Backward-stable sup residual of the smooth system for a solved field."""
-    system = _SmoothSystem(gf.grid, gf.atoms, gf.rings[-1])
-    w = gf.interior_values()
-    return system.scaled_error(w, system.residual(w))
 
 
 # ---------------------------------------------------------------------------
@@ -747,82 +755,7 @@ def _ladder_hulls(sub, ladder, n_r, n_theta, stop_tol) -> NearlyMaximalResult:
 
 
 # ---------------------------------------------------------------------------
-# analytic oracles and experiments
-
-
-def liouville_density(f):
-    """log(|F'| / (1 - |F|^2)) as a callable; the pullback log-density."""
-
-    def fn(z):
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(np.abs(f.deriv(z))) - np.log1p(-np.abs(f(z)) ** 2)
-        return float(out) if out.ndim == 0 else out
-
-    return fn
-
-
-def radial_solution(r: float, c_value: float, n_steps: int = 4096):
-    """u'' + u'/rho = 4 e^{2u} on [0, r], u'(0) = 0, u(r) = C, by shooting.
-
-    Bisection on u(0); integration by fixed-step RK4 on a boundary-graded
-    mesh. Returns (rho array, u array).
-    """
-    if r <= 0.0 or r > 1.0:
-        raise ValueError("radius must lie in (0, 1]")
-    t = np.arange(n_steps + 1) / n_steps
-    rho = r * t * (2.0 - t)
-
-    def _rhs(x, u, v):
-        if u > 200.0:
-            return v, math.inf
-        return v, 4.0 * math.exp(2.0 * u) - v / x
-
-    def _march(a, keep=False):
-        # series start near 0: u = a + e^{2a} rho^2
-        us = np.empty(n_steps + 1) if keep else None
-        u = a + math.exp(2 * a) * rho[1] ** 2
-        v = 2 * math.exp(2 * a) * rho[1]
-        if keep:
-            us[0], us[1] = a, u
-        for i in range(1, n_steps):
-            h = rho[i + 1] - rho[i]
-            x = rho[i]
-            k1u, k1v = _rhs(x, u, v)
-            k2u, k2v = _rhs(x + h / 2, u + h / 2 * k1u, v + h / 2 * k1v)
-            k3u, k3v = _rhs(x + h / 2, u + h / 2 * k2u, v + h / 2 * k2v)
-            k4u, k4v = _rhs(x + h, u + h * k3u, v + h * k3v)
-            if not all(map(math.isfinite, (k1v, k2v, k3v, k4v))):
-                return math.inf, None
-            u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if u > 200.0:
-                return math.inf, None
-            if keep:
-                us[i + 1] = u
-        return u, us
-
-    def shoot(a):
-        return _march(a)[0]
-
-    lo = c_value
-    while shoot(lo) > c_value:
-        lo -= max(1.0, abs(lo))
-        if lo < -1e6:
-            raise ValueError("no lower shooting bracket found")
-    hi = c_value + 1.0
-    if shoot(hi) < c_value:
-        raise ValueError("no upper shooting bracket found")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if shoot(mid) < c_value:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
-            break
-    _, us = _march(lo, keep=True)
-    return rho, us
+# experiments
 
 
 def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder, n_r: int, n_theta: int):

@@ -31,27 +31,6 @@ class QuadratureError(RuntimeError):
 # potentials
 
 
-def green(z, a):
-    """Green's function of the unit disk; +inf signalled at z == a."""
-    z = np.asarray(z, dtype=np.complex128)
-    a_ = np.asarray(a, dtype=np.complex128)
-    with np.errstate(divide="ignore"):
-        g = np.log(np.abs(1.0 - z * np.conj(a_))) - np.log(np.abs(z - a_))
-    if g.ndim == 0:
-        g = float(g)
-        if not math.isfinite(g):
-            raise ValueError("Green's function is infinite at z == a")
-    return g
-
-
-def poisson(z, angle):
-    """Poisson kernel (1-|z|^2)/|e^{i*angle} - z|^2."""
-    z = np.asarray(z, dtype=np.complex128)
-    zeta = np.exp(1j * np.asarray(angle, dtype=np.float64))
-    out = (1.0 - np.abs(z) ** 2) / np.abs(zeta - z) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
 def log_abs_inner(omega: DiskMeasure, z):
     """log|I_omega(z)| <= 0; -inf is signalled for scalar z at an atom."""
     z_arr = np.asarray(z, dtype=np.complex128)

@@ -403,6 +403,11 @@ NUMERICAL_FAILURES = {
     "huge-boundary-mass": (
         "nearly-maximal", {"measure": {"boundary": [{"angle": 1.0, "mass": 1e200}]}},
         "PolarGrid(R=0.75, 64x128): residual norm is inf at Newton step 0"),
+    # the source e^{2w} is clamped at w = 150, where the scaled residual cannot see it
+    "clamped-source": (
+        "gce-dirichlet", {"boundary": {"kind": "constant", "value": 1e140}},
+        "PolarGrid(R=0.9, 64x128): the accepted iterate has w = 1e+140 > 150 "
+        "at a node with q > 0, where the source is clamped"),
     # the generator is NaN near the atom
     "overflowing-singular-mass": (
         "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e308}]}},

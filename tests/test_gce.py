@@ -15,17 +15,15 @@ from innerlab.gce import (
     check_fund3,
     diffuse_experiment,
     harmonic_extension,
-    liouville_density,
     maximal_field,
     nearly_maximal,
-    pde_residual,
     perron_hull_r,
-    radial_solution,
     solve_dirichlet,
     u_max,
 )
-from innerlab.inner import InnerFunctionRep, poisson
+from innerlab.inner import InnerFunctionRep
 from innerlab.measures import DiskMeasure, diffuse_family
+from oracles import liouville_density, pde_residual, poisson, radial_solution
 
 TAU = 2.0 * math.pi
 
@@ -178,6 +176,29 @@ class TestNewtonKrylov:
         y = gce._polar_preconditioner(grid, d)(J @ x)
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize(
+        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
+    )
+    def test_preconditioner_factor_is_pivot_free(self, monkeypatch, radius, n_r, n_theta):
+        # -P is an M-matrix: no row pivoting, and a tridiagonal factor of at
+        # most 4n nonzeros (a row permutation adds fill)
+        factors, factor = [], gce.splu
+
+        def captured(*args, **kwargs):
+            factors.append(factor(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(gce, "splu", captured)
+        grid = PolarGrid(radius, n_r, n_theta)
+        rng = np.random.default_rng(n_r * n_theta)
+        rings = np.repeat(rng.uniform(0.0, 50.0, n_r - 1), n_theta)
+        gce._polar_preconditioner(grid, np.concatenate([[rng.uniform(0.0, 5.0)], rings]))
+        (lu,) = factors
+        n = lu.shape[0]
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert lu.nnz <= 4 * n
+
     def test_matches_exact_newton(self):
         grid, atoms, h = spiky_problem()
         gf, info = solve_dirichlet(grid, atoms, h)
@@ -270,6 +291,13 @@ class TestNewtonKrylov:
         calls.clear()
         _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
         assert info["newton_iters"] == 0 and calls == []
+
+    def test_clamped_source_is_not_a_solution(self):
+        # with w = 1e140 the source 4 e^{2 min(w, 150)} is clamped, and the
+        # scaled residual, against a row scale near |L| 1e140, reads 7.5e-14;
+        # the true solution lies below the maximal one, u(0) <= log(1/0.9)
+        with pytest.raises(NewtonError, match=r"^PolarGrid\(R=0\.9, 64x128\): .* > 150 at a node with q > 0"):
+            solve_dirichlet(PolarGrid(0.9, 64, 128), (), np.full(128, 1e140))
 
     def test_newton_error_names_grid_and_residual(self, monkeypatch):
         monkeypatch.setattr(gce, "NEWTON_MAX_ITER", 1)

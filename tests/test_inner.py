@@ -13,12 +13,11 @@ from innerlab.inner import (
     circle_entropy_quadrature,
     critical_points,
     doubling_circle_mean,
-    green,
     jensen_entropy,
     log_abs_inner,
-    poisson,
 )
 from innerlab.measures import DiskMeasure
+from oracles import green, poisson
 
 TAU = 2.0 * math.pi
 LOG2 = math.log(2.0)
