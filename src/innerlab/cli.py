@@ -288,8 +288,10 @@ def _run_nearly_maximal(p, meta):
     )
     rows = list(zip([float(r) for r in res.ladder_radii], res.deficiency))
     csv = _csv_text(["radius", "deficiency"], rows, meta)
+    u_at_0 = float(res(0j, extrapolate=False))
     payload = {
-        "u_at_0": float(res(0j, extrapolate=False)),
+        # u is -infinity at an atom on the origin
+        "u_at_0": u_at_0 if math.isfinite(u_at_0) else None,
         "increments": res.increments,
         "deficiency": res.deficiency,
         "extrapolation_ratio": res.extrapolation_ratio,

@@ -377,13 +377,15 @@ class _SmoothSystem:
     def laplacian(self, w):
         return self.L @ w + self.bc
 
-    def residual(self, w):
-        return self.laplacian(w) - self.source(w)
+    def residual(self, w, src):
+        """Delta_h w - source, with src = source(w) evaluated by the caller."""
+        return self.laplacian(w) - src
 
-    def scaled_error(self, w, r) -> float:
-        """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1:
-        backward stable, as the residual floor is eps * |L||w| anyway."""
-        scale = self.abs_L @ np.abs(w) + self.abs_bc + self.source(w) + 1.0
+    def scaled_error(self, w, r, src) -> float:
+        """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1,
+        with src = source(w): backward stable, as the residual floor is
+        eps * |L||w| anyway."""
+        scale = self.abs_L @ np.abs(w) + self.abs_bc + src + 1.0
         return float(np.max(np.abs(r) / scale))
 
 
@@ -422,15 +424,21 @@ def _polar_preconditioner(grid: PolarGrid, d):
     # pivoting. A tridiagonal matrix has no supernodes. So the factor keeps
     # identity permutations and at most 4n nonzeros
     lu = splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1)
+    # the right-hand side, rewritten by every application: the center row
+    # (b[0], 0), then each mode's rings as (real, imaginary) rows, which the
+    # forward FFT fills through their complex view
+    rhs = np.zeros((1 + n_modes * (n_r - 1), 2))
+    spectrum = rhs[1:].view(np.complex128).reshape(n_modes, n_r - 1)
 
-    def solve(b):
-        f = np.fft.rfft(b[1:].reshape(n_r - 1, n_t), axis=1).T.ravel()
-        rhs = np.empty((f.size + 1, 2))
-        rhs[0] = b[0], 0.0
-        rhs[1:, 0], rhs[1:, 1] = f.real, f.imag
-        x = lu.solve(rhs)
-        modes = (x[1:, 0] + 1j * x[1:, 1]).reshape(n_modes, n_r - 1).T
-        return np.concatenate([[x[0, 0]], np.fft.irfft(modes, n_t, axis=1).ravel()])
+    def solve(b, out):
+        """Write P^-1 b into out, a contiguous array other than b, and return it."""
+        rhs[0, 0] = b[0]
+        np.fft.rfft(b[1:].reshape(n_r - 1, n_t).T, axis=0, out=spectrum)
+        x = lu.solve(rhs)  # Fortran order: real and imaginary parts lie apart
+        out[0] = x[0, 0]
+        modes = (x[1:, 0] + 1j * x[1:, 1]).reshape(n_modes, n_r - 1)
+        np.fft.irfft(modes, n_t, axis=0, out=out[1:].reshape(n_r - 1, n_t).T)
+        return out
 
     return solve
 
@@ -439,7 +447,8 @@ def _gmres(L, d, precond, b, rtol):
     """Solve (L - diag(d)) x = b by right-preconditioned GMRES from x = 0.
 
     FGMRES-style: the preconditioned directions Z = precond(V) are kept and
-    x = Z y, so each iteration applies precond exactly once, and the
+    x = Z y, so each iteration applies precond exactly once, as
+    precond(V[j], Z[j]), which writes into the row Z[j]; the
     Givens-rotated least-squares residual is the true residual |b - J x|
     (to rounding; V is orthogonalized by classical Gram-Schmidt applied
     twice). Stops once that residual is at most rtol * |b|, or after
@@ -449,13 +458,17 @@ def _gmres(L, d, precond, b, rtol):
     if beta == 0.0:
         return np.zeros_like(b), 0
     m = KRYLOV_RESTART
-    V, Z = np.empty((m + 1, b.size)), np.empty((m, b.size))  # rows are touched as used
+    # rows are touched as used. Allocated per solve: one (2m + 1) x n block
+    # kept across solves took 0.905x the time on the ladder benchmark but
+    # 14-19% more peak memory, and two kept arrays saved nothing
+    V, Z = np.empty((m + 1, b.size)), np.empty((m, b.size))
     R = np.zeros((m, m))
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     V[0], g[0] = b / beta, beta
     for j in range(m):
-        Z[j] = precond(V[j])
-        w = L @ Z[j] - d * Z[j]
+        precond(V[j], Z[j])
+        w = L @ Z[j]
+        w -= d * Z[j]
         h = V[:j + 1] @ w
         w -= h @ V[:j + 1]
         h2 = V[:j + 1] @ w
@@ -480,6 +493,8 @@ def _gmres(L, d, precond, b, rtol):
 def _newton_solve(system: _SmoothSystem, w):
     """Damped Newton iteration on the smooth system from the interior values w.
 
+    The source is evaluated once per trial point and serves its residual,
+    its scaled error and, at an accepted iterate, the Jacobian's diagonal.
     Each correction solves J delta = -r, J = L - diag(2 source(w)), by
     right-preconditioned GMRES (_gmres, one preconditioner application per
     iteration) to an Eisenstat-Walker type forcing term: loose far from the
@@ -494,10 +509,11 @@ def _newton_solve(system: _SmoothSystem, w):
     as L @ v - d * v. The info dict counts Newton steps and GMRES iterations
     and keeps the final scaled residual and the smallest line-search step.
     """
-    r = system.residual(w)
+    src = system.source(w)
+    r = system.residual(w, src)
     krylov_iters, min_step, precond = 0, 1.0, None
     for it in range(NEWTON_MAX_ITER):
-        err = system.scaled_error(w, r)
+        err = system.scaled_error(w, r, src)
         if not math.isfinite(err):
             raise NewtonError(f"{system.grid!r}: scaled residual is {err} at Newton step {it}")
         if err <= NEWTON_TOL:
@@ -505,7 +521,7 @@ def _newton_solve(system: _SmoothSystem, w):
         nr0 = float(np.linalg.norm(r))
         if not math.isfinite(nr0):  # finite entries whose 2-norm overflows
             raise NewtonError(f"{system.grid!r}: residual norm is {nr0} at Newton step {it}")
-        d = 2.0 * system.source(w)
+        d = 2.0 * src
         if precond is None:  # lagged: the first correction's d serves the whole solve
             precond = _polar_preconditioner(system.grid, d)
         forcing = min(1e-2, max(1e-3 * math.sqrt(err), 0.1 * NEWTON_TOL / err))
@@ -514,7 +530,8 @@ def _newton_solve(system: _SmoothSystem, w):
         lam, ok = 1.0, False
         for _ in range(40):
             w_new = w + lam * delta
-            r_new = system.residual(w_new)
+            src_new = system.source(w_new)
+            r_new = system.residual(w_new, src_new)
             if float(np.linalg.norm(r_new)) <= (1.0 - 1e-4 * lam) * nr0:
                 ok = True
                 break
@@ -527,7 +544,7 @@ def _newton_solve(system: _SmoothSystem, w):
                 f"(scaled residual {err:.3g})"
             )
         min_step = min(min_step, lam)
-        w, r = w_new, r_new
+        w, r, src = w_new, r_new, src_new
     else:
         raise NewtonError(
             f"{system.grid!r}: no convergence in {NEWTON_MAX_ITER} Newton steps "

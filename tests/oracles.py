@@ -111,4 +111,5 @@ def pde_residual(gf: GridFunction) -> float:
     """Backward-stable sup residual of the smooth system for a solved field."""
     system = _SmoothSystem(gf.grid, gf.atoms, gf.rings[-1])
     w = gf.interior_values()
-    return system.scaled_error(w, system.residual(w))
+    src = system.source(w)
+    return system.scaled_error(w, system.residual(w, src), src)

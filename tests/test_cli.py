@@ -174,6 +174,22 @@ class TestRunCommand:
         assert payload["u_at_0"] < 0.0
         assert payload["deficiency"] == sorted(payload["deficiency"])
 
+    def test_nearly_maximal_atom_at_origin(self, workdir):
+        # the Liouville example omega = delta_0 at the default parameters:
+        # u(0) = -infinity, written as null, and everything else is finite
+        config = {
+            "kind": "nearly-maximal",
+            "params": {"measure": {"interior": [{"position": [0, 0], "mass": 1}]}},
+        }
+        (workdir / "s.json").write_text(json.dumps(config))
+        res = run_cli(["run", "s.json", "--out", "o"], workdir)
+        assert res.returncode == 0, res.stderr
+        text = (workdir / "o" / "nearly_maximal.json").read_text()
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert payload["u_at_0"] is None
+        assert payload["increments"] and payload["deficiency"]
+        assert all(math.isfinite(v) for v in payload["increments"] + payload["deficiency"])
+
     @pytest.mark.parametrize(
         "config",
         [

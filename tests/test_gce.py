@@ -136,19 +136,22 @@ class TestOperators:
 def exact_newton(system, w):
     """Reference damped Newton: the solver's iteration and line search, with
     each correction solved exactly by a sparse direct solve of the Jacobian."""
-    r = system.residual(w)
+    def residual(w):
+        return system.residual(w, system.source(w))
+
+    r = residual(w)
     for it in range(gce.NEWTON_MAX_ITER):
-        err = system.scaled_error(w, r)
+        err = system.scaled_error(w, r, system.source(w))
         if err <= gce.NEWTON_TOL:
             return w, it
         J = (system.L - sp.diags(2.0 * system.source(w))).tocsc()
         delta = spsolve(J, -r)
         lam, nr0 = 1.0, float(np.linalg.norm(r))
-        while float(np.linalg.norm(system.residual(w + lam * delta))) > (1.0 - 1e-4 * lam) * nr0:
+        while float(np.linalg.norm(residual(w + lam * delta))) > (1.0 - 1e-4 * lam) * nr0:
             lam *= 0.5
             assert lam > 2.0**-40, "reference line search stalled"
         w = w + lam * delta
-        r = system.residual(w)
+        r = residual(w)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -173,7 +176,7 @@ class TestNewtonKrylov:
         d = np.concatenate([[rng.uniform(0.0, 5.0)], rings])
         J = grid.operators()[0] - sp.diags(d)
         x = rng.standard_normal(grid.interior_count())
-        y = gce._polar_preconditioner(grid, d)(J @ x)
+        y = gce._polar_preconditioner(grid, d)(J @ x, np.empty_like(x))
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize(
@@ -199,6 +202,45 @@ class TestNewtonKrylov:
         assert np.array_equal(lu.perm_c, np.arange(n))
         assert lu.nnz <= 4 * n
 
+    @pytest.mark.parametrize(
+        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
+    )
+    def test_apply_matches_copying_formula_bit_for_bit(self, monkeypatch, radius, n_r, n_theta):
+        # the apply writes the FFTs into one reused right-hand side and into
+        # its output; over the same factor it gives the bits of the formula
+        # that builds every intermediate afresh, and reusing the buffer
+        # touches neither an earlier output nor the input
+        factors, factor = [], gce.splu
+
+        def captured(*args, **kwargs):
+            factors.append(factor(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(gce, "splu", captured)
+        grid = PolarGrid(radius, n_r, n_theta)
+        rng = np.random.default_rng(n_r * n_theta)
+        solve = gce._polar_preconditioner(grid, rng.uniform(0.0, 50.0, grid.interior_count()))
+        (lu,) = factors
+        n_modes = n_theta // 2 + 1
+
+        def copying(b):
+            f = np.fft.rfft(b[1:].reshape(n_r - 1, n_theta), axis=1).T.ravel()
+            rhs = np.empty((f.size + 1, 2))
+            rhs[0] = b[0], 0.0
+            rhs[1:, 0], rhs[1:, 1] = f.real, f.imag
+            x = lu.solve(rhs)
+            modes = (x[1:, 0] + 1j * x[1:, 1]).reshape(n_modes, n_r - 1).T
+            return np.concatenate([[x[0, 0]], np.fft.irfft(modes, n_theta, axis=1).ravel()])
+
+        b1, b2 = rng.standard_normal((2, grid.interior_count()))
+        b1_copy = b1.copy()
+        out1, out2 = np.empty((2, grid.interior_count()))
+        assert solve(b1, out1) is out1
+        first = out1.copy()
+        assert solve(b2, out2) is out2
+        assert np.array_equal(out1, first) and np.array_equal(b1, b1_copy)
+        assert np.array_equal(out1, copying(b1)) and np.array_equal(out2, copying(b2))
+
     def test_matches_exact_newton(self):
         grid, atoms, h = spiky_problem()
         gf, info = solve_dirichlet(grid, atoms, h)
@@ -216,8 +258,8 @@ class TestNewtonKrylov:
         errs, asked = [], []
         scaled_error, gmres = gce._SmoothSystem.scaled_error, gce._gmres
 
-        def recorded_error(system, w, r):
-            errs.append(scaled_error(system, w, r))
+        def recorded_error(system, w, r, src):
+            errs.append(scaled_error(system, w, r, src))
             return errs[-1]
 
         def recorded_gmres(L, d, precond, b, rtol):
@@ -234,6 +276,20 @@ class TestNewtonKrylov:
         assert len(asked) == sum(info["newton_iters"] for info in infos)
         assert all(rtol >= 0.1 * gce.NEWTON_TOL / err for rtol, err in asked), asked
         assert all(info["residual"] <= gce.NEWTON_TOL for info in infos), infos
+
+    def test_one_source_evaluation_per_trial_point(self, monkeypatch):
+        # the source at an iterate serves its residual, its scaled error and
+        # the Jacobian's diagonal: one evaluation at the start and one per
+        # line-search trial, which is newton_iters + 1 when every step is full
+        calls = []
+        source = gce._SmoothSystem.source
+        monkeypatch.setattr(gce._SmoothSystem, "source", lambda *a: calls.append(1) or source(*a))
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        for solve in (lambda: solve_dirichlet(*spiky_problem()), lambda: perron_hull_r(sub, 0.9375, 48, 96)):
+            calls.clear()
+            _, info = solve()
+            assert info["newton_iters"] > 1 and info["min_step"] == 1.0
+            assert len(calls) == info["newton_iters"] + 1
 
     def test_solve_accounting(self):
         _, info = solve_dirichlet(*spiky_problem())
@@ -279,7 +335,7 @@ class TestNewtonKrylov:
 
         def counted(grid, d):
             solve = factor(grid, d)
-            return lambda b: calls.append(1) or solve(b)
+            return lambda b, out: calls.append(1) or solve(b, out)
 
         monkeypatch.setattr(gce, "_polar_preconditioner", counted)
         _, info = solve_dirichlet(*spiky_problem())
@@ -336,7 +392,7 @@ class TestGmres:
         # without a preconditioner the budget runs out; the iterate still
         # lowers the residual, and the line search takes what it gives
         _, L, d, J, b = self.problem(ring_constant=False)
-        x, iters = gce._gmres(L, d, lambda v: v, b, 1e-10)
+        x, iters = gce._gmres(L, d, lambda v, out: np.copyto(out, v), b, 1e-10)
         assert iters == gce.KRYLOV_RESTART
         assert np.linalg.norm(b - J @ x) < 0.1 * np.linalg.norm(b)
 
