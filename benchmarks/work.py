@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Count the Newton-GMRES work of the curvature-equation solves.
 
-Wraps gce.solve_dirichlet and gce.splu from outside (nothing in src/ is
-edited), then runs acceptance criteria 01, 03, 04, 07 and 08 and the two
+Counts from outside with perfbench's tracer (nothing in src/ is edited),
+then runs acceptance criteria 01, 03, 04, 07 and 08 and the two
 operations of perfbench's `ladder` workload at seed 0. Prints, per item,
 Newton steps / GMRES iterations / factorizations, summed over its solves;
 `ladder` is the sum of its two operations. The counts are deterministic, so
@@ -30,35 +30,18 @@ class Counts:
 
 
 @contextlib.contextmanager
-def counting(counts):
-    """Rebind gce.solve_dirichlet and gce.splu in every innerlab module
-    that holds them (acceptance imports solve_dirichlet by name)."""
+def counting():
+    """Count while the block runs: Newton steps and factorizations through
+    perfbench's tracer, GMRES iterations from gce._gmres's returns."""
     from innerlab import gce
+    from tracing import Tracer, recording
 
-    def solve_dirichlet(*args, **kwargs):
-        gf, info = orig_solve(*args, **kwargs)
-        counts.newton += info["newton_iters"]
-        counts.krylov += info["krylov_iters"]
-        return gf, info
-
-    def splu(*args, **kwargs):
-        counts.factors += 1
-        return orig_splu(*args, **kwargs)
-
-    orig_solve, orig_splu = gce.solve_dirichlet, gce.splu
-    undo = []
-    for orig, wrapped in ((orig_solve, solve_dirichlet), (orig_splu, splu)):
-        for name, mod in list(sys.modules.items()):
-            if name == "innerlab" or name.startswith("innerlab."):
-                for attr, val in list(vars(mod).items()):
-                    if val is orig:
-                        undo.append((mod, attr, val))
-                        setattr(mod, attr, wrapped)
-    try:
+    counts = Counts()
+    with Tracer().installed() as tracer, recording(gce, "_gmres") as solves:
         yield counts
-    finally:
-        for mod, attr, val in reversed(undo):
-            setattr(mod, attr, val)
+    counts.newton = tracer.values["gce.newton_iters"]
+    counts.factors = tracer.values["gce.splu_calls"]
+    counts.krylov = sum(iters for _, iters in solves)
 
 
 def main():
@@ -70,13 +53,13 @@ def main():
     print(f"{'item':<16} Newton / GMRES / factorizations")
     for number in CRITERIA:
         (criterion,) = [fn for fn in acceptance.CRITERIA if fn.__name__ == f"criterion_{number}"]
-        with counting(Counts()) as counts:
+        with counting() as counts:
             criterion()
         print(counts.row(number))
     total = Counts()
     with tempfile.TemporaryDirectory() as workdir:
         for op in workloads.Ladder(0, workdir).operations():
-            with counting(Counts()) as counts:
+            with counting() as counts:
                 fails = op.run()
             if fails:
                 raise SystemExit(f"ladder.{op.name} failed its checks: {fails}")

@@ -377,10 +377,6 @@ class _SmoothSystem:
     def laplacian(self, w):
         return self.L @ w + self.bc
 
-    def residual(self, w, src):
-        """Delta_h w - source, with src = source(w) evaluated by the caller."""
-        return self.laplacian(w) - src
-
     def scaled_error(self, w, r, src) -> float:
         """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1,
         with src = source(w): backward stable, as the residual floor is
@@ -510,7 +506,7 @@ def _newton_solve(system: _SmoothSystem, w):
     and keeps the final scaled residual and the smallest line-search step.
     """
     src = system.source(w)
-    r = system.residual(w, src)
+    r = system.laplacian(w) - src
     krylov_iters, min_step, precond = 0, 1.0, None
     for it in range(NEWTON_MAX_ITER):
         err = system.scaled_error(w, r, src)
@@ -531,7 +527,7 @@ def _newton_solve(system: _SmoothSystem, w):
         for _ in range(40):
             w_new = w + lam * delta
             src_new = system.source(w_new)
-            r_new = system.residual(w_new, src_new)
+            r_new = system.laplacian(w_new) - src_new
             if float(np.linalg.norm(r_new)) <= (1.0 - 1e-4 * lam) * nr0:
                 ok = True
                 break

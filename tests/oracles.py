@@ -112,4 +112,4 @@ def pde_residual(gf: GridFunction) -> float:
     system = _SmoothSystem(gf.grid, gf.atoms, gf.rings[-1])
     w = gf.interior_values()
     src = system.source(w)
-    return system.scaled_error(w, system.residual(w, src), src)
+    return system.scaled_error(w, system.laplacian(w) - src, src)

@@ -137,7 +137,7 @@ def exact_newton(system, w):
     """Reference damped Newton: the solver's iteration and line search, with
     each correction solved exactly by a sparse direct solve of the Jacobian."""
     def residual(w):
-        return system.residual(w, system.source(w))
+        return system.laplacian(w) - system.source(w)
 
     r = residual(w)
     for it in range(gce.NEWTON_MAX_ITER):
