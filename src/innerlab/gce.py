@@ -90,85 +90,64 @@ class PolarGrid:
         return 1 + (self.n_r - 1) * self.n_theta
 
     def operators(self):
-        """(L, B): discrete Laplacian on interior unknowns and its coupling
-        to the boundary ring, so Delta_h u = L u_int + B u_bdry."""
+        """(a_m, a_p, a_0, a_t, c): the five-point polar Laplacian's per-ring
+        coefficients, computed once per grid, read-only; _stencil applies them.
+
+        Ring i (1..n_r-1) weighs its inner, outer and own node by a_m, a_p, a_0
+        and each angular neighbour by a_t (arrays indexed i-1; ring 1's inner
+        neighbour is the center, ring n_r-1's outer one the rim). The center
+        row is c * (ring-1 mean - center).
+        """
         if self._ops is None:
-            self._ops = _assemble_laplacian(self)
+            rho = self.rho
+            dth2 = (TAU / self.n_theta) ** 2
+            r = rho[:-1]
+            hm, hp = r - np.concatenate([[0.0], rho[:-2]]), rho[1:] - r
+            # nonuniform 3-point second derivative + first derivative
+            c_m = 2.0 / (hm * (hm + hp))
+            c_p = 2.0 / (hp * (hm + hp))
+            c_0 = -2.0 / (hm * hp)
+            d_m = -hp / (hm * (hm + hp))
+            d_p = hm / (hp * (hm + hp))
+            d_0 = (hp - hm) / (hm * hp)
+            a_m = c_m + d_m / r
+            a_p = c_p + d_p / r
+            a_0 = c_0 + d_0 / r - 2.0 / (r * r * dth2)
+            a_t = 1.0 / (r * r * dth2)
+            for a in (a_m, a_p, a_0, a_t):
+                a.flags.writeable = False
+            self._ops = a_m, a_p, a_0, a_t, 4.0 / rho[0] ** 2
         return self._ops
 
     def __repr__(self):
         return f"PolarGrid(R={self.radius}, {self.n_r}x{self.n_theta})"
 
 
-def _ring_coefficients(grid: PolarGrid):
-    """Per-ring stencil coefficients of the five-point polar Laplacian.
+def _stencil(coeffs, diag, w, rim):
+    """L w + B rim with L's diagonal replaced by diag, for the coefficients
+    coeffs of PolarGrid.operators(): interior values w (the center, then
+    rings 1..n_r-1) and rim values rim, as Delta_h u = L u_int + B u_rim.
 
-    Ring i (1..n_r-1) weighs its inner, outer and own node by a_m, a_p, a_0
-    and each angular neighbour by a_t (arrays indexed i-1; ring 1's inner
-    neighbour is the center). The center row is c * (ring-1 mean - center).
+    The values go once into a (n_r + 1) x (n_theta + 2) array: the center
+    row, the rings, the rim and a wrapped angle on each side.
     """
-    rho = grid.rho
-    dth2 = (TAU / grid.n_theta) ** 2
-    r = rho[:-1]
-    hm, hp = r - np.concatenate([[0.0], rho[:-2]]), rho[1:] - r
-    # nonuniform 3-point second derivative + first derivative
-    c_m = 2.0 / (hm * (hm + hp))
-    c_p = 2.0 / (hp * (hm + hp))
-    c_0 = -2.0 / (hm * hp)
-    d_m = -hp / (hm * (hm + hp))
-    d_p = hm / (hp * (hm + hp))
-    d_0 = (hp - hm) / (hm * hp)
-    a_m = c_m + d_m / r
-    a_p = c_p + d_p / r
-    a_0 = c_0 + d_0 / r - 2.0 / (r * r * dth2)
-    a_t = 1.0 / (r * r * dth2)
-    return a_m, a_p, a_0, a_t, 4.0 / rho[0] ** 2
-
-
-@functools.lru_cache(maxsize=16)
-def _laplacian_pattern(n_r: int, n_t: int):
-    """(L, B) of an n_r x n_t grid with each stored value the index of its
-    coefficient in _assemble_laplacian's coeffs, [-c, c / n_t] and then the
-    per-ring a_0, a_t, a_m, a_p; built once per grid shape, read-only."""
-    m = n_r - 1  # rings with unknowns
-    j = np.arange(n_t)
-    me = 1 + np.arange(m * n_t).reshape(m, n_t)  # unknown index of (ring, angle)
-    below = np.vstack([np.zeros((1, n_t), dtype=me.dtype), me[:-1]])
-    ring = (me - 1) // n_t
-    a_0, a_t, a_m, a_p = (2 + k * m + ring for k in range(4))
-    arms = [  # (rows, columns, coefficient index); the last ring's outer arm is B
-        (me, me, a_0),
-        (me, me[:, (j + 1) % n_t], a_t),
-        (me, me[:, (j - 1) % n_t], a_t),
-        (me, below, a_m),
-        (me[:-1], me[1:], a_p[:-1]),
-    ]
-    rows = np.concatenate([np.zeros(1 + n_t, dtype=me.dtype)] + [rw.ravel() for rw, _, _ in arms])
-    cols = np.concatenate([[0], me[0]] + [cl.ravel() for _, cl, _ in arms])
-    index = np.concatenate([[0], np.ones(n_t, dtype=me.dtype)] + [ix.ravel() for _, _, ix in arms])
-    n = 1 + m * n_t
-    # no two entries share a node pair, so COO -> CSR only reorders the
-    # indices (and keeps the explicit 0 of the center's own entry)
-    L = sp.csr_matrix((index, (rows, cols)), shape=(n, n))
-    B = sp.csr_matrix((a_p[-1], (me[-1], j)), shape=(n, n_t))
-    for M in (L, B):
-        for a in (M.data, M.indices, M.indptr):
-            a.flags.writeable = False
-    return L, B
-
-
-def _assemble_laplacian(grid: PolarGrid):
-    """Five-point polar Laplacian: the shape's cached pattern, filled with
-    this grid's per-ring coefficients."""
-    a_m, a_p, a_0, a_t, c = _ring_coefficients(grid)
-    coeffs = np.concatenate([[-c, c / grid.n_theta], a_0, a_t, a_m, a_p])
-    ops = tuple(
-        sp.csr_matrix((coeffs[P.data], P.indices, P.indptr), shape=P.shape)
-        for P in _laplacian_pattern(grid.n_r, grid.n_theta)
-    )
-    for M in ops:
-        M.has_canonical_format = True  # as the pattern is: nothing writes its shared indices
-    return ops
+    a_m, a_p, _, a_t, c = coeffs
+    m = a_t.size  # rings with unknowns
+    n_t = (w.size - 1) // m
+    u = np.empty((m + 2, n_t + 2))
+    u[0] = w[0]
+    u[1:-1, 1:-1] = w[1:].reshape(m, n_t)
+    u[-1, 1:-1] = rim
+    u[:, 0], u[:, -1] = u[:, -2], u[:, 1]
+    out = np.empty_like(w)
+    out[0] = diag[0] * w[0] + c / n_t * np.sum(u[1, 1:-1])
+    rings = out[1:].reshape(m, n_t)
+    np.add(u[1:-1, :-2], u[1:-1, 2:], out=rings)
+    rings *= a_t[:, None]
+    rings += a_m[:, None] * u[:-2, 1:-1]
+    rings += diag[1:].reshape(m, n_t) * u[1:-1, 1:-1]
+    rings += a_p[:, None] * u[2:, 1:-1]
+    return out
 
 
 def _singular_part(atoms, z):
@@ -349,16 +328,15 @@ class _SmoothSystem:
 
     def __init__(self, grid: PolarGrid, atoms, w_bc):
         self.grid = grid
-        self.L, self.B = grid.operators()
-        self.abs_L = abs(self.L)
+        self.coeffs = grid.operators()
+        a_0, c = self.coeffs[2], self.coeffs[4]
+        self.L_diag = np.concatenate([[-c], np.repeat(a_0, grid.n_theta)])
         with np.errstate(invalid="ignore", divide="ignore"):
             self.s = _singular_part(atoms, grid.interior_nodes())
             self.q = np.exp(-2.0 * self.s)
         self.flagged = ~np.isfinite(self.s)
         self.q[self.flagged] = 0.0
         self.w_bc = w_bc
-        self.bc = self.B @ w_bc
-        self.abs_bc = np.abs(self.B) @ np.abs(w_bc)
 
     @classmethod
     def with_data(cls, grid: PolarGrid, atoms, h) -> "_SmoothSystem":
@@ -375,13 +353,15 @@ class _SmoothSystem:
         return 4.0 * self.q * np.exp(2.0 * np.minimum(w, W_CLAMP))
 
     def laplacian(self, w):
-        return self.L @ w + self.bc
+        return _stencil(self.coeffs, self.L_diag, w, self.w_bc)
 
     def scaled_error(self, w, r, src) -> float:
         """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1,
         with src = source(w): backward stable, as the residual floor is
-        eps * |L||w| anyway."""
-        scale = self.abs_L @ np.abs(w) + self.abs_bc + src + 1.0
+        eps * |L||w| anyway. L's off-diagonal entries and B's are positive
+        and its diagonal negative, so the stencil with the diagonal negated
+        applies |L| and |B|."""
+        scale = _stencil(self.coeffs, -self.L_diag, np.abs(w), np.abs(self.w_bc)) + src + 1.0
         return float(np.max(np.abs(r) / scale))
 
 
@@ -397,7 +377,7 @@ def _polar_preconditioner(grid: PolarGrid, d):
     _newton_solve builds it from its first step's d and keeps it.
     """
     n_r, n_t = grid.n_r, grid.n_theta
-    a_m, a_p, a_0, a_t, c = _ring_coefficients(grid)
+    a_m, a_p, a_0, a_t, c = grid.operators()
     n_modes = n_t // 2 + 1
     d_ring = d[1:].reshape(n_r - 1, n_t).mean(axis=1)
     symbol = 2.0 * np.cos(TAU * np.arange(n_modes) / n_t)
@@ -439,8 +419,9 @@ def _polar_preconditioner(grid: PolarGrid, d):
     return solve
 
 
-def _gmres(L, d, precond, b, rtol):
-    """Solve (L - diag(d)) x = b by right-preconditioned GMRES from x = 0.
+def _gmres(J, precond, b, rtol):
+    """Solve J x = b by right-preconditioned GMRES from x = 0, with J(v) the
+    product J v.
 
     FGMRES-style: the preconditioned directions Z = precond(V) are kept and
     x = Z y, so each iteration applies precond exactly once, as
@@ -463,8 +444,7 @@ def _gmres(L, d, precond, b, rtol):
     V[0], g[0] = b / beta, beta
     for j in range(m):
         precond(V[j], Z[j])
-        w = L @ Z[j]
-        w -= d * Z[j]
+        w = J(Z[j])
         h = V[:j + 1] @ w
         w -= h @ V[:j + 1]
         h2 = V[:j + 1] @ w
@@ -502,8 +482,9 @@ def _newton_solve(system: _SmoothSystem, w):
     2-norm of the residual while the stop tests its scaled sup-norm. The
     preconditioner is lagged: _polar_preconditioner is factored at the first
     correction and serves every later one, while GMRES applies the current J
-    as L @ v - d * v. The info dict counts Newton steps and GMRES iterations
-    and keeps the final scaled residual and the smallest line-search step.
+    as _stencil with L's diagonal minus d and no rim. The info dict counts
+    Newton steps and GMRES iterations and keeps the final scaled residual
+    and the smallest line-search step.
     """
     src = system.source(w)
     r = system.laplacian(w) - src
@@ -521,7 +502,10 @@ def _newton_solve(system: _SmoothSystem, w):
         if precond is None:  # lagged: the first correction's d serves the whole solve
             precond = _polar_preconditioner(system.grid, d)
         forcing = min(1e-2, max(1e-3 * math.sqrt(err), 0.1 * NEWTON_TOL / err))
-        delta, iters = _gmres(system.L, d, precond, -r, forcing)
+        J_diag = system.L_diag - d
+        delta, iters = _gmres(
+            lambda v: _stencil(system.coeffs, J_diag, v, 0.0), precond, -r, forcing
+        )
         krylov_iters += iters
         lam, ok = 1.0, False
         for _ in range(40):
@@ -566,6 +550,9 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     the grid disk contribute no delta there, only a harmonic potential, and
     are folded into the singular split for smoothness (the solution does not
     depend on them beyond the boundary data, which the caller supplies).
+    They pass through DiskMeasure, which raises ValueError unless each lies
+    in the open disk with a positive finite mass (so q = e^{-2s} <= 1), and
+    merges atoms at one point.
 
     `start`, if given, holds values of the smooth unknown w = u + s at
     PolarGrid.interior_nodes(), as GridFunction.interior_values() returns
@@ -581,10 +568,7 @@ def solve_dirichlet(grid: PolarGrid, atoms, boundary, start=None):
     accepted when that scaled residual is already at most 50 * NEWTON_TOL.
     An accepted w above W_CLAMP at a node with q > 0 raises NewtonError.
     """
-    atoms = tuple((complex(a), float(m)) for a, m in atoms)
-    for a, _ in atoms:
-        if abs(a) >= 1.0:
-            raise ValueError("atoms must lie strictly inside the unit disk")
+    atoms = DiskMeasure(atoms).interior
     system = _SmoothSystem.with_data(grid, atoms, boundary)
     if start is None:
         w0 = harmonic_extension(system.w_bc, grid).interior_values()

@@ -1,14 +1,19 @@
-"""Closed forms and reference solvers that the tests check innerlab against.
+"""Closed forms, reference solvers and reference matrices that the tests
+check innerlab against.
 
 None of these runs in a production path: the package evaluates potentials
-through `kernels` and solves the curvature equation by Newton-GMRES.
+through `kernels`, solves the curvature equation by Newton-GMRES and
+applies the polar Laplacian as a stencil, never as a matrix.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from innerlab.gce import GridFunction, _SmoothSystem
+
+TAU = 2.0 * math.pi
 
 
 def green(z, a):
@@ -113,3 +118,41 @@ def pde_residual(gf: GridFunction) -> float:
     w = gf.interior_values()
     src = system.source(w)
     return system.scaled_error(w, system.laplacian(w) - src, src)
+
+
+def loop_laplacian(grid):
+    """Reference (L, B): the five-point polar Laplacian assembled node by node."""
+    n_r, n_t, rho = grid.n_r, grid.n_theta, grid.rho
+    dth2 = (TAU / n_t) ** 2
+    entries, rim = {}, {}
+
+    def idx(i, j):  # ring i (1..n_r-1), angle j
+        return 1 + (i - 1) * n_t + j % n_t
+
+    c = 4.0 / rho[0] ** 2
+    entries[0, 0] = -c
+    for j in range(n_t):
+        entries[0, idx(1, j)] = c / n_t
+    for i in range(1, n_r):
+        r, r_m, r_p = rho[i - 1], (0.0 if i == 1 else rho[i - 2]), rho[i]
+        hm, hp = r - r_m, r_p - r
+        a_m = 2.0 / (hm * (hm + hp)) + (-hp / (hm * (hm + hp))) / r
+        a_p = 2.0 / (hp * (hm + hp)) + (hm / (hp * (hm + hp))) / r
+        a_0 = -2.0 / (hm * hp) + ((hp - hm) / (hm * hp)) / r - 2.0 / (r * r * dth2)
+        a_t = 1.0 / (r * r * dth2)
+        for j in range(n_t):
+            me = idx(i, j)
+            entries[me, me] = a_0
+            entries[me, idx(i, j + 1)] = a_t
+            entries[me, idx(i, j - 1)] = a_t
+            entries[me, 0 if i == 1 else idx(i - 1, j)] = a_m
+            if i == n_r - 1:
+                rim[me, j] = a_p
+            else:
+                entries[me, idx(i + 1, j)] = a_p
+
+    def csr(d, n_cols):
+        rows, cols = zip(*d)
+        return sp.csr_matrix((list(d.values()), (rows, cols)), shape=(grid.interior_count(), n_cols))
+
+    return csr(entries, grid.interior_count()), csr(rim, n_t)

@@ -23,7 +23,7 @@ from innerlab.gce import (
 )
 from innerlab.inner import InnerFunctionRep
 from innerlab.measures import DiskMeasure, diffuse_family
-from oracles import liouville_density, pde_residual, poisson, radial_solution
+from oracles import liouville_density, loop_laplacian, pde_residual, poisson, radial_solution
 
 TAU = 2.0 * math.pi
 
@@ -37,100 +37,54 @@ def monomial_pullback(d):
     return fn
 
 
-def loop_laplacian(grid):
-    """Reference (L, B): the five-point polar Laplacian assembled node by node."""
-    n_r, n_t, rho = grid.n_r, grid.n_theta, grid.rho
-    dth2 = (TAU / n_t) ** 2
-    entries, rim = {}, {}
-
-    def idx(i, j):  # ring i (1..n_r-1), angle j
-        return 1 + (i - 1) * n_t + j % n_t
-
-    c = 4.0 / rho[0] ** 2
-    entries[0, 0] = -c
-    for j in range(n_t):
-        entries[0, idx(1, j)] = c / n_t
-    for i in range(1, n_r):
-        r, r_m, r_p = rho[i - 1], (0.0 if i == 1 else rho[i - 2]), rho[i]
-        hm, hp = r - r_m, r_p - r
-        a_m = 2.0 / (hm * (hm + hp)) + (-hp / (hm * (hm + hp))) / r
-        a_p = 2.0 / (hp * (hm + hp)) + (hm / (hp * (hm + hp))) / r
-        a_0 = -2.0 / (hm * hp) + ((hp - hm) / (hm * hp)) / r - 2.0 / (r * r * dth2)
-        a_t = 1.0 / (r * r * dth2)
-        for j in range(n_t):
-            me = idx(i, j)
-            entries[me, me] = a_0
-            entries[me, idx(i, j + 1)] = a_t
-            entries[me, idx(i, j - 1)] = a_t
-            entries[me, 0 if i == 1 else idx(i - 1, j)] = a_m
-            if i == n_r - 1:
-                rim[me, j] = a_p
-            else:
-                entries[me, idx(i + 1, j)] = a_p
-
-    def csr(d, n_cols):
-        rows, cols = zip(*d)
-        return sp.csr_matrix((list(d.values()), (rows, cols)), shape=(grid.interior_count(), n_cols))
-
-    return csr(entries, grid.interior_count()), csr(rim, n_t)
+GRIDS = [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
 
 
 class TestOperators:
-    @pytest.mark.parametrize(
-        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
-    )
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
     def test_equals_node_by_node_assembly(self, radius, n_r, n_theta):
+        # on seeded random values, the stencil applies L w + B rim with its
+        # diagonal as given, and with the diagonal negated |L||w| + |B||rim|
         grid = PolarGrid(radius, n_r, n_theta)
-        for got, want in zip(grid.operators(), loop_laplacian(grid)):
-            assert got.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        L, B = loop_laplacian(grid)
+        rng = np.random.default_rng(n_r * n_theta)
+        w, rim = rng.standard_normal(grid.interior_count()), rng.standard_normal(n_theta)
+        abs_want = abs(L) @ np.abs(w) + abs(B) @ np.abs(rim)
+        system = gce._SmoothSystem(grid, (), rim)
+        J = L - sp.diags(rng.uniform(0.0, 50.0, w.size))
+        for got, want in [
+            (system.laplacian(w), L @ w + B @ rim),
+            (gce._stencil(grid.operators(), J.diagonal(), w, rim), J @ w + B @ rim),
+            (gce._stencil(grid.operators(), -system.L_diag, np.abs(w), np.abs(rim)), abs_want),
+        ]:
+            assert float(np.max(np.abs(got - want) / abs_want)) <= 1e-15
+
+    def test_coefficients_computed_once_and_read_only(self):
+        grid = PolarGrid(0.9, 24, 32)
+        coeffs = grid.operators()
+        assert grid.operators() is coeffs
+        assert not any(a.flags.writeable for a in coeffs[:4])
 
     @pytest.mark.parametrize("m", [0, 1, 3])
-    @pytest.mark.parametrize(
-        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
-    )
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
     def test_discrete_symbol(self, radius, n_r, n_theta, m):
         # u = rho^2 e^{i m theta}: the nonuniform three-point radial
         # differences are exact on rho^2 (radial part 2 + 2 = 4), the angular
         # second difference has symbol (2 cos(m dth) - 2) / dth^2, and the
         # center row is 4 / rho_1^2 times (ring-1 mean - center value)
         grid = PolarGrid(radius, n_r, n_theta)
-        L, B = grid.operators()
+        system = gce._SmoothSystem(grid, (), np.zeros(n_theta))
+        coeffs, diag = grid.operators(), system.L_diag
         dth = TAU / n_theta
         mode = np.exp(1j * m * grid.theta)
         u = grid.rho[:, None] ** 2 * mode[None, :]
         u_int, u_rim = np.concatenate([[0j], u[:-1].ravel()]), u[-1]
         ring_target = (4.0 + (2.0 * math.cos(m * dth) - 2.0) / dth**2) * mode
         target = np.concatenate([[4.0 if m == 0 else 0.0], np.tile(ring_target, n_r - 1)])
-        r = L @ u_int + B @ u_rim - target
-        scale = abs(L) @ np.abs(u_int) + abs(B) @ np.abs(u_rim) + np.abs(target)
-        assert float(np.max(np.abs(r) / scale)) <= 1e-13
-
-    def test_pattern_built_once_per_shape(self, monkeypatch):
-        # a ladder has one grid shape: every rung refills the first rung's
-        # pattern with its own coefficients, and the values do not change
-        assembled = []
-        assemble = gce._assemble_laplacian
-
-        def recorded(grid):
-            ops = assemble(grid)
-            assembled.append((grid, ops))
-            return ops
-
-        monkeypatch.setattr(gce, "_assemble_laplacian", recorded)
-        gce._laplacian_pattern.cache_clear()
-        ladder = tuple(range(2, 8))
-        om = DiskMeasure(interior=[(0j, 1.0)])
-        nearly_maximal(om, ladder=ladder, n_r=48, n_theta=96, stop_tol=0.0)
-        info = gce._laplacian_pattern.cache_info()
-        assert len(assembled) == len(ladder) and (info.misses, info.hits) == (1, len(ladder) - 1)
-        for grid, ops in assembled:
-            gce._laplacian_pattern.cache_clear()  # the pattern built afresh
-            for got, want in zip(ops, assemble(grid)):
-                assert got.shape == want.shape
-                for name in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        lap = gce._stencil(coeffs, diag, u_int.real, u_rim.real)
+        lap = lap + 1j * gce._stencil(coeffs, diag, u_int.imag, u_rim.imag)
+        scale = gce._stencil(coeffs, -diag, np.abs(u_int), np.abs(u_rim)) + np.abs(target)
+        assert float(np.max(np.abs(lap - target) / scale)) <= 1e-13
 
 
 def exact_newton(system, w):
@@ -144,7 +98,7 @@ def exact_newton(system, w):
         err = system.scaled_error(w, r, system.source(w))
         if err <= gce.NEWTON_TOL:
             return w, it
-        J = (system.L - sp.diags(2.0 * system.source(w))).tocsc()
+        J = (loop_laplacian(system.grid)[0] - sp.diags(2.0 * system.source(w))).tocsc()
         delta = spsolve(J, -r)
         lam, nr0 = 1.0, float(np.linalg.norm(r))
         while float(np.linalg.norm(residual(w + lam * delta))) > (1.0 - 1e-4 * lam) * nr0:
@@ -164,9 +118,7 @@ def spiky_problem():
 
 
 class TestNewtonKrylov:
-    @pytest.mark.parametrize(
-        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
-    )
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
     def test_preconditioner_inverts_ring_constant_jacobian(self, radius, n_r, n_theta):
         # with the Jacobian's diagonal constant on each ring, the ring mean
         # changes nothing and the preconditioner is the exact inverse
@@ -174,14 +126,12 @@ class TestNewtonKrylov:
         rng = np.random.default_rng(n_r * n_theta)
         rings = np.repeat(rng.uniform(0.0, 50.0, n_r - 1), n_theta)
         d = np.concatenate([[rng.uniform(0.0, 5.0)], rings])
-        J = grid.operators()[0] - sp.diags(d)
+        J = loop_laplacian(grid)[0] - sp.diags(d)
         x = rng.standard_normal(grid.interior_count())
         y = gce._polar_preconditioner(grid, d)(J @ x, np.empty_like(x))
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize(
-        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
-    )
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
     def test_preconditioner_factor_is_pivot_free(self, monkeypatch, radius, n_r, n_theta):
         # -P is an M-matrix: no row pivoting, and a tridiagonal factor of at
         # most 4n nonzeros (a row permutation adds fill)
@@ -202,9 +152,7 @@ class TestNewtonKrylov:
         assert np.array_equal(lu.perm_c, np.arange(n))
         assert lu.nnz <= 4 * n
 
-    @pytest.mark.parametrize(
-        "radius,n_r,n_theta", [(0.9, 8, 8), (1.0, 9, 17), (0.75, 48, 96), (0.9921875, 128, 256)]
-    )
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
     def test_apply_matches_copying_formula_bit_for_bit(self, monkeypatch, radius, n_r, n_theta):
         # the apply writes the FFTs into one reused right-hand side and into
         # its output; over the same factor it gives the bits of the formula
@@ -262,9 +210,9 @@ class TestNewtonKrylov:
             errs.append(scaled_error(system, w, r, src))
             return errs[-1]
 
-        def recorded_gmres(L, d, precond, b, rtol):
+        def recorded_gmres(J, precond, b, rtol):
             asked.append((rtol, errs[-1]))
-            return gmres(L, d, precond, b, rtol)
+            return gmres(J, precond, b, rtol)
 
         monkeypatch.setattr(gce._SmoothSystem, "scaled_error", recorded_error)
         monkeypatch.setattr(gce, "_gmres", recorded_gmres)
@@ -290,6 +238,20 @@ class TestNewtonKrylov:
             _, info = solve()
             assert info["newton_iters"] > 1 and info["min_step"] == 1.0
             assert len(calls) == info["newton_iters"] + 1
+
+    def test_scaled_error_against_matrix_scale(self):
+        # Newton stops on max |r| / (|L||w| + |B||w_bc| + src + 1), each row
+        # scaled by the matrices of the node-by-node assembly
+        grid, atoms, h = spiky_problem()
+        system = gce._SmoothSystem.with_data(grid, atoms, h)
+        L, B = loop_laplacian(grid)
+        w = harmonic_extension(system.w_bc, grid).interior_values()
+        w = w + np.random.default_rng(3).standard_normal(w.size)
+        src = system.source(w)
+        r = system.laplacian(w) - src
+        scale = abs(L) @ np.abs(w) + abs(B) @ np.abs(system.w_bc) + src + 1.0
+        want = float(np.max(np.abs(r) / scale))
+        assert system.scaled_error(w, r, src) == pytest.approx(want, rel=1e-14)
 
     def test_solve_accounting(self):
         _, info = solve_dirichlet(*spiky_problem())
@@ -372,34 +334,36 @@ class TestGmres:
             d = np.concatenate([[3.0], np.repeat(rng.uniform(0.0, 500.0, 23), 32)])
         else:
             d = rng.uniform(0.0, 500.0, grid.interior_count())
-        L = grid.operators()[0]
-        return grid, L, d, L - sp.diags(d), rng.standard_normal(grid.interior_count())
+        J = loop_laplacian(grid)[0] - sp.diags(d)
+        return grid, d, J, rng.standard_normal(grid.interior_count())
 
     def test_exact_preconditioner_converges_in_one_iteration(self):
-        grid, L, d, J, b = self.problem(ring_constant=True)
-        x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), b, 1e-10)
+        grid, d, J, b = self.problem(ring_constant=True)
+        x, iters = gce._gmres(lambda v: J @ v, gce._polar_preconditioner(grid, d), b, 1e-10)
         assert iters == 1
         assert np.linalg.norm(b - J @ x) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10, 1e-12])
     def test_true_residual_meets_rtol(self, rtol):
-        grid, L, d, J, b = self.problem(ring_constant=False)
-        x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), b, rtol)
+        grid, d, J, b = self.problem(ring_constant=False)
+        x, iters = gce._gmres(lambda v: J @ v, gce._polar_preconditioner(grid, d), b, rtol)
         assert 1 < iters < gce.KRYLOV_RESTART
         assert np.linalg.norm(b - J @ x) <= rtol * np.linalg.norm(b)
 
     def test_stops_after_krylov_restart_iterations(self):
         # without a preconditioner the budget runs out; the iterate still
         # lowers the residual, and the line search takes what it gives
-        _, L, d, J, b = self.problem(ring_constant=False)
-        x, iters = gce._gmres(L, d, lambda v, out: np.copyto(out, v), b, 1e-10)
+        _, _, J, b = self.problem(ring_constant=False)
+        x, iters = gce._gmres(lambda v: J @ v, lambda v, out: np.copyto(out, v), b, 1e-10)
         assert iters == gce.KRYLOV_RESTART
         assert np.linalg.norm(b - J @ x) < 0.1 * np.linalg.norm(b)
 
     def test_zero_right_side(self):
-        grid, L, d, _, b = self.problem(ring_constant=False)
+        grid, d, J, b = self.problem(ring_constant=False)
         with np.errstate(all="raise"):
-            x, iters = gce._gmres(L, d, gce._polar_preconditioner(grid, d), np.zeros_like(b), 1e-6)
+            x, iters = gce._gmres(
+                lambda v: J @ v, gce._polar_preconditioner(grid, d), np.zeros_like(b), 1e-6
+            )
         assert iters == 0 and x.shape == b.shape and not x.any()
 
 
@@ -619,6 +583,24 @@ class TestDirichlet:
     def test_boundary_must_sample_every_angle(self, boundary):
         with pytest.raises(ValueError, match="boundary data must sample every grid angle"):
             solve_dirichlet(PolarGrid(0.9, 8, 8), (), boundary)
+
+    @pytest.mark.parametrize(
+        "atom,message",
+        [
+            ((0.2, -1.0), "masses must be positive and finite"),
+            ((0.2, 0.0), "masses must be positive and finite"),
+            ((0.2, math.nan), "masses must be positive and finite"),
+            ((0.2, math.inf), "masses must be positive and finite"),
+            ((complex(math.nan, 0.0), 1.0), r"need \|a\| < 1"),
+            ((1.0, 1.0), r"need \|a\| < 1"),
+        ],
+        ids=["negative-mass", "zero-mass", "nan-mass", "inf-mass", "nan-position", "on-circle"],
+    )
+    def test_atoms_validated_as_a_measure(self, atom, message):
+        # q = e^{-2s} lies in [0, 1] only for positive masses; a negative one
+        # would solve another equation, a NaN fail as if on a boundary node
+        with pytest.raises(ValueError, match=message):
+            solve_dirichlet(PolarGrid(0.9, 16, 16), (atom,), np.zeros(16))
 
     def test_reproduces_maximal_solution(self):
         grid = PolarGrid(0.9, 64, 128)
