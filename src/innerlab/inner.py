@@ -6,15 +6,16 @@ kernel P(z,zeta) = (1-|z|^2)/|zeta - z|^2.
 log|I_omega(z)| = -sum mt*G(z,a) - sum m*P(z,zeta) for a zero structure
 omega with interior atoms (a, mt) and boundary atoms (zeta, m).
 InnerFunctionRep evaluates F = B*S as a complex function; a finite
-Blaschke product (S = 1) also has derivatives, critical points (Aberth on
-the numerator of F'), and the entropy identities relating critical
-points, zeros and circle averages of log|F'|.
+Blaschke product (S = 1) also has derivatives, critical points (companion-
+matrix eigenvalues of the numerator of F'), and the entropy identities
+relating critical points, zeros and circle averages of log|F'|.
 """
 
 import math
+import numbers
 
 import numpy as np
-from numpy.polynomial.polynomial import polyadd, polyder, polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from . import kernels
 from .measures import DiskMeasure
@@ -62,24 +63,26 @@ class InnerFunctionRep:
     __slots__ = ("zeros", "singular_atoms", "rotation", "_numden")
 
     def __init__(self, zeros=(), singular_atoms=(), rotation=1.0 + 0j):
+        # NaN fails every comparison: ask for what must hold
         zs = []
         for a, m in zeros:
             a = complex(a)
-            m = int(m)
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise ValueError("zeros must lie strictly inside the disk")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
-            zs.append((a, m))
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+                raise ValueError("multiplicities must be integers >= 1")
+            zs.append((a, int(m)))
         r = complex(rotation)
-        if abs(abs(r) - 1.0) > 1e-9:
+        if not abs(abs(r) - 1.0) <= 1e-9:
             raise ValueError("rotation must be unimodular")
         self.zeros, self.rotation = tuple(zs), r / abs(r)
-        self.singular_atoms = tuple(
-            (float(t) % TAU, float(m)) for t, m in singular_atoms
-        )
-        if any(m <= 0 for _, m in self.singular_atoms):
-            raise ValueError("singular masses must be positive")
+        sing = []
+        for t, m in singular_atoms:
+            t, m = float(t), float(m)
+            if not (math.isfinite(t) and 0.0 < m < math.inf):
+                raise ValueError("singular atoms need a finite angle and a positive finite mass")
+            sing.append((t % TAU, m))
+        self.singular_atoms = tuple(sing)
         self._numden = None
 
     @property
@@ -118,9 +121,15 @@ class InnerFunctionRep:
         return self._numden
 
     def deriv_poly(self):
-        """Numerator P of F' = P/D^2 (ascending coefficients)."""
+        """Numerator P of F' = P/D^2 (ascending coefficients, degree 2d - 2).
+
+        N'D and ND' share their z^(2d-1) coefficient d*rotation*prod(-conj a),
+        so it is dropped: left as rounding noise it would scale P's companion
+        matrix and ruin the small critical points.
+        """
         num, den = self.numden()
-        return polyadd(np.convolve(polyder(num), den), -np.convolve(num, polyder(den)))
+        p = np.convolve(polyder(num), den) - np.convolve(num, polyder(den))
+        return p[: max(2 * self.degree - 1, 1)]
 
     def deriv(self, z):
         z = np.asarray(z, dtype=np.complex128)

@@ -58,6 +58,16 @@ class TestEntropyCommand:
             workdir / "b" / "entropy.csv"
         ).read_bytes()
 
+    def test_bytes_independent_of_blas_threads(self, workdir):
+        # the critical points are LAPACK eigenvalues; 2 threads is the most
+        # this test asks for, so larger thread counts stay unchecked
+        for threads in ("1", "2"):
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+            args = ["entropy", "--degree", "6", "--seed", "1", "--count", "20", "--out", threads]
+            res = subprocess.run(RUN + args, capture_output=True, text=True, cwd=workdir, env=env)
+            assert res.returncode == 0, res.stderr
+        assert (workdir / "1" / "entropy.csv").read_bytes() == (workdir / "2" / "entropy.csv").read_bytes()
+
 
 class TestRobertsCommand:
     def test_delta_one_audit(self, workdir):

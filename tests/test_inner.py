@@ -13,6 +13,7 @@ from innerlab.inner import (
     circle_entropy_quadrature,
     critical_points,
     doubling_circle_mean,
+    entropy_table,
     jensen_entropy,
     log_abs_inner,
 )
@@ -194,6 +195,22 @@ class TestBlaschkeEval:
             for c, _ in crits:
                 assert abs(f.deriv(c)) < 1e-8
 
+    def test_deriv_poly_drops_cancelled_top_coefficient(self):
+        # the z^(2d-1) coefficients of N'D and ND' are equal: P has degree 2d-2
+        rng = np.random.default_rng(1)
+        for d in range(1, 8):
+            f = random_blaschke(rng, d)
+            assert len(f.deriv_poly()) == 2 * d - 1
+        assert InnerFunctionRep().deriv_poly().tolist() == [0]  # F' = 0 for a constant F
+
+    def test_double_critical_point(self):
+        # F = z T_{1/2}^3: a double critical point at 1/2 and a simple one at
+        # the root (7 - 3 sqrt 5)/2 of z^2 - 7z + 1
+        crits = sorted(critical_points(InnerFunctionRep([(0.5, 3), (0j, 1)])), key=lambda t: t[0].real)
+        assert [m for _, m in crits] == [1, 2]
+        assert crits[0][0] == pytest.approx((7 - 3 * math.sqrt(5)) / 2, abs=1e-12)
+        assert crits[1][0] == pytest.approx(0.5, abs=1e-7)
+
 
 class TestEntropy:
     def test_identity_map(self):
@@ -239,6 +256,11 @@ class TestEntropy:
             assert ent == pytest.approx(quad, abs=1e-6)
             assert ent >= -1e-9  # nonnegative on the corpus
             done += 1
+
+    def test_formula_matches_quadrature_at_high_degree(self):
+        # eigenvalues alone miss by 4e-8 at degree 40; the Newton step fixes it
+        for degree in (10, 20, 30, 40, 60):
+            assert max(row[3] for row in entropy_table(degree, 5, 10)) <= 1e-8
 
     def test_requires_origin_zero(self):
         with pytest.raises(ValueError):
@@ -288,6 +310,26 @@ class TestInnerRep:
             InnerFunctionRep(zeros=[(1.2, 1)])
         with pytest.raises(ValueError):
             InnerFunctionRep(rotation=2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"zeros": [(complex(math.nan, 0.1), 1)]},
+            {"rotation": math.nan},
+            {"singular_atoms": [(math.nan, 1.0)]},
+            {"singular_atoms": [(math.inf, 1.0)]},
+            {"singular_atoms": [(-math.inf, 1.0)]},
+            {"singular_atoms": [(0.5, math.nan)]},
+            {"singular_atoms": [(0.5, math.inf)]},
+            {"zeros": [(0.3, 1.5)]},
+            {"zeros": [(0.3, True)]},
+        ],
+        ids=["nan-zero", "nan-rotation", "nan-angle", "inf-angle", "-inf-angle",
+             "nan-mass", "inf-mass", "fractional-multiplicity", "bool-multiplicity"],
+    )
+    def test_rejects_non_finite_and_non_integral(self, kwargs):
+        with pytest.raises(ValueError):
+            InnerFunctionRep(**kwargs)
 
 
 class TestPotentialProperties:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyfromroots, polyval
 
 from innerlab.roots import all_roots, cluster_roots
 
@@ -21,14 +21,18 @@ class TestAllRoots:
         assert len(rs) == 3
         assert np.all(rs == 0)
 
-    def test_against_numpy_on_random_polys(self):
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            deg = int(rng.integers(2, 12))
-            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            mine = sorted_roots(all_roots(c))
-            ref = sorted_roots(np.roots(c[::-1]))
-            assert np.allclose(mine, ref, atol=1e-7), (mine, ref)
+    def test_recovers_known_roots(self):
+        # seeded roots inside, near and outside the unit circle, spread in angle
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            band = rng.integers(0, 3, n)
+            radius = rng.uniform(np.array([0.1, 0.97, 1.1])[band], np.array([0.9, 1.03, 3.0])[band])
+            want = radius * np.exp(2j * np.pi * (np.arange(n) + rng.uniform(0.2, 0.8, n)) / n)
+            got = all_roots(polyfromroots(want) * np.exp(2j * np.pi * rng.uniform()))
+            dist = np.abs(got[:, None] - want[None, :])
+            assert len(got) == n and len(set(dist.argmin(axis=0))) == n
+            assert np.all(dist.min(axis=0) <= 1e-10 * np.maximum(1.0, np.abs(want))), (got, want)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(7)
