@@ -70,11 +70,7 @@ class BCSet:
             raise ValueError(f"arc length must be in (0,1], got {lengths[bad][0]}")
         starts = _norm_angle(starts)
         order = np.argsort(starts, kind="stable")
-        self._set_gaps(starts[order], np.minimum(lengths, 1.0)[order])
-
-    def _set_gaps(self, starts, lengths):
-        """Check and store gaps whose starts are normalized and sorted and
-        whose lengths lie in (0, 1]."""
+        starts, lengths = starts[order], np.minimum(lengths, 1.0)[order]
         total = math.fsum(lengths.tolist())
         if total > 1.0 + 1e-9:
             raise ValueError(f"gap lengths sum to {total} > 1")
@@ -109,10 +105,7 @@ class BCSet:
             # np.remainder is Python's float %
             ln = np.remainder(np.append(pts[1:], pts[0]) - pts, TAU) / TAU
         keep = ln > 0.0
-        # the starts are normalized and sorted already: __init__ would redo both
-        e = cls.__new__(cls)
-        e._set_gaps(pts[keep], ln[keep])
-        return e
+        return cls(pts[keep], ln[keep])
 
     # -- basic queries -----------------------------------------------------
 

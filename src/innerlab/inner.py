@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from . import kernels
+from .bc_sets import _norm_angle
 from .measures import DiskMeasure
 from .roots import RootFindingError, all_roots, cluster_roots
 
@@ -81,7 +82,7 @@ class InnerFunctionRep:
             t, m = float(t), float(m)
             if not (math.isfinite(t) and 0.0 < m < math.inf):
                 raise ValueError("singular atoms need a finite angle and a positive finite mass")
-            sing.append((t % TAU, m))
+            sing.append((_norm_angle(t), m))
         self.singular_atoms = tuple(sing)
         self._numden = None
 

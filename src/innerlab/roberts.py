@@ -16,6 +16,11 @@ star over a finite-entropy set E_cone:
            angle, one atom split exactly).
   residue  whatever survives the last generation goes to the cone.
 
+Only heavy arcs keep mass, so from generation 3 on a generation makes one
+pass over the children of the previous generation's heavy arcs: n_j is a
+power of two, so phi / TAU * n_j rescales one rounded quotient exactly, and
+a kept atom's arc is a child of the heavy arc that held it.
+
 Generations scale by n_{j+1} = n_j^2 from a configurable n2 (the doubly
 exponential literal sequence overflows immediately); r_j = 1 - 1/n_j and
 r_1 = 1 - 1/sqrt(n2). E*_cone is the complement of the interiors of the
@@ -31,7 +36,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .bc_sets import TAU, BCSet, StarSpec, star_contains
+from .bc_sets import TAU, BCSet, StarSpec, _norm_angle, star_contains
 from .measures import DiskMeasure
 
 # frozen corpus constant for the local-entropy budget ||E_cone||_{BC_eta} <= K * mass / c
@@ -51,8 +56,9 @@ class RobertsParams:
     max_generation: int = 3
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        # NaN fails every comparison: ask for what must hold
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.n2 < 4 or (self.n2 & (self.n2 - 1)) != 0:
             raise ValueError("n2 must be a power of 2, at least 4")
         if self.max_generation < 2:
@@ -87,10 +93,7 @@ class _Atom:
 
 
 def _angle_of(a: complex) -> float:
-    """arg a in [0, 2pi): a tiny negative atan2 plus TAU rounds up to TAU,
-    which is the angle 0.0, as in bc_sets._norm_angle."""
-    phi = math.atan2(a.imag, a.real) % TAU
-    return 0.0 if phi == TAU else phi
+    return _norm_angle(math.atan2(a.imag, a.real))
 
 
 def _atoms_of(omega: DiskMeasure):
@@ -141,101 +144,69 @@ def _arc_index(phi: float, n: int) -> int:
 
 
 def decompose(omega: DiskMeasure, p: RobertsParams) -> RobertsDecomposition:
-    atoms = _atoms_of(omega)
     layers = {j: [] for j in range(2, p.max_generation + 1)}
     cone: list = []
+    remaining: list = []
     audit: list = []
     heavy: list = []  # (j, k)
-    light_maximal: list = []  # (j, k)
+    # E*_cone's light arcs (lo, hi) and the heavy arcs' anchor tenths, in units of 1/(10 n_max)
+    n_max = p.n_arcs(p.max_generation)
+    light: list = []
+    anchors: set = set()
 
     r1 = p.radius(1)
-    remaining = []
-    for at in atoms:
+    for at in _atoms_of(omega):
         (cone if at.rho < r1 else remaining).append(at)
 
-    # arcs that survived the previous generation as heavy; gen 2 inspects all
-    active = None
+    candidates = range(p.n_arcs(2))
     for j in range(2, p.max_generation + 1):
-        n = p.n_arcs(j)
-        thr = p.threshold(j)
+        n, thr = p.n_arcs(j), p.threshold(j)
         r_lo, r_hi = p.radius(j - 1), p.radius(j)
+        tenth = n_max // n  # units in a tenth of an arc
         buckets: dict[int, list] = {}
         for at in remaining:
             buckets.setdefault(_arc_index(at.phi, n), []).append(at)
-        if active is None:
-            candidates = range(n)
-        else:
-            scale = n // p.n_arcs(j - 1)
-            candidates = sorted(
-                k0 * scale + i for k0 in active for i in range(scale)
-            )
-        next_active = []
-        next_remaining = []
+        remaining.clear()
         for k in candidates:
-            col = buckets.pop(k, [])
+            col = buckets.get(k, [])
             col_mass = math.fsum(at.w for at in col)
             if col_mass <= thr:
-                light_maximal.append((j, k))
+                light.append((10 * k * tenth, (10 * k + 10) * tenth))
                 if col:
                     layers[j].extend(col)
                     audit.append(AuditEntry(j, k, col_mass, "light", "L", col_mass, 0.0))
                 continue
             heavy.append((j, k))
-            next_active.append(k)
+            anchors.update((10 * k + i) * tenth for i in range(1, 9))
             box = [at for at in col if r_lo <= at.rho < r_hi]
             outer = [at for at in col if at.rho >= r_hi]
             box_mass = math.fsum(at.w for at in box)
             if box_mass >= thr:
                 cone.extend(box)
                 audit.append(AuditEntry(j, k, col_mass, "heavy", "H1", 0.0, box_mass))
-                next_remaining.extend(outer)
+                remaining.extend(outer)
                 continue
-            # H2: box into the layer, top up to thr from the outer column
+            # H2: box into the layer, top up to thr from the outer column, outermost first
             layers[j].extend(box)
-            need = thr - box_mass
-            outer.sort(key=lambda t: (-t.rho, t.phi))
-            moved = 0.0
-            rest_start = len(outer)
-            for idx, at in enumerate(outer):
-                if need <= 0.0:
-                    rest_start = idx
-                    break
-                if at.w <= need:
-                    layers[j].append(at)
-                    moved += at.w
-                    need -= at.w
-                    rest_start = idx + 1
-                else:
-                    layers[j].append(_Atom(at.phi, at.rho, need, at.loc))
-                    keep = _Atom(at.phi, at.rho, at.w - need, at.loc)
-                    moved += need
-                    need = 0.0
-                    next_remaining.append(keep)
-                    rest_start = idx + 1
-                    break
-            next_remaining.extend(outer[rest_start:])
-            audit.append(
-                AuditEntry(j, k, col_mass, "heavy", "H2", box_mass + moved, 0.0)
-            )
-        # columns outside the candidate set were emptied in earlier generations
-        for leftovers in buckets.values():
-            next_remaining.extend(leftovers)
-        remaining = next_remaining
-        active = next_active
+            need, moved = thr - box_mass, 0.0
+            for at in sorted(outer, key=lambda t: (-t.rho, t.phi)):
+                take = min(at.w, need)  # the whole atom, a split of it, or nothing
+                if take > 0.0:
+                    layers[j].append(_Atom(at.phi, at.rho, take, at.loc))
+                if take < at.w:
+                    remaining.append(_Atom(at.phi, at.rho, at.w - take, at.loc))
+                moved += take
+                need -= take
+            audit.append(AuditEntry(j, k, col_mass, "heavy", "H2", box_mass + moved, 0.0))
+        if j < p.max_generation:  # n_(j+1) = n_j^2: heavy arc k holds k n_j + i, i < n_j
+            candidates = [k * n + i for g, k in heavy if g == j for i in range(n)]
 
     cone.extend(remaining)
-
-    # E*_cone is the light arcs; E_cone cuts them at the heavy arcs' anchor tenths
-    n_max = p.n_arcs(p.max_generation)
-
-    def units(j, tenths):
-        return tenths * (n_max // p.n_arcs(j))
-
-    light = [(units(j, 10 * k), units(j, 10 * k + 10)) for j, k in light_maximal]
-    anchors = sorted({units(j, 10 * k + i) for j, k in heavy for i in range(1, 9)})
+    # E_cone cuts the light arcs at the anchors inside them
+    points = sorted(anchors)
     cut = []
     for lo, hi in light:
-        inner = anchors[bisect_right(anchors, lo):bisect_left(anchors, hi)]
+        inner = points[bisect_right(points, lo):bisect_left(points, hi)]
         cut += zip([lo, *inner], [*inner, hi])
     return RobertsDecomposition(
         params=p,

@@ -311,6 +311,14 @@ class TestInnerRep:
         with pytest.raises(ValueError):
             InnerFunctionRep(rotation=2.0)
 
+    @pytest.mark.parametrize("angle", [-1e-17, -0.0, TAU, 7.0, -3.0])
+    def test_singular_angle_reduced_as_in_disk_measure(self, angle):
+        # -1e-17 % TAU rounds up to TAU, which DiskMeasure stores as 0.0
+        (got, _), = InnerFunctionRep(singular_atoms=[(angle, 1.0)]).singular_atoms
+        (want, _), = DiskMeasure(boundary=[(angle, 1.0)]).boundary
+        assert got.hex() == want.hex()
+        assert 0.0 <= got < TAU
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -44,8 +45,9 @@ class TestParams:
         assert p.radius(2) == 1 - 1 / 16
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RobertsParams(c=0.0)
+        for c in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                RobertsParams(c=c)
         with pytest.raises(ValueError):
             RobertsParams(n2=12)
         with pytest.raises(ValueError):
@@ -297,3 +299,57 @@ def test_cone_sets_match_fraction_oracle(om, p, shared_anchors):
     assert (repeats > 0) == shared_anchors
     assert bits(d.star_core_set) == [(a.hex(), b.hex()) for a, b in star_core]
     assert bits(d.cone_set) == [(a.hex(), b.hex()) for a, b in cone]
+
+
+# ---------------------------------------------------------------------------
+# every output of decompose, pinned bit for bit
+
+
+def criterion_05_corpus():
+    p = RobertsParams(c=0.7, n2=16, max_generation=3)
+    rng = np.random.default_rng(1234)
+    for _ in range(50):
+        om = _random_measure(rng, int(rng.integers(0, 6)), int(rng.integers(0, 6)), r_max=0.999)
+        if om.is_empty:
+            om = DiskMeasure(boundary=[(float(rng.uniform(0, TAU)), 0.5)])
+        yield om, p
+
+
+def generation_4():
+    om = _random_measure(np.random.default_rng(0), 20, 20, r_max=0.999)
+    yield om, RobertsParams(c=0.7, n2=16, max_generation=4)
+
+
+# (inputs, SHA-256 of the outputs, audit actions); the action counts show
+# which branches of decompose each digest covers
+DIGESTS = {
+    "criterion-05": (
+        criterion_05_corpus,
+        "23f84f86c5f7c257a27925db93ea279201707d3ee076b19701b69bdc02bd6693",
+        {"L": 61, "H1": 3, "H2": 205},
+    ),
+    "generation-4": (
+        generation_4,
+        "ff637d85725d62b52982d36717708d4dfd9aad076967e3c776821b2c45689b2a",
+        {"L": 3, "H2": 45},
+    ),
+}
+
+
+@pytest.mark.parametrize("inputs,digest,actions", DIGESTS.values(), ids=DIGESTS.keys())
+def test_outputs_match_pinned_digest(inputs, digest, actions):
+    h, seen = hashlib.sha256(), {}
+    for om, p in inputs():
+        d = decompose(om, p)
+        for e in d.audit:
+            seen[e.action] = seen.get(e.action, 0) + 1
+        h.update(repr((
+            [(j, m.interior, m.boundary) for j, m in d.layers],
+            (d.cone.interior, d.cone.boundary),
+            d.star_core_set.gaps.tolist(),
+            d.cone_set.gaps.tolist(),
+            d.audit,
+            d.heavy_intervals,
+        )).encode())
+    assert seen == actions
+    assert h.hexdigest() == digest
