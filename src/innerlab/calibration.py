@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from .bc_sets import TAU, BCSet, StarSpec, dist_angle_to_set, hyperbolic_dist_to_star, star_contains
-from .inner import InnerFunctionRep, critical_points, log_abs_inner
+from .inner import InnerFunctionRep, RootFindingError, critical_points, log_abs_inner
 from .measures import DiskMeasure
-from .roots import RootFindingError
 
 MASS_CAP = 2.0
 

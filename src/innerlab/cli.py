@@ -32,11 +32,10 @@ from .bc_sets import BCSet, dist_angle_to_set
 from .bergman import BergmanSpaceSpec, distance_to_one
 from .gce import NEWTON_TOL, NewtonError, PolarGrid, check_fund3, diffuse_experiment, nearly_maximal
 from .gce import solve_dirichlet, u_max
-from .inner import InnerFunctionRep, QuadratureError, entropy_table
+from .inner import InnerFunctionRep, QuadratureError, RootFindingError, entropy_table
 from .measures import DiskMeasure, ThetaUnsolvableError
 from .outer import OuterSpec
 from .roberts import RobertsParams, decompose, local_entropy_bounds, verify
-from .roots import RootFindingError
 
 NUMERICAL_ERRORS = (
     NewtonError,

@@ -5,27 +5,33 @@ kernel P(z,zeta) = (1-|z|^2)/|zeta - z|^2.
 
 log|I_omega(z)| = -sum mt*G(z,a) - sum m*P(z,zeta) for a zero structure
 omega with interior atoms (a, mt) and boundary atoms (zeta, m).
-InnerFunctionRep evaluates F = B*S as a complex function; a finite
-Blaschke product (S = 1) also has derivatives, critical points (companion-
-matrix eigenvalues of the numerator of F'), and the entropy identities
-relating critical points, zeros and circle averages of log|F'|.
+InnerFunctionRep evaluates F = B*S as a complex function. A finite
+Blaschke product (S = 1) also has a derivative, critical points and the
+entropy identities relating critical points, zeros and circle averages of
+log|F'|. All three come from the zero list (a_k, m_k) through
+F'/F = sum m_k [1/(z - a_k) + conj(a_k)/(1 - conj(a_k) z)]; no polynomial
+is ever expanded, whose monomial coefficients would not determine the
+critical points of clustered zeros.
 """
 
 import math
 import numbers
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from scipy.linalg import eigvals
 
 from . import kernels
 from .bc_sets import _norm_angle
 from .measures import DiskMeasure
-from .roots import RootFindingError, all_roots, cluster_roots
 
 TAU = 2.0 * math.pi
 
 
 class QuadratureError(RuntimeError):
+    pass
+
+
+class RootFindingError(RuntimeError):
     pass
 
 
@@ -57,11 +63,12 @@ class InnerFunctionRep:
     """rotation * B * S: B = prod ((z - a)/(1 - conj(a) z))^m over finitely many
     zeros, S = prod exp(-m (zeta + z)/(zeta - z)) over singular boundary atoms.
 
-    Evaluation works for any B*S; numden, deriv_poly, deriv and the critical
-    points need a finite Blaschke product (no singular atoms).
+    Evaluation works for any B*S; deriv, critical_points and
+    circle_entropy_quadrature need a finite Blaschke product (no singular
+    atoms) and work from the zero list alone.
     """
 
-    __slots__ = ("zeros", "singular_atoms", "rotation", "_numden")
+    __slots__ = ("zeros", "singular_atoms", "rotation")
 
     def __init__(self, zeros=(), singular_atoms=(), rotation=1.0 + 0j):
         # NaN fails every comparison: ask for what must hold
@@ -84,7 +91,6 @@ class InnerFunctionRep:
                 raise ValueError("singular atoms need a finite angle and a positive finite mass")
             sing.append((_norm_angle(t), m))
         self.singular_atoms = tuple(sing)
-        self._numden = None
 
     @property
     def degree(self) -> int:
@@ -105,56 +111,76 @@ class InnerFunctionRep:
             out = out * np.exp(-m * (zeta + z) / (zeta - z))
         return complex(out) if out.ndim == 0 else out
 
-    def numden(self):
-        """(N, D) ascending coefficient arrays with F = N/D, rotation in N."""
+    def _distinct_zeros(self, what: str):
+        """Arrays of the distinct zeros and their total multiplicities; `what`
+        names the caller, which needs a finite Blaschke product."""
         if self.singular_atoms:
-            raise ValueError("numden needs a finite Blaschke product (no singular atoms)")
-        if self._numden is None:
-            num = np.array([self.rotation], dtype=np.complex128)
-            den = np.array([1.0 + 0j], dtype=np.complex128)
-            # np.convolve, not polymul: polymul drops D's zero top coefficients
-            # (zeros at the origin), which moves the last bits of F'
-            for a, m in self.zeros:
-                for _ in range(m):
-                    num = np.convolve(num, [-a, 1.0])
-                    den = np.convolve(den, [1.0, -np.conj(a)])
-            self._numden = (num, den)
-        return self._numden
-
-    def deriv_poly(self):
-        """Numerator P of F' = P/D^2 (ascending coefficients, degree 2d - 2).
-
-        N'D and ND' share their z^(2d-1) coefficient d*rotation*prod(-conj a),
-        so it is dropped: left as rounding noise it would scale P's companion
-        matrix and ruin the small critical points.
-        """
-        num, den = self.numden()
-        p = np.convolve(polyder(num), den) - np.convolve(num, polyder(den))
-        return p[: max(2 * self.degree - 1, 1)]
+            raise ValueError(f"{what} needs a finite Blaschke product (no singular atoms)")
+        mult: dict = {}
+        for a, m in self.zeros:
+            mult[a] = mult.get(a, 0) + m
+        a = np.array(list(mult), dtype=np.complex128)
+        return a, np.array(list(mult.values()), dtype=np.float64)
 
     def deriv(self, z):
+        """F' by the product rule over the factors b_k^m_k: exact at the zeros.
+
+        Prefix and suffix products of the factors cost O(K) per point for K
+        zeros, with no division by F; points go in kernel-sized row slices.
+        """
+        a, m = self._distinct_zeros("deriv")
+        conj, wt = np.conj(a), m * (1.0 - np.abs(a) ** 2)
+
+        def rows(zs):
+            zc = zs[:, None]
+            den = 1.0 - conj * zc
+            b = (zc - a) / den
+            powers = b**m
+            one = np.ones_like(zc)
+            before = np.cumprod(np.concatenate([one, powers[:, :-1]], axis=1), axis=1)
+            after = np.cumprod(np.concatenate([one, powers[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+            return np.sum(before * after * b ** (m - 1.0) * wt / den**2, axis=1)
+
         z = np.asarray(z, dtype=np.complex128)
-        _, den = self.numden()
-        out = polyval(z, self.deriv_poly()) / polyval(z, den) ** 2
+        out = self.rotation * kernels.in_row_slices(rows, z.ravel(), a.size).reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 
 
 def critical_points(f: InnerFunctionRep):
-    """Zeros of F' in the open disk as (point, multiplicity); count d-1."""
+    """Zeros of F' in the open disk as (point, multiplicity); count d-1.
+
+    Over the distinct zeros, F'/F = sum_j w_j/(gamma_j z - beta_j): a zero a
+    of multiplicity m gives (w, beta, gamma) = (m, a, 1) and its reflection
+    (-m conj(a), 1, conj(a)). The critical points off the zeros are the
+    finite eigenvalues inside the disk of the arrowhead pencil
+    A = [[0, w^T], [1, diag beta]], B = diag(0, diag gamma) (Nakatsukasa,
+    Sete and Trefethen, SIAM J. Sci. Comput. 40, 2018, sec. 3.3), each
+    refined by one Newton step on F'/F. A zero of multiplicity m > 1 is the
+    exact critical point (a, m - 1).
+    """
+    a, m = f._distinct_zeros("critical_points")
     if f.degree < 1:
         raise ValueError("need degree >= 1")
-    if f.degree == 1:
-        return []
-    p = f.deriv_poly()
-    roots = all_roots(p)
-    inside = [complex(r) for r in roots if abs(r) < 1.0]
-    clustered = cluster_roots(inside)
-    found = sum(m for _, m in clustered)
+    w = np.concatenate([m, -m * np.conj(a)])
+    beta = np.concatenate([a, np.ones_like(a)])
+    gamma = np.concatenate([np.ones_like(a), np.conj(a)])
+    pencil_a = np.diag(np.concatenate([[0.0], beta]))
+    pencil_a[0, 1:] = w
+    pencil_a[1:, 0] = 1.0
+    pencil_b = np.diag(np.concatenate([[0.0], gamma]))
+    num, den = eigvals(pencil_a, pencil_b, homogeneous_eigvals=True)  # eigenvalues num/den
+    inside = np.abs(num) < np.abs(den)
+    z = (num[inside] / den[inside])[:, None]
+    pole = gamma * z - beta
+    z = z[:, 0] + np.sum(w / pole, axis=1) / np.sum(w * gamma / pole**2, axis=1)
+    crits = [(complex(c), 1) for c in z]
+    crits += [(complex(c), int(k) - 1) for c, k in zip(a, m) if k > 1]
+    found = sum(k for _, k in crits)
     if found != f.degree - 1:
         raise RootFindingError(
             f"expected {f.degree - 1} interior critical points, found {found}"
         )
-    return clustered
+    return crits
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +249,19 @@ def doubling_circle_mean(fn, tol: float, cap: int, offset: float):
 
 def circle_entropy_quadrature(f: InnerFunctionRep) -> float:
     """(1/2pi) integral of log|F'| over the circle; the entropy oracle,
-    settled to 1e-10 relative within 2^20 nodes."""
-    p = f.deriv_poly()
-    _, den = f.numden()
+    settled to 1e-10 relative within 2^20 nodes.
+
+    On the circle |F'(zeta)| = sum m_k (1 - |a_k|^2)/|zeta - a_k|^2, a sum of
+    positive terms; np.sum adds them in a fixed order, free of BLAS threads,
+    over kernel-sized row slices of the nodes.
+    """
+    a, m = f._distinct_zeros("circle_entropy_quadrature")
+    wt = m * (1.0 - np.abs(a) ** 2)
+
+    def rows(theta):
+        return np.log(np.sum(wt / np.abs(np.exp(1j * theta)[:, None] - a) ** 2, axis=1))
 
     def fn(theta):
-        z = np.exp(1j * theta)
-        return np.log(np.abs(polyval(z, p))) - 2.0 * np.log(np.abs(polyval(z, den)))
+        return kernels.in_row_slices(rows, theta, a.size)
 
     return doubling_circle_mean(fn, 1e-10, 1 << 20, 0.318)

@@ -109,6 +109,8 @@ def _atoms_of(omega: DiskMeasure):
 def _measure_of(pieces) -> DiskMeasure:
     interior, boundary = [], []
     for at in pieces:
+        if at.w == 0.0:  # an interior weight (1 - |a|) mt that underflowed to 0
+            continue
         if isinstance(at.loc, complex):
             interior.append((at.loc, at.w / (1.0 - at.rho)))
         else:

@@ -11,7 +11,7 @@ from conftest import child_env
 from innerlab import calibration, frozen
 from innerlab.bc_sets import TAU, BCSet, StarSpec, star_contains
 from innerlab.calibration import _blaschke_with_critical_structure_in_star, _probes_outside
-from innerlab.roots import RootFindingError
+from innerlab.inner import RootFindingError
 
 
 def probes_one_at_a_time(rng, spec, count):

@@ -59,14 +59,19 @@ class TestEntropyCommand:
         ).read_bytes()
 
     def test_bytes_independent_of_blas_threads(self, workdir):
-        # the critical points are LAPACK eigenvalues; 2 threads is the most
-        # this test asks for, so larger thread counts stay unchecked
-        for threads in ("1", "2"):
-            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
-            args = ["entropy", "--degree", "6", "--seed", "1", "--count", "20", "--out", threads]
-            res = subprocess.run(RUN + args, capture_output=True, text=True, cwd=workdir, env=env)
-            assert res.returncode == 0, res.stderr
-        assert (workdir / "1" / "entropy.csv").read_bytes() == (workdir / "2" / "entropy.csv").read_bytes()
+        # the critical points are LAPACK eigenvalues, of pencils of up to 61
+        # rows at degree 30; 2 threads is the most this test asks for, so
+        # larger thread counts stay unchecked
+        for degree, count in ((6, 20), (30, 10)):
+            out = {}
+            for threads in ("1", "2"):
+                env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+                args = ["entropy", "--degree", str(degree), "--seed", "1", "--count", str(count)]
+                res = subprocess.run(RUN + args + ["--out", f"{degree}-{threads}"],
+                                     capture_output=True, text=True, cwd=workdir, env=env)
+                assert res.returncode == 0, res.stderr
+                out[threads] = (workdir / f"{degree}-{threads}" / "entropy.csv").read_bytes()
+            assert out["1"] == out["2"], degree
 
 
 class TestRobertsCommand:

@@ -195,21 +195,94 @@ class TestBlaschkeEval:
             for c, _ in crits:
                 assert abs(f.deriv(c)) < 1e-8
 
-    def test_deriv_poly_drops_cancelled_top_coefficient(self):
-        # the z^(2d-1) coefficients of N'D and ND' are equal: P has degree 2d-2
-        rng = np.random.default_rng(1)
-        for d in range(1, 8):
-            f = random_blaschke(rng, d)
-            assert len(f.deriv_poly()) == 2 * d - 1
-        assert InnerFunctionRep().deriv_poly().tolist() == [0]  # F' = 0 for a constant F
-
     def test_double_critical_point(self):
         # F = z T_{1/2}^3: a double critical point at 1/2 and a simple one at
         # the root (7 - 3 sqrt 5)/2 of z^2 - 7z + 1
         crits = sorted(critical_points(InnerFunctionRep([(0.5, 3), (0j, 1)])), key=lambda t: t[0].real)
         assert [m for _, m in crits] == [1, 2]
         assert crits[0][0] == pytest.approx((7 - 3 * math.sqrt(5)) / 2, abs=1e-12)
-        assert crits[1][0] == pytest.approx(0.5, abs=1e-7)
+        assert crits[1][0] == 0.5
+
+    def test_multiple_zeros_are_exact_critical_points(self):
+        # a zero of multiplicity m is the critical point (a, m - 1) exactly,
+        # and repeated entries of one zero count together
+        f = InnerFunctionRep([(0.5, 1), (-0.3j, 3), (0.2 + 0.1j, 1), (0.5, 2)])
+        crits = critical_points(f)
+        assert sum(m for _, m in crits) == f.degree - 1
+        assert (0.5, 2) in crits and (-0.3j, 2) in crits
+        for c, m in crits:
+            assert m > 1 or abs(f.deriv(c)) < 1e-12
+
+
+def clustered_zeros(n):
+    """a_k = 1 - 2^(-k/4), k = 1..n: real zeros crowding towards 1."""
+    return 1.0 - 2.0 ** (-np.arange(1, n + 1) / 4)
+
+
+def product_rule_deriv(zeros, rotation, z):
+    """F'(z) = rotation * sum_k (b_k^m_k)' prod_{j != k} b_j^m_j, factor by factor."""
+    total = 0j
+    for k, (a, m) in enumerate(zeros):
+        den = 1 - a.conjugate() * z
+        term = m * ((z - a) / den) ** (m - 1) * (1 - abs(a) ** 2) / den**2
+        for j, (b, mj) in enumerate(zeros):
+            if j != k:
+                term *= ((z - b) / (1 - b.conjugate() * z)) ** mj
+        total += term
+    return rotation * total
+
+
+class TestClusteredZeros:
+    """Zeros crowding towards the circle, where monomial coefficients of
+    F' would not determine its values or its zeros."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64])
+    def test_one_critical_point_in_each_rolle_gap(self, n):
+        a = clustered_zeros(n)
+        c = np.array([c for c, _ in critical_points(InnerFunctionRep([(x, 1) for x in a]))])
+        assert np.all(np.abs(c.imag) <= 1e-12)
+        assert np.histogram(c.real, bins=a)[0].tolist() == [1] * (n - 1)
+
+    @pytest.mark.parametrize("degree", [32, 64, 128, 256])
+    def test_random_zeros_near_the_circle(self, degree):
+        # scaled residual |sum t_j| / sum |t_j| over the partial fractions t_j of F'/F
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            a = 0.98 * np.sqrt(rng.uniform(0, 1, degree)) * np.exp(1j * rng.uniform(0, TAU, degree))
+            crits = critical_points(InnerFunctionRep([(x, 1) for x in a]))
+            c = np.array([c for c, _ in crits])[:, None]
+            t = np.concatenate([1 / (c - a), np.conj(a) / (1 - np.conj(a) * c)], axis=1)
+            assert np.max(np.abs(t.sum(axis=1)) / np.abs(t).sum(axis=1)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_deriv_on_the_circle_is_the_poisson_sum(self, n):
+        a = clustered_zeros(n)
+        f = InnerFunctionRep([(x, 1) for x in a], rotation=1j)
+        zeta = np.exp(1j * np.linspace(0, TAU, 97, endpoint=False))
+        want = np.sum((1 - a[:, None] ** 2) / np.abs(zeta - a[:, None]) ** 2, axis=0)
+        assert np.allclose(np.abs(f.deriv(zeta)), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_deriv_inside_matches_the_product_rule(self, n):
+        zeros = [(complex(x), 1) for x in clustered_zeros(n)]
+        z = 0.5 * np.exp(1j * np.linspace(0, TAU, 13, endpoint=False))
+        want = np.array([product_rule_deriv(zeros, 1j, w) for w in z])
+        got = InnerFunctionRep(zeros, rotation=1j).deriv(z)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_jensen_identity_holds(self, n):
+        f = InnerFunctionRep([(0j, 1)] + [(x, 1) for x in clustered_zeros(n - 1)])
+        assert circle_entropy_quadrature(f) == pytest.approx(jensen_entropy(f), abs=1e-10)
+
+    def test_deriv_at_the_zeros(self):
+        # F'(a) = G(a) / (1 - |a|^2) at a simple zero a, with F = G * T_a
+        zeros = [(complex(x), 1) for x in clustered_zeros(16)] + [(-0.4j, 3)]
+        f = InnerFunctionRep(zeros, rotation=1j)
+        for k, (a, _) in enumerate(zeros[:-1]):
+            g = InnerFunctionRep(zeros[:k] + zeros[k + 1 :], rotation=1j)
+            assert f.deriv(a) == pytest.approx(g(a) / (1 - abs(a) ** 2), rel=1e-12)
+        assert f.deriv(-0.4j) == 0
 
 
 class TestEntropy:
@@ -296,7 +369,8 @@ class TestInnerRep:
 
     def test_derivatives_need_a_finite_blaschke_product(self):
         rep = InnerFunctionRep([(0j, 1), (0.5, 1)], [(1.0, 0.5)])
-        for call in (rep.numden, rep.deriv_poly, lambda: rep.deriv(0.1), lambda: critical_points(rep)):
+        calls = (lambda: rep.deriv(0.1), lambda: critical_points(rep), lambda: circle_entropy_quadrature(rep))
+        for call in calls:
             with pytest.raises(ValueError, match="no singular atoms"):
                 call()
 

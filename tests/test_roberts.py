@@ -85,6 +85,14 @@ class TestHandTrace:
         assert layer2.blaschke_mass() == pytest.approx(1e-4, abs=1e-18)
         assert d.cone.is_empty
 
+    def test_underflowed_interior_weight_is_dropped(self):
+        # (1 - 0.9) * 5e-324 underflows to 0: the atom carries no weight to place
+        om = DiskMeasure(interior=[(0.9, 5e-324)], boundary=[(0.0, 1.0)])
+        p = RobertsParams(c=1.0)
+        d = decompose(om, p)
+        assert all(not m.interior for _, m in d.layers) and not d.cone.interior
+        assert verify(d, om, p).ok
+
 
 class TestVerifyCorpus:
     def test_seeded_corpus_passes(self):
