@@ -5,7 +5,10 @@ s(z) = sum mt * G(z, a), the smooth remainder solves Delta w = 4 q e^{2w}
 with q = exp(-2s) in [0, 1], which a damped Newton-GMRES iteration handles
 on a five-point polar grid (radial nodes graded toward the boundary as
 rho = R * t(2-t), boundary data exact), right-preconditioned by a fast
-polar solver factored once per solve and applied once per GMRES iteration.
+polar solver P factored once per solve, the Jacobian with its diagonal
+averaged over each ring: each GMRES iteration applies P^-1 once, and the
+Jacobian through it as v - e * P^-1 v, e the diagonal's deviation from
+those means, with no Laplacian stencil.
 The maximal solution is u_D = -log(1 - |z|^2).
 
 Perron hulls Lambda_r[u] solve on D_r with boundary values u|_{dD_r},
@@ -366,15 +369,16 @@ class _SmoothSystem:
 
 
 def _polar_preconditioner(grid: PolarGrid, d):
-    """Solver for L - diag(d) with d replaced by its mean over each ring.
+    """(solve, d_bar): a solver for P = L - diag(d_bar), where d_bar is d
+    with each ring replaced by its mean and the center keeping its own d.
 
-    The center keeps its own d. An FFT in angle then splits the operator
-    into one real tridiagonal system along the rings per angular mode m,
-    whose angular term is a_t * 2cos(2 pi m / n_theta); mode 0 is bordered
-    by the center row. With the center first and then each mode's rings,
-    mode by mode, the whole system is a single tridiagonal matrix, factored
-    once. It inverts the Jacobian exactly when d is constant on each ring;
-    _newton_solve builds it from its first step's d and keeps it.
+    An FFT in angle splits P into one real tridiagonal system along the
+    rings per angular mode m, whose angular term is a_t * 2cos(2 pi m /
+    n_theta); mode 0 is bordered by the center row. With the center first
+    and then each mode's rings, mode by mode, the whole system is a single
+    tridiagonal matrix, factored once. It inverts the Jacobian exactly when
+    d is constant on each ring; _newton_solve builds it from its first
+    step's d and keeps it.
     """
     n_r, n_t = grid.n_r, grid.n_theta
     a_m, a_p, a_0, a_t, c = grid.operators()
@@ -416,20 +420,21 @@ def _polar_preconditioner(grid: PolarGrid, d):
         np.fft.irfft(modes, n_t, axis=0, out=out[1:].reshape(n_r - 1, n_t).T)
         return out
 
-    return solve
+    return solve, np.concatenate([[d[0]], np.repeat(d_ring, n_t)])
 
 
-def _gmres(J, precond, b, rtol):
-    """Solve J x = b by right-preconditioned GMRES from x = 0, with J(v) the
-    product J v.
+def _gmres(apply, b, rtol):
+    """Solve J x = b by right-preconditioned GMRES from x = 0, where
+    apply(v, z) writes the preconditioned direction P^-1 v into z and
+    returns J z.
 
-    FGMRES-style: the preconditioned directions Z = precond(V) are kept and
-    x = Z y, so each iteration applies precond exactly once, as
-    precond(V[j], Z[j]), which writes into the row Z[j]; the
-    Givens-rotated least-squares residual is the true residual |b - J x|
-    (to rounding; V is orthogonalized by classical Gram-Schmidt applied
-    twice). Stops once that residual is at most rtol * |b|, or after
-    KRYLOV_RESTART iterations. Returns (x, iterations).
+    FGMRES-style: the preconditioned directions Z are kept and x = Z y, so
+    each iteration calls apply exactly once, as apply(V[j], Z[j]), which
+    writes into the row Z[j]. The Givens-rotated least-squares residual is
+    the true residual |b - J x| up to rounding and the accuracy of P^-1 (V
+    is orthogonalized by classical Gram-Schmidt applied twice). Stops once
+    it is at most rtol * |b|, or after KRYLOV_RESTART iterations. Returns
+    (x, iterations).
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
@@ -443,8 +448,7 @@ def _gmres(J, precond, b, rtol):
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     V[0], g[0] = b / beta, beta
     for j in range(m):
-        precond(V[j], Z[j])
-        w = J(Z[j])
+        w = apply(V[j], Z[j])
         h = V[:j + 1] @ w
         w -= h @ V[:j + 1]
         h2 = V[:j + 1] @ w
@@ -471,7 +475,7 @@ def _newton_solve(system: _SmoothSystem, w):
 
     The source is evaluated once per trial point and serves its residual,
     its scaled error and, at an accepted iterate, the Jacobian's diagonal.
-    Each correction solves J delta = -r, J = L - diag(2 source(w)), by
+    Each correction solves J delta = -r, J = L - diag(d), d = 2 source(w), by
     right-preconditioned GMRES (_gmres, one preconditioner application per
     iteration) to an Eisenstat-Walker type forcing term: loose far from the
     root, tightening as the scaled error err falls (a fixed tight tolerance
@@ -481,10 +485,11 @@ def _newton_solve(system: _SmoothSystem, w):
     factor 0.1, not the textbook 0.5, leaves room because GMRES bounds the
     2-norm of the residual while the stop tests its scaled sup-norm. The
     preconditioner is lagged: _polar_preconditioner is factored at the first
-    correction and serves every later one, while GMRES applies the current J
-    as _stencil with L's diagonal minus d and no rim. The info dict counts
-    Newton steps and GMRES iterations and keeps the final scaled residual
-    and the smallest line-search step.
+    correction and serves every later one. It inverts P = L - diag(d_bar),
+    so J = P - diag(e) with e = d - d_bar, and GMRES applies J P^-1 v as
+    v - e * P^-1 v: one preconditioner application and one diagonal product
+    per iteration. The info dict counts Newton steps and GMRES iterations
+    and keeps the final scaled residual and the smallest line-search step.
     """
     src = system.source(w)
     r = system.laplacian(w) - src
@@ -498,14 +503,11 @@ def _newton_solve(system: _SmoothSystem, w):
         nr0 = float(np.linalg.norm(r))
         if not math.isfinite(nr0):  # finite entries whose 2-norm overflows
             raise NewtonError(f"{system.grid!r}: residual norm is {nr0} at Newton step {it}")
-        d = 2.0 * src
         if precond is None:  # lagged: the first correction's d serves the whole solve
-            precond = _polar_preconditioner(system.grid, d)
+            precond, d_bar = _polar_preconditioner(system.grid, 2.0 * src)
         forcing = min(1e-2, max(1e-3 * math.sqrt(err), 0.1 * NEWTON_TOL / err))
-        J_diag = system.L_diag - d
-        delta, iters = _gmres(
-            lambda v: _stencil(system.coeffs, J_diag, v, 0.0), precond, -r, forcing
-        )
+        e = 2.0 * src - d_bar
+        delta, iters = _gmres(lambda v, z: v - e * precond(v, z), -r, forcing)
         krylov_iters += iters
         lam, ok = 1.0, False
         for _ in range(40):
@@ -791,9 +793,12 @@ def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
     """Gap |u_{mu_{n,M}}(0) - u_D(0)| across the (n, M) table.
 
     Rows: (n, M, theta_n, u_at_0, gap, status); unsolvable (n, M) pairs
-    carry status "theta-unsolvable" and NaN numerics.
+    carry status "theta-unsolvable" and NaN numerics. Raises ValueError
+    unless there is at least one n and one M, before any solve.
     """
     _check_rungs(ladder)
+    if len(ns) == 0 or len(big_ms) == 0:
+        raise ValueError("need at least one n and one M")
     rows = []
     for big_m in big_ms:
         for n in ns:

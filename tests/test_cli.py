@@ -561,6 +561,17 @@ def test_diffuse_bad_ladder_exits_1_without_a_solvable_row(tmp_path, ladder, mes
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "params", [{"n": [], "M": [0.2]}, {"n": [1], "M": []}], ids=["empty-n", "empty-M"]
+)
+def test_diffuse_empty_table_exits_1(tmp_path, params):
+    # an empty list would leave a CSV with a header and no row
+    out = tmp_path / "o"
+    result = run_in_process({"kind": "diffuse-experiment", "params": params}, out)
+    assert_rejected(result, out)
+    assert result.stderr == "validation error: diffuse-experiment: need at least one n and one M\n"
+
+
 def test_deeply_nested_json_exits_1(tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000)
     out = tmp_path / "o"

@@ -128,7 +128,7 @@ class TestNewtonKrylov:
         d = np.concatenate([[rng.uniform(0.0, 5.0)], rings])
         J = loop_laplacian(grid)[0] - sp.diags(d)
         x = rng.standard_normal(grid.interior_count())
-        y = gce._polar_preconditioner(grid, d)(J @ x, np.empty_like(x))
+        y = gce._polar_preconditioner(grid, d)[0](J @ x, np.empty_like(x))
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
@@ -167,7 +167,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(gce, "splu", captured)
         grid = PolarGrid(radius, n_r, n_theta)
         rng = np.random.default_rng(n_r * n_theta)
-        solve = gce._polar_preconditioner(grid, rng.uniform(0.0, 50.0, grid.interior_count()))
+        solve, _ = gce._polar_preconditioner(grid, rng.uniform(0.0, 50.0, grid.interior_count()))
         (lu,) = factors
         n_modes = n_theta // 2 + 1
 
@@ -210,9 +210,9 @@ class TestNewtonKrylov:
             errs.append(scaled_error(system, w, r, src))
             return errs[-1]
 
-        def recorded_gmres(J, precond, b, rtol):
+        def recorded_gmres(apply, b, rtol):
             asked.append((rtol, errs[-1]))
-            return gmres(J, precond, b, rtol)
+            return gmres(apply, b, rtol)
 
         monkeypatch.setattr(gce._SmoothSystem, "scaled_error", recorded_error)
         monkeypatch.setattr(gce, "_gmres", recorded_gmres)
@@ -296,8 +296,8 @@ class TestNewtonKrylov:
         factor = gce._polar_preconditioner
 
         def counted(grid, d):
-            solve = factor(grid, d)
-            return lambda b, out: calls.append(1) or solve(b, out)
+            solve, d_bar = factor(grid, d)
+            return (lambda b, out: calls.append(1) or solve(b, out)), d_bar
 
         monkeypatch.setattr(gce, "_polar_preconditioner", counted)
         _, info = solve_dirichlet(*spiky_problem())
@@ -309,6 +309,66 @@ class TestNewtonKrylov:
         calls.clear()
         _, info = solve_dirichlet(grid, (), h, start=gf.interior_values())
         assert info["newton_iters"] == 0 and calls == []
+
+    def test_no_stencil_inside_gmres(self, monkeypatch):
+        # GMRES applies J P^-1 v as v - e * P^-1 v, so every stencil is a
+        # residual's Laplacian or a scaled error's row scale: the count does
+        # not grow with the GMRES iterations
+        stencils, owned = [], []
+        stencil = gce._stencil
+        laplacian, scaled_error = gce._SmoothSystem.laplacian, gce._SmoothSystem.scaled_error
+        monkeypatch.setattr(gce, "_stencil", lambda *a: stencils.append(1) or stencil(*a))
+        monkeypatch.setattr(gce._SmoothSystem, "laplacian", lambda *a: owned.append(1) or laplacian(*a))
+        monkeypatch.setattr(
+            gce._SmoothSystem, "scaled_error", lambda *a: owned.append(1) or scaled_error(*a)
+        )
+        sub = gce._plus_log_inner(maximal_field(), DiskMeasure(interior=[(0j, 1.0)]))
+        for solve in (lambda: solve_dirichlet(*spiky_problem()), lambda: perron_hull_r(sub, 0.9375, 48, 96)):
+            stencils.clear()
+            owned.clear()
+            _, info = solve()
+            assert info["krylov_iters"] > info["newton_iters"] > 1
+            assert len(stencils) == len(owned)
+
+    @pytest.mark.parametrize("radius,n_r,n_theta", GRIDS)
+    def test_apply_is_jacobian_after_preconditioner(self, monkeypatch, radius, n_r, n_theta):
+        # at every correction, with d = 2 source(w) constant on no ring and
+        # the factor lagged at the first correction's d, the apply handed to
+        # GMRES writes the preconditioner's output into z, bit for bit, and
+        # returns J z for the current J = L - diag(d)
+        grid = PolarGrid(radius, n_r, n_theta)
+        rng = np.random.default_rng(n_r * n_theta)
+        system = gce._SmoothSystem(grid, (), np.zeros(n_theta))
+        L = loop_laplacian(grid)[0]
+        sources, factors, checked = [], [], []
+        source, factor, gmres = gce._SmoothSystem.source, gce._polar_preconditioner, gce._gmres
+
+        def recorded_source(system, w):
+            sources.append(source(system, w))
+            return sources[-1]
+
+        def recorded_factor(grid, d):
+            factors.append(factor(grid, d))
+            return factors[-1]
+
+        def checked_gmres(apply, b, rtol):
+            d = 2.0 * sources[-1]
+            assert np.all(np.ptp(d[1:].reshape(n_r - 1, n_theta), axis=1) > 0.0)
+            ((solve, _),) = factors
+            v = rng.standard_normal(b.size)
+            z, want_z = np.empty_like(v), np.empty_like(v)
+            got = apply(v, z)
+            assert np.array_equal(z, solve(v, want_z))
+            want = (L - sp.diags(d)) @ z
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            checked.append(1)
+            return gmres(apply, b, rtol)
+
+        monkeypatch.setattr(gce._SmoothSystem, "source", recorded_source)
+        monkeypatch.setattr(gce, "_polar_preconditioner", recorded_factor)
+        monkeypatch.setattr(gce, "_gmres", checked_gmres)
+        _, info = gce._newton_solve(system, rng.uniform(-1.0, 1.0, grid.interior_count()))
+        assert len(checked) == info["newton_iters"] > 1
 
     def test_clamped_source_is_not_a_solution(self):
         # with w = 1e140 the source 4 e^{2 min(w, 150)} is clamped, and the
@@ -339,14 +399,16 @@ class TestGmres:
 
     def test_exact_preconditioner_converges_in_one_iteration(self):
         grid, d, J, b = self.problem(ring_constant=True)
-        x, iters = gce._gmres(lambda v: J @ v, gce._polar_preconditioner(grid, d), b, 1e-10)
+        solve, _ = gce._polar_preconditioner(grid, d)
+        x, iters = gce._gmres(lambda v, z: J @ solve(v, z), b, 1e-10)
         assert iters == 1
         assert np.linalg.norm(b - J @ x) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10, 1e-12])
     def test_true_residual_meets_rtol(self, rtol):
         grid, d, J, b = self.problem(ring_constant=False)
-        x, iters = gce._gmres(lambda v: J @ v, gce._polar_preconditioner(grid, d), b, rtol)
+        solve, _ = gce._polar_preconditioner(grid, d)
+        x, iters = gce._gmres(lambda v, z: J @ solve(v, z), b, rtol)
         assert 1 < iters < gce.KRYLOV_RESTART
         assert np.linalg.norm(b - J @ x) <= rtol * np.linalg.norm(b)
 
@@ -354,16 +416,19 @@ class TestGmres:
         # without a preconditioner the budget runs out; the iterate still
         # lowers the residual, and the line search takes what it gives
         _, _, J, b = self.problem(ring_constant=False)
-        x, iters = gce._gmres(lambda v: J @ v, lambda v, out: np.copyto(out, v), b, 1e-10)
+        def unpreconditioned(v, z):
+            z[:] = v
+            return J @ z
+
+        x, iters = gce._gmres(unpreconditioned, b, 1e-10)
         assert iters == gce.KRYLOV_RESTART
         assert np.linalg.norm(b - J @ x) < 0.1 * np.linalg.norm(b)
 
     def test_zero_right_side(self):
         grid, d, J, b = self.problem(ring_constant=False)
+        solve, _ = gce._polar_preconditioner(grid, d)
         with np.errstate(all="raise"):
-            x, iters = gce._gmres(
-                lambda v: J @ v, gce._polar_preconditioner(grid, d), np.zeros_like(b), 1e-6
-            )
+            x, iters = gce._gmres(lambda v, z: J @ solve(v, z), np.zeros_like(b), 1e-6)
         assert iters == 0 and x.shape == b.shape and not x.any()
 
 
