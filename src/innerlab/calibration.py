@@ -43,18 +43,31 @@ def _probes_outside(rng, spec: StarSpec, count: int = 300):
     """The first `count` of up to 60*count seeded points (radius, then angle)
     that lie outside the star.
 
-    All candidates are drawn and tested at once; the generator then ends
-    where drawing them one at a time, stopping at the last point kept,
-    would leave it.
+    Candidates are drawn and tested in blocks of count, 2*count, 4*count, ...
+    points from one continuous stream, until count lie outside or the cap is
+    reached, so at most 2*used + count are tested for the `used` points a
+    per-draw loop would draw. The generator then ends where that loop,
+    stopping at the last point kept, would leave it.
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     state = rng.bit_generator.state
-    draws = rng.uniform([0.05, 0.0], [0.995, TAU], (60 * count, 2))
-    z = draws[:, 0] * np.exp(1j * draws[:, 1])
-    keep = np.flatnonzero(~star_contains(spec, z))[:count]
-    used = keep[-1] + 1 if keep.size == count else len(z)
+    cap = 60 * count
+    kept, need, used, block = [], count, 0, count
+    while used < cap:
+        draws = rng.uniform([0.05, 0.0], [0.995, TAU], (min(block, cap - used), 2))
+        z = draws[:, 0] * np.exp(1j * draws[:, 1])
+        outside = np.flatnonzero(~star_contains(spec, z))[:need]
+        kept.append(z[outside])
+        need -= outside.size
+        if not need:
+            used += int(outside[-1]) + 1
+            break
+        used += z.size
+        block *= 2
     rng.bit_generator.state = state
     rng.random(2 * used)
-    return z[keep]
+    return np.concatenate(kept)
 
 
 def hyperbolic_decay_ratio(seed: int = 2025) -> float:

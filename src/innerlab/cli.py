@@ -305,6 +305,9 @@ def _run_diffuse(p, meta):
 
 
 def _run_outer(p, meta):
+    if not p["points"]:
+        # an empty list would leave a CSV with a header and no row
+        raise ScenarioError("params.points needs at least one point")
     z = np.array(p["points"], dtype=np.complex128)
     rim = np.hypot(z.real, z.imag) == 1.0
     on_set = rim & (dist_angle_to_set(np.angle(z), p["set"]) == 0.0)

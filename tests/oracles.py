@@ -2,8 +2,9 @@
 check innerlab against.
 
 None of these runs in a production path: the package evaluates potentials
-through `kernels`, solves the curvature equation by Newton-GMRES and
-applies the polar Laplacian as a stencil, never as a matrix.
+through `kernels`, solves the curvature equation by Newton-GMRES,
+applies the polar Laplacian as a stencil, never as a matrix, and measures
+the distance to a star only on the boundary samples nearest each point.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from innerlab.bc_sets import CORE_RADIUS, dist_angle_to_set, hyperbolic_dist, star_contains
 from innerlab.gce import GridFunction, _SmoothSystem
 
 TAU = 2.0 * math.pi
@@ -35,6 +37,23 @@ def poisson(z, angle):
     zeta = np.exp(1j * np.asarray(angle, dtype=np.float64))
     out = (1.0 - np.abs(z) ** 2) / np.abs(zeta - z) ** 2
     return float(out) if out.ndim == 0 else out
+
+
+def star_dist_every_sample(z, spec, n_samples):
+    """bc_sets.hyperbolic_dist_to_star with hyperbolic_dist taken from each
+    point to every sample of the star's boundary curve."""
+    z = np.asarray(z, dtype=np.complex128)
+    best = np.full(z.shape, math.inf)
+    if spec.include_core:
+        r = np.hypot(z.real, z.imag)
+        best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
+    phis = np.arange(n_samples) * (TAU / n_samples)
+    rho = 1.0 - spec.aperture * dist_angle_to_set(phis, spec.base) ** spec.order
+    m = rho > 0.0
+    if m.any():
+        curve = rho[m] * np.exp(1j * phis[m])
+        best = np.minimum(best, np.min(hyperbolic_dist(z[..., None], curve), axis=-1))
+    return np.where(star_contains(spec, z), 0.0, np.maximum(best, 0.0))
 
 
 def liouville_density(f):

@@ -365,6 +365,84 @@ class TestArrayQueries:
         assert_scalar_calls_match(lambda p: hyperbolic_dist_to_star(complex(p), spec, 256), z, got)
 
 
+def assert_matches_reference(z, spec, n_samples):
+    got = hyperbolic_dist_to_star(z, spec, n_samples=n_samples)
+    assert got.tolist() == [ref_hyperbolic_dist_to_star(complex(p), spec, n_samples) for p in z]
+    return got
+
+
+def points_outside(spec, n):
+    """n seeded points of the open disk outside the star."""
+    rng = np.random.default_rng(29)
+    z = rng.uniform(0.05, 0.999, 50 * n) * np.exp(1j * rng.uniform(-math.pi, math.pi, 50 * n))
+    return z[~star_contains(spec, z)][:n]
+
+
+# hyperbolic_dist's value wherever |z - c| / |1 - z conj(c)| reaches its clip
+CLIPPED = float(np.arctanh(1.0 - 1e-15))
+
+
+class TestNearestSamples:
+    """hyperbolic_dist is evaluated only on the samples the Gram scores put
+    near the best; the minimum still equals the scan over every sample."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 32])
+    @pytest.mark.parametrize("order,aperture", [(1.0, 1.0), (2.0, 0.4), (4.0, 1.0)])
+    def test_origin_over_equally_spaced_sets(self, n, order, aperture):
+        # from the origin, samples at one depth into a gap tie up to their last bits
+        spec = StarSpec(equally_spaced(n), order, aperture, include_core=False)
+        for n_samples in (64, 256, 1000):
+            assert assert_matches_reference(np.zeros(1, complex), spec, n_samples)[0] > 0.0
+
+    @pytest.mark.parametrize("order,aperture", [(1.0, 1.0), (2.0, 1.0), (4.0, 0.5)])
+    def test_beside_a_set_point_near_the_rim(self, order, aperture):
+        e = QUERY_SETS["wrapping"]
+        offsets = np.array([1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3])
+        angles = e.gaps[:, 0][:, None] + np.concatenate([offsets, -offsets])
+        z = 0.999 * np.exp(1j * angles.ravel())
+        got = assert_matches_reference(z, StarSpec(e, order, aperture, include_core=False), 512)
+        assert (got > 0.0).any()
+
+    @pytest.mark.parametrize(
+        "spec,n_samples",
+        [
+            (StarSpec(QUERY_SETS["one-point"], 2.0, 1.0, False), 256),
+            # d^1000 underflows: every sample with rho > 0 lies on the circle
+            (StarSpec(QUERY_SETS["one-point"], 1000.0, 1.0, False), 16),
+        ],
+        ids=["to-the-rim", "curve-on-the-circle"],
+    )
+    def test_far_probes_reach_the_clip(self, spec, n_samples):
+        radii = 1.0 - np.array([1e-3, 1e-7, 1e-9, 1e-12, 1e-15, 2.0 ** -53])
+        z = (radii[:, None] * np.exp(1j * (1.3 + np.array([2.0, math.pi, 4.0])))).ravel()
+        got = assert_matches_reference(z, spec, n_samples)
+        assert CLIPPED in got.tolist()
+
+    def test_n_samples_2048(self):
+        spec = StarSpec(QUERY_SETS["seeded"], 4.0, 1.0, True)
+        assert_matches_reference(points_outside(spec, 32), spec, 2048)
+
+    def test_more_probes_than_one_row_slice(self, monkeypatch):
+        slices = []
+
+        def counted(z, curve):
+            slices.append(z.size)
+            return nearest(z, curve)
+
+        nearest = bc_sets._nearest_sample_dist
+        monkeypatch.setattr(bc_sets, "_nearest_sample_dist", counted)
+        spec = StarSpec(QUERY_SETS["wrapping"], 2.0, 1.0, False)
+        z = points_outside(spec, 150)
+        assert_matches_reference(z, spec, 2048)
+        assert len(slices) > 1 and sum(slices) == z.size == 150
+
+
+@pytest.mark.parametrize("n_samples", [0, -1, -2048])
+def test_rejects_sample_count_below_one(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        hyperbolic_dist_to_star(-0.5, StarSpec(QUERY_SETS["one-point"]), n_samples=n_samples)
+
+
 def test_gap_validation():
     with pytest.raises(ValueError, match="arc length"):
         BCSet([0.0], [0.0])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import child_env
+from oracles import star_dist_every_sample
 
 from innerlab import calibration, frozen
 from innerlab.bc_sets import TAU, BCSet, StarSpec, star_contains
@@ -46,6 +47,46 @@ def test_matches_per_draw_loop(case):
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random() == ref_rng.random()
+
+
+def draws_used(seed, spec, count):
+    """Candidates the per-draw loop draws: through its count-th outside point,
+    or all 60*count."""
+    draws = np.random.default_rng(seed).uniform([0.05, 0.0], [0.995, TAU], (60 * count, 2))
+    outside = np.flatnonzero(~star_contains(spec, draws[:, 0] * np.exp(1j * draws[:, 1])))
+    return int(outside[count - 1]) + 1 if outside.size >= count else 60 * count
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_tests_at_most_twice_the_draws_used(monkeypatch, case):
+    spec, count = CASES[case]
+    tested = []
+
+    def counted(spec, z, tol=0.0):
+        tested.append(np.size(z))
+        return star_contains(spec, z, tol)
+
+    monkeypatch.setattr(calibration, "star_contains", counted)
+    for seed in (0, 3):
+        tested.clear()
+        _probes_outside(np.random.default_rng(seed), spec, count)
+        used = draws_used(seed, spec, count)
+        assert sum(tested) <= 2 * used + count
+        assert (used < 60 * count) == (case != "cap")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_rejects_count_below_one(count):
+    spec, _ = CASES["order-2"]
+    with pytest.raises(ValueError, match="count"):
+        _probes_outside(np.random.default_rng(0), spec, count)
+
+
+def test_corpora_match_the_per_draw_and_every_sample_path(monkeypatch):
+    fast = calibration.hyperbolic_decay_ratio(), calibration.order4_decay_ratios()
+    monkeypatch.setattr(calibration, "_probes_outside", probes_one_at_a_time)
+    monkeypatch.setattr(calibration, "hyperbolic_dist_to_star", star_dist_every_sample)
+    assert (calibration.hyperbolic_decay_ratio(), calibration.order4_decay_ratios()) == fast
 
 
 def test_calibrate_script_passes_the_frozen_guards():

@@ -326,6 +326,7 @@ MALFORMED = {
     "empty-ladder": ("nearly-maximal", {"measure": {}, "ladder": []}),
     "ladder-not-list": ("nearly-maximal", {"measure": {}, "ladder": 5}),
     "ladder-decreasing": ("nearly-maximal", {"measure": {}, "ladder": [5, 2], "n_r": 8, "n_theta": 8}),
+    "outer-points-empty": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "points": []}),
     "short-outer-point": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "points": [[0.5]]}),
     "set-point-string": ("outer-eval", {"set": {"points": ["a"]}}),
     "depth-0": ("outer-eval", {"set": {"points": [0.0, 3.0]}, "depth": 0}),
