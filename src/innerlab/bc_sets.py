@@ -130,7 +130,7 @@ class BCSet:
 
     def local_entropy(self, eta: float) -> float:
         """Entropy of the gaps shorter than eta; a gap of length 1 adds 0."""
-        if eta <= 0.0:
+        if not eta > 0.0:
             raise ValueError("threshold must be positive")
         # libm's log, in gap order: np.log can differ in the last bit
         cut = min(eta, 1.0)
@@ -212,7 +212,7 @@ class StarSpec:
     include_core: bool = True
 
     def __post_init__(self):
-        if self.order < 1.0:
+        if not self.order >= 1.0:
             raise ValueError("order must be >= 1")
         if not (0.0 < self.aperture <= 1.0):
             raise ValueError("aperture must be in (0,1]")

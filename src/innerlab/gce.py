@@ -126,15 +126,17 @@ class PolarGrid:
         return f"PolarGrid(R={self.radius}, {self.n_r}x{self.n_theta})"
 
 
-def _stencil(coeffs, diag, w, rim):
-    """L w + B rim with L's diagonal replaced by diag, for the coefficients
-    coeffs of PolarGrid.operators(): interior values w (the center, then
-    rings 1..n_r-1) and rim values rim, as Delta_h u = L u_int + B u_rim.
+def _stencil(coeffs, w, rim, absolute=False):
+    """L w + B rim = Delta_h u at interior values w (the center, then rings
+    1..n_r-1) and rim values rim, from coeffs = PolarGrid.operators(). L's
+    diagonal is -c at the center and a_0 on each ring; absolute=True flips
+    its sign, which applies |L| and |B|, as all their other entries are > 0.
 
     The values go once into a (n_r + 1) x (n_theta + 2) array: the center
     row, the rings, the rim and a wrapped angle on each side.
     """
-    a_m, a_p, _, a_t, c = coeffs
+    a_m, a_p, a_0, a_t, c = coeffs
+    d_c, d_r = (c, -a_0) if absolute else (-c, a_0)  # L's diagonal: center, each ring
     m = a_t.size  # rings with unknowns
     n_t = (w.size - 1) // m
     u = np.empty((m + 2, n_t + 2))
@@ -143,24 +145,21 @@ def _stencil(coeffs, diag, w, rim):
     u[-1, 1:-1] = rim
     u[:, 0], u[:, -1] = u[:, -2], u[:, 1]
     out = np.empty_like(w)
-    out[0] = diag[0] * w[0] + c / n_t * np.sum(u[1, 1:-1])
+    out[0] = d_c * w[0] + c / n_t * np.sum(u[1, 1:-1])
     rings = out[1:].reshape(m, n_t)
     np.add(u[1:-1, :-2], u[1:-1, 2:], out=rings)
     rings *= a_t[:, None]
     rings += a_m[:, None] * u[:-2, 1:-1]
-    rings += diag[1:].reshape(m, n_t) * u[1:-1, 1:-1]
+    rings += d_r[:, None] * u[1:-1, 1:-1]
     rings += a_p[:, None] * u[2:, 1:-1]
     return out
 
 
 def _singular_part(atoms, z):
     """s(z) = sum mt * G(z, a); u = w - s."""
-    z = np.asarray(z, dtype=np.complex128)
     a = np.array([p for p, _ in atoms], dtype=np.complex128)
     m = np.array([mm for _, mm in atoms], dtype=np.float64)
-    if a.size == 0:
-        return np.zeros(z.shape)
-    return kernels.green_sum(z, a, m)
+    return kernels.green_sum(np.asarray(z, dtype=np.complex128), a, m)
 
 
 class _SplitField:
@@ -198,7 +197,7 @@ class GridFunction(_SplitField):
 
     def total_nodes(self):
         """(center, rings) of u = w - s; -inf where a node sits on an atom."""
-        s_c = float(_singular_part(self.atoms, np.array([0j]))[0]) if self.atoms else 0.0
+        s_c = float(_singular_part(self.atoms, np.array([0j]))[0])
         with np.errstate(invalid="ignore"):
             s_r = _singular_part(self.atoms, self.grid.ring_nodes())
         return self.center - s_c, self.rings - s_r
@@ -332,12 +331,10 @@ class _SmoothSystem:
     def __init__(self, grid: PolarGrid, atoms, w_bc):
         self.grid = grid
         self.coeffs = grid.operators()
-        a_0, c = self.coeffs[2], self.coeffs[4]
-        self.L_diag = np.concatenate([[-c], np.repeat(a_0, grid.n_theta)])
         with np.errstate(invalid="ignore", divide="ignore"):
-            self.s = _singular_part(atoms, grid.interior_nodes())
-            self.q = np.exp(-2.0 * self.s)
-        self.flagged = ~np.isfinite(self.s)
+            s = _singular_part(atoms, grid.interior_nodes())
+            self.q = np.exp(-2.0 * s)
+        self.flagged = ~np.isfinite(s)
         self.q[self.flagged] = 0.0
         self.w_bc = w_bc
 
@@ -356,15 +353,13 @@ class _SmoothSystem:
         return 4.0 * self.q * np.exp(2.0 * np.minimum(w, W_CLAMP))
 
     def laplacian(self, w):
-        return _stencil(self.coeffs, self.L_diag, w, self.w_bc)
+        return _stencil(self.coeffs, w, self.w_bc)
 
     def scaled_error(self, w, r, src) -> float:
         """Sup of |r| over each row's scale |L||w| + |B||w_bc| + source + 1,
         with src = source(w): backward stable, as the residual floor is
-        eps * |L||w| anyway. L's off-diagonal entries and B's are positive
-        and its diagonal negative, so the stencil with the diagonal negated
-        applies |L| and |B|."""
-        scale = _stencil(self.coeffs, -self.L_diag, np.abs(w), np.abs(self.w_bc)) + src + 1.0
+        eps * |L||w| anyway."""
+        scale = _stencil(self.coeffs, np.abs(w), np.abs(self.w_bc), absolute=True) + src + 1.0
         return float(np.max(np.abs(r) / scale))
 
 

@@ -8,6 +8,7 @@ operate.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -76,7 +77,7 @@ def max_star_mass(omega: DiskMeasure, budget: float, mode: str = "exact"):
     all subsets (<= 18 atoms); greedy adds atoms in decreasing-mass order
     while the budget permits. Returns (mass, witness BCSet or None).
     """
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError("entropy budget must be >= 0")
     atoms = omega.boundary
     if not atoms:
@@ -114,10 +115,11 @@ def theta_for(n: int, big_m: float) -> float:
     """Solve n * theta * log(1/theta) = M for theta in (0, 1/e).
 
     The left side is increasing on (0, 1/e) with supremum n/e, so the
-    equation is solvable iff M < n/e; otherwise ThetaUnsolvableError.
-    Bisection to 1e-14 relative tolerance.
+    equation is solvable iff M < n/e; otherwise ThetaUnsolvableError, or
+    ValueError for a root below the smallest normal double (M < about
+    n * 1.6e-305). Bisection to 1e-14 relative tolerance.
     """
-    if n < 1 or big_m <= 0.0:
+    if not (n >= 1 and big_m > 0.0):
         raise ValueError("need n >= 1 and M > 0")
     emax = n / math.e
     if big_m >= emax:
@@ -128,7 +130,9 @@ def theta_for(n: int, big_m: float) -> float:
     def f(t):
         return n * t * math.log(1.0 / t)
 
-    lo, hi = 1e-300, 1.0 / math.e
+    lo, hi = sys.float_info.min, 1.0 / math.e
+    if not f(lo) < big_m:
+        raise ValueError(f"M = {big_m} puts theta below the smallest normal double")
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
         if f(mid) < big_m:

@@ -70,6 +70,11 @@ class TestLocalEntropy:
         e = equally_spaced(8)
         assert e.local_entropy(0.2) == pytest.approx(3 * LOG2, abs=1e-12)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.5, math.nan])
+    def test_rejects_threshold_not_positive(self, eta):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            equally_spaced(8).local_entropy(eta)
+
 
 class TestArcGapEntropy:
     def test_subadditivity_in_arc(self):
@@ -121,6 +126,11 @@ class TestStar:
     def test_rotated_point_excluded(self):
         spec = StarSpec(BCSet.from_points([0.0]))
         assert not star_contains(spec, 0.9 * np.exp(0.3j))
+
+    @pytest.mark.parametrize("order", [0.5, -1.0, math.nan])
+    def test_rejects_order_below_one(self, order):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            StarSpec(BCSet.from_points([0.0]), order=order)
 
     def test_origin_is_core(self):
         spec = StarSpec(BCSet.from_points([2.0]))

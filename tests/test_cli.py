@@ -573,6 +573,26 @@ def test_diffuse_empty_table_exits_1(tmp_path, params):
     assert result.stderr == "validation error: diffuse-experiment: need at least one n and one M\n"
 
 
+def test_diffuse_tiny_m_writes_the_root(tmp_path):
+    # theta_n ~ 1.8e-302 is a normal double, so the row is the equation's root
+    params = {"n": [8], "M": [1e-298], "ladder": [2, 3], "n_r": 8, "n_theta": 8}
+    result = run_in_process({"kind": "diffuse-experiment", "params": params}, tmp_path / "o")
+    assert result.exit_code == 0, (result.output, result.exception)
+    rows = [ln for ln in (tmp_path / "o" / "diffuse.csv").read_text().splitlines() if ln[0] != "#"]
+    n, big_m, theta = (float(x) for x in rows[1].split(",")[:3])
+    assert rows[1].endswith(",ok")
+    assert n * theta * math.log(1.0 / theta) == pytest.approx(big_m, rel=1e-12, abs=0.0)
+
+
+def test_diffuse_theta_below_the_normal_doubles_exits_1(tmp_path):
+    # n theta log(1/theta) = M has its root below the smallest normal double
+    out = tmp_path / "o"
+    params = {"n": [8], "M": [1e-306], "ladder": [2, 3], "n_r": 8, "n_theta": 8}
+    result = run_in_process({"kind": "diffuse-experiment", "params": params}, out)
+    assert_rejected(result, out)
+    assert "below the smallest normal double" in result.stderr
+
+
 def test_deeply_nested_json_exits_1(tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000)
     out = tmp_path / "o"

@@ -76,6 +76,13 @@ class TestMaxStarMass:
     def test_empty(self):
         assert max_star_mass(DiskMeasure(), 1.0, mode="exact") == (0.0, None)
 
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    @pytest.mark.parametrize("budget", [-1.0, math.nan])
+    def test_rejects_budget_below_zero_or_nan(self, mode, budget):
+        om = DiskMeasure(boundary=[(0.0, 0.3), (math.pi, 0.7)])
+        with pytest.raises(ValueError, match="entropy budget"):
+            max_star_mass(om, budget, mode=mode)
+
     def test_exact_beats_greedy_and_monotone_in_budget(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -140,16 +147,29 @@ class TestMaxStarMass:
 
 class TestTheta:
     def test_identity(self):
-        for n, m in ((64, 10.0), (64, 0.1), (32, 10.0), (8, 2.0)):
+        for n, m in ((64, 10.0), (64, 0.1), (32, 10.0), (8, 2.0), (8, 1e-298)):
             th = theta_for(n, m)
             assert 0 < th < 1 / math.e
-            assert n * th * math.log(1 / th) == pytest.approx(m, rel=1e-12)
+            assert n * th * math.log(1 / th) == pytest.approx(m, rel=1e-12, abs=0.0)
 
     def test_unsolvable(self):
         with pytest.raises(ThetaUnsolvableError):
             theta_for(8, 10.0)
         with pytest.raises(ThetaUnsolvableError):
             theta_for(16, 10.0)
+
+    @pytest.mark.parametrize("n,m", [(8, 0.0), (8, -1.0), (8, math.nan), (0, 1.0)])
+    def test_rejects_bad_input(self, n, m):
+        with pytest.raises(ValueError, match="need n >= 1 and M > 0"):
+            theta_for(n, m)
+
+    @pytest.mark.parametrize("m", [1e-306, 5e-324])
+    def test_rejects_root_below_the_normal_doubles(self, m):
+        # n theta log(1/theta) at the smallest normal theta is already above
+        # M, so bisection from there brackets no root
+        with pytest.raises(ValueError, match="below the smallest normal double") as info:
+            theta_for(8, m)
+        assert not isinstance(info.value, ThetaUnsolvableError)
 
     def test_family_masses(self):
         om = diffuse_family(16, 2.0)
