@@ -13,16 +13,17 @@ answer in kind; a non-finite angle or point raises ValueError. Each
 angle is looked up once: the only gap that can hold it is the last one
 starting below it, or the last gap, wrapping past 2*pi, when none does.
 
-The star of order alpha >= 1 and aperture theta in (0,1] over E is
+The star of order alpha >= 1 over E is
 
-    { z in closed disk : 1 - |z| >= theta * dist(z/|z|, E)^alpha },
+    { z in closed disk : 1 - |z| >= dist(z/|z|, E)^alpha }
 
-optionally united with the core ball B(0, 1/sqrt(2)) (include_core).
-The hyperbolic distance to it is the least `hyperbolic_dist` to samples of
-its radial boundary curve. Since 1 - rho(z,c)^2 = (1-|z|^2)(1-|c|^2) /
-|1 - z conj(c)|^2, each point's nearest samples are found from one real
-Gram product, and `hyperbolic_dist` is evaluated only on the samples within
-a bounded rounding margin of the best: the same bits as the scan over all.
+united with the core ball B(0, 1/sqrt(2)). The hyperbolic distance to it
+is the least of the distance to the core ball and the `hyperbolic_dist`
+to samples of its radial boundary curve. Since 1 - rho(z,c)^2 =
+(1-|z|^2)(1-|c|^2) / |1 - z conj(c)|^2, each point's nearest samples are
+found from one real Gram product, and `hyperbolic_dist` is evaluated only
+on the samples within a bounded rounding margin of the best: the same bits
+as the scan over all.
 """
 
 import math
@@ -186,8 +187,8 @@ def arc_gap_entropy(points, arc_start: float, arc_end: float) -> float:
     The complementary pieces of [arc_start, arc_end] \\ points include the
     two boundary segments; lengths are normalized fractions of the circle.
     """
-    if arc_end <= arc_start:
-        raise ValueError("need arc_end > arc_start")
+    if not -math.inf < arc_start < arc_end < math.inf:
+        raise ValueError("need finite arc_start < arc_end")
     pts = sorted(p for p in points if arc_start <= p <= arc_end)
     cuts = [arc_start] + pts + [arc_end]
     total = 0.0
@@ -204,18 +205,14 @@ def arc_gap_entropy(points, arc_start: float, arc_end: float) -> float:
 
 @dataclass(frozen=True)
 class StarSpec:
-    """Generalized star over a base set: order alpha, aperture theta."""
+    """Star of order alpha over a base set, with the core ball."""
 
     base: BCSet
     order: float = 1.0
-    aperture: float = 1.0
-    include_core: bool = True
 
     def __post_init__(self):
         if not self.order >= 1.0:
             raise ValueError("order must be >= 1")
-        if not (0.0 < self.aperture <= 1.0):
-            raise ValueError("aperture must be in (0,1]")
 
 
 def _finite_points(z):
@@ -233,20 +230,17 @@ def star_contains(spec: StarSpec, z, tol: float = 0.0):
     if np.any(r > 1.0 + 1e-9):
         raise ValueError("point must lie in the closed disk")
     d = dist_angle_to_set(np.arctan2(z.imag, z.real), spec.base)
-    inside = (1.0 - r) + tol >= spec.aperture * np.maximum(d - tol, 0.0) ** spec.order
-    # the origin lies in the star exactly when the core ball is included
-    inside = (inside & (r > 0.0)) | (spec.include_core & (r < CORE_RADIUS))
+    inside = ((1.0 - r) + tol >= np.maximum(d - tol, 0.0) ** spec.order) | (r < CORE_RADIUS)
     return _scalar_or_array(z, inside)
 
 
 def _radial_star_profile(spec: StarSpec, psi: np.ndarray) -> np.ndarray:
     """Integrand of the star area integral at angular depth psi into a gap.
 
-    For fixed angle with x = theta*d^alpha < 1 the radial integral of
+    For fixed angle with x = d^alpha < 1 the radial integral of
     rho/(1-rho) over [0, 1-x] is log(1/x) - 1 + x; empty for x >= 1.
     """
-    d = 2.0 * np.sin(0.5 * psi)
-    x = spec.aperture * d ** spec.order
+    x = (2.0 * np.sin(0.5 * psi)) ** spec.order
     out = np.zeros_like(psi)
     m = (x > 0.0) & (x < 1.0)
     out[m] = -np.log(x[m]) - 1.0 + x[m]
@@ -271,9 +265,8 @@ def star_area_integral(spec: StarSpec, levels: int = 40, order: int = 16) -> flo
         raise ValueError(
             "set has positive measure; the star area integral diverges"
         )
-    # angular depth at which theta*d^alpha reaches 1 (empty radial fibre)
-    s = 0.5 * spec.aperture ** (-1.0 / spec.order)
-    psi_cut = 2.0 * math.asin(s) if s < 1.0 else math.inf
+    # angular depth at which d^alpha reaches 1 (empty radial fibre)
+    psi_cut = 2.0 * math.asin(0.5)
     # gaps differ only in the upper limit: integrate once per distinct limit,
     # and sum per gap in gap order
     half_gap = {}
@@ -316,10 +309,10 @@ def hyperbolic_dist(x, y):
 def hyperbolic_dist_to_star(z, spec: StarSpec, n_samples: int = 2048):
     """Approximate hyperbolic distance from the point(s) z to the star (0 inside).
 
-    Samples the star's radial boundary curve rho*(phi) = 1 - theta*d(phi)^alpha
-    at n_samples equally spaced angles, once per call, and takes the min of
-    `hyperbolic_dist` over the sampled points, evaluated only on each point's
-    nearest samples; the core ball distance is handled analytically.
+    The distance to the core ball is taken analytically. The star's radial
+    boundary curve rho*(phi) = 1 - d(phi)^alpha is sampled at n_samples
+    equally spaced angles, once per call, and the min of `hyperbolic_dist`
+    over the sampled points is evaluated only on each point's nearest samples.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -327,13 +320,11 @@ def hyperbolic_dist_to_star(z, spec: StarSpec, n_samples: int = 2048):
     r = np.hypot(z.real, z.imag)
     if np.any(r >= 1.0):
         raise ValueError("point must lie in the open disk")
-    best = np.full(z.shape, math.inf)
-    if spec.include_core:
-        # libm's atanh, which the frozen ratios were measured with; np.arctanh
-        # can differ in the last bit
-        best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
+    # libm's atanh, which the frozen ratios were measured with; np.arctanh
+    # can differ in the last bit
+    best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
     phis = np.arange(n_samples) * (TAU / n_samples)
-    rho = 1.0 - spec.aperture * dist_angle_to_set(phis, spec.base) ** spec.order
+    rho = 1.0 - dist_angle_to_set(phis, spec.base) ** spec.order
     m = rho > 0.0
     if m.any():
         curve = rho[m] * np.exp(1j * phis[m])

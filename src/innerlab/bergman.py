@@ -29,8 +29,8 @@ class BergmanSpaceSpec:
     n_theta: int = 512
 
     def __post_init__(self):
-        if self.alpha <= -1.0:
-            raise ValueError("alpha must exceed -1")
+        if not -1.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed -1")
         if self.n_r < 8 or self.n_theta < 16:
             raise ValueError("resolution too small")
 

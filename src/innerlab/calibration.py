@@ -5,9 +5,9 @@ module builds seeded corpora satisfying each statement's hypotheses,
 measures the extremal ratios, and the frozen values in frozen.py guard
 them against regressions (measured <= frozen * 1.05).
 
-Stars of generalized order are taken with the core ball here so that
-hyperbolic distances to them are finite and probes stay away from the
-origin, matching the geodesic geometry the estimates run on.
+Every star includes the core ball, so hyperbolic distances to stars of
+generalized order are finite and probes stay away from the origin,
+matching the geodesic geometry the estimates run on.
 """
 
 import math
@@ -81,7 +81,7 @@ def hyperbolic_decay_ratio(seed: int = 2025) -> float:
     for _ in range(12):
         e = _seeded_set(rng)
         omega = DiskMeasure(interior=_star_atoms(rng, e, int(rng.integers(2, 6)), MASS_CAP * 0.9))
-        star2 = StarSpec(e, order=2.0, include_core=True)
+        star2 = StarSpec(e, order=2.0)
         probes = _probes_outside(rng, star2, 120)
         if probes.size == 0:
             continue
@@ -96,7 +96,7 @@ def hyperbolic_decay_ratio(seed: int = 2025) -> float:
 
 def _blaschke_with_critical_structure_in_star(rng, e: BCSet, degree: int):
     """Seeded candidate with F(0)=0 whose critical points land in K_E."""
-    star = StarSpec(e, order=1.0, include_core=True)
+    star = StarSpec(e, order=1.0)
     pts = e.gaps[:, 0].tolist()
     for _ in range(40):
         zeros = [(0j, 1)]
@@ -130,7 +130,7 @@ def order4_decay_ratios(seed: int = 2026):
         f = _blaschke_with_critical_structure_in_star(rng, e, int(rng.integers(3, 6)))
         if f is None:
             continue
-        star4 = StarSpec(e, order=4.0, include_core=True)
+        star4 = StarSpec(e, order=4.0)
         probes = _probes_outside(rng, star4, 150)
         if probes.size:
             fz = np.abs(f(probes))

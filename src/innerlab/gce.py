@@ -39,6 +39,7 @@ NEWTON_MAX_ITER = 60
 # GMRES iterations per Newton correction, without restart (the most measured
 # over the selftest is 10); the line search absorbs an unfinished correction
 KRYLOV_RESTART = 40
+LADDER_STOP = 1e-4  # probe increment at which check_fund3's and diffuse_experiment's ladders stop
 MAX_RUNG = 53  # the last k for which the ladder radius 1 - 2^-k is a double below 1
 PAD = 4  # angular columns copied onto each side before a GridFunction's spline fit
 W_CLAMP = 150.0  # the source reads e^{2 min(w, W_CLAMP)}, so e^{2w} never overflows
@@ -686,7 +687,7 @@ def _plus_log_inner(u, omega: DiskMeasure) -> AnalyticField:
 
 
 def nearly_maximal(
-    omega: DiskMeasure, ladder, n_r: int, n_theta: int, stop_tol: float = 1e-4
+    omega: DiskMeasure, ladder, n_r: int, n_theta: int, stop_tol: float
 ) -> NearlyMaximalResult:
     """Solution with boundary deficiency mu and singularity nu-tilde.
 
@@ -769,19 +770,15 @@ def check_fund3(om1: DiskMeasure, om2: DiskMeasure, ladder, n_r: int, n_theta: i
         raise ValueError(
             "need at least two ladder rungs, the second-to-last with 1 - 2^-k >= 0.8 (k >= 3)"
         )
-    lhs = nearly_maximal(om1 + om2, ladder=ladder, n_r=n_r, n_theta=n_theta)
-    u1 = nearly_maximal(om1, ladder=ladder, n_r=n_r, n_theta=n_theta)
+    lhs = nearly_maximal(om1 + om2, ladder=ladder, n_r=n_r, n_theta=n_theta, stop_tol=LADDER_STOP)
+    u1 = nearly_maximal(om1, ladder=ladder, n_r=n_r, n_theta=n_theta, stop_tol=LADDER_STOP)
     # the composite subsolution lives on u1's disk: run rungs up to there,
     # and extrapolate both routes with their own measured contraction
     rhs = _ladder_hulls(_plus_log_inner(u1.solution, om2), ladder[:-1], n_r, n_theta, stop_tol=0.0)
     probes = _probe_points(r_max=0.8)
     lhs_val = lhs(probes, extrapolate=True)
     rhs_val = rhs(probes, extrapolate=True)
-    return {
-        "sup_difference": float(np.max(np.abs(lhs_val - rhs_val))),
-        "lhs": lhs,
-        "rhs_field": rhs,
-    }
+    return {"sup_difference": float(np.max(np.abs(lhs_val - rhs_val))), "lhs": lhs}
 
 
 def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
@@ -803,7 +800,7 @@ def diffuse_experiment(ns, big_ms, ladder, n_r: int, n_theta: int):
                 rows.append((n, big_m, math.nan, math.nan, math.nan, "theta-unsolvable"))
                 continue
             om = diffuse_family(n, big_m)
-            res = nearly_maximal(om, ladder=ladder, n_r=n_r, n_theta=n_theta)
+            res = nearly_maximal(om, ladder=ladder, n_r=n_r, n_theta=n_theta, stop_tol=LADDER_STOP)
             u0 = float(res(np.array(0j), extrapolate=False))
             rows.append((n, big_m, th, u0, abs(u0), "ok"))
     return rows

@@ -285,7 +285,7 @@ def verify(d: RobertsDecomposition, omega: DiskMeasure, p: RobertsParams) -> Ver
                 break
 
     # cone containment in the star over E_cone
-    spec = StarSpec(d.cone_set, order=1.0, aperture=1.0, include_core=True)
+    spec = StarSpec(d.cone_set, order=1.0)
     for ang, _ in d.cone.boundary:
         if not d.cone_set.contains_angle(ang, tol=STAR_TOL):
             failures.append(f"cone boundary atom at angle {ang:.6f} outside E_cone")

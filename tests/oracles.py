@@ -43,12 +43,10 @@ def star_dist_every_sample(z, spec, n_samples):
     """bc_sets.hyperbolic_dist_to_star with hyperbolic_dist taken from each
     point to every sample of the star's boundary curve."""
     z = np.asarray(z, dtype=np.complex128)
-    best = np.full(z.shape, math.inf)
-    if spec.include_core:
-        r = np.hypot(z.real, z.imag)
-        best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
+    r = np.hypot(z.real, z.imag)
+    best = np.vectorize(math.atanh, otypes=[np.float64])(r) - math.atanh(CORE_RADIUS)
     phis = np.arange(n_samples) * (TAU / n_samples)
-    rho = 1.0 - spec.aperture * dist_angle_to_set(phis, spec.base) ** spec.order
+    rho = 1.0 - dist_angle_to_set(phis, spec.base) ** spec.order
     m = rho > 0.0
     if m.any():
         curve = rho[m] * np.exp(1j * phis[m])

@@ -88,6 +88,15 @@ class TestArcGapEntropy:
             rhs = arc_gap_entropy(f1, a, b) + arc_gap_entropy(f2, a, b)
             assert lhs <= rhs + 1e-12
 
+    @pytest.mark.parametrize(
+        "arc_start,arc_end",
+        [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (1.0, 1.0)],
+        ids=["nan-start", "nan-end", "minus-inf-start", "inf-end", "equal"],
+    )
+    def test_rejects_arc_not_finite_and_increasing(self, arc_start, arc_end):
+        with pytest.raises(ValueError, match="need finite arc_start < arc_end"):
+            arc_gap_entropy([0.5], arc_start, arc_end)
+
 
 class TestDist:
     def test_point_in_set(self):
@@ -135,25 +144,21 @@ class TestStar:
     def test_origin_is_core(self):
         spec = StarSpec(BCSet.from_points([2.0]))
         assert star_contains(spec, 0.0)
-        assert not star_contains(StarSpec(spec.base, include_core=False), 0.0)
 
-    def test_monotone_in_order_and_aperture(self):
-        # theta up always shrinks; order up enlarges where dist <= 1 and
-        # shrinks where dist >= 1 (pointwise implication of the inequality)
+    def test_monotone_in_order(self):
+        # order up enlarges where dist <= 1 and shrinks where dist >= 1
+        # (pointwise implication of the inequality)
         base = BCSet.from_points([0.0, 2.0, 4.0])
         rng = np.random.default_rng(9)
         zs = rng.uniform(0.05, 0.99, 120) * np.exp(1j * rng.uniform(0, TAU, 120))
         for z in zs:
-            in_11 = star_contains(StarSpec(base, 1.0, 1.0, False), z)
-            in_21 = star_contains(StarSpec(base, 2.0, 1.0, False), z)
-            in_1h = star_contains(StarSpec(base, 1.0, 0.5, False), z)
+            in_1 = star_contains(StarSpec(base, 1.0), z)
+            in_2 = star_contains(StarSpec(base, 2.0), z)
             d = dist_angle_to_set(float(np.angle(z)), base)
-            if in_11 and d <= 1.0:
-                assert in_21
-            if in_21 and d >= 1.0:
-                assert in_11
-            if in_11:
-                assert in_1h
+            if in_1 and d <= 1.0:
+                assert in_2
+            if in_2 and d >= 1.0:
+                assert in_1
 
     def test_area_integral_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -225,18 +230,12 @@ class TestHyperbolicDistToStar:
         assert hyperbolic_dist_to_star(0.1, spec) == 0.0  # core
 
     def test_outside_positive_and_refines(self):
-        spec = StarSpec(BCSet.from_points([0.0]), order=2.0, include_core=False)
-        d1 = hyperbolic_dist_to_star(-0.5, spec, n_samples=512)
-        d2 = hyperbolic_dist_to_star(-0.5, spec, n_samples=2048)
+        spec = StarSpec(BCSet.from_points([0.0]), order=2.0)
+        z = 0.9 * np.exp(0.4j)  # nearer the boundary curve than the core ball
+        d1 = hyperbolic_dist_to_star(z, spec, n_samples=512)
+        d2 = hyperbolic_dist_to_star(z, spec, n_samples=2048)
         assert d2 > 0.0
         assert d2 <= d1 + 1e-12  # nested samples can only improve the min
-
-    def test_monotone_in_aperture(self):
-        base = BCSet.from_points([0.0])
-        z = -0.4 + 0.2j
-        d_small = hyperbolic_dist_to_star(z, StarSpec(base, 2.0, 0.4, False), 1024)
-        d_big = hyperbolic_dist_to_star(z, StarSpec(base, 2.0, 1.0, False), 1024)
-        assert d_big >= d_small - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +283,19 @@ def ref_dist(phi, e):
 
 def ref_star_contains(spec, z, tol=0.0):
     r = abs(z)
-    if r == 0.0:
-        return spec.include_core
-    if spec.include_core and r < CORE_RADIUS:
+    if r < CORE_RADIUS:
         return True
     d = ref_dist(math.atan2(z.imag, z.real), spec.base)
-    return (1.0 - r) + tol >= spec.aperture * max(d - tol, 0.0) ** spec.order
+    return (1.0 - r) + tol >= max(d - tol, 0.0) ** spec.order
 
 
 def ref_hyperbolic_dist_to_star(z, spec, n_samples):
     if ref_star_contains(spec, z):
         return 0.0
-    best = math.inf
-    if spec.include_core:
-        best = math.atanh(abs(z)) - math.atanh(CORE_RADIUS)
+    best = math.atanh(abs(z)) - math.atanh(CORE_RADIUS)
     phis = np.arange(n_samples) * (TAU / n_samples)
     d = np.array([ref_dist(p, spec.base) for p in phis])
-    rho = 1.0 - spec.aperture * d ** spec.order
+    rho = 1.0 - d ** spec.order
     m = rho > 0.0
     if m.any():
         best = min(best, float(np.min(hyperbolic_dist(z, rho[m] * np.exp(1j * phis[m])))))
@@ -357,18 +352,18 @@ class TestArrayQueries:
         assert got.tolist() == [ref_gap(float(p), e, tol) is None for p in phis]
         assert_scalar_calls_match(lambda p: e.contains_angle(float(p), tol=tol), phis, got)
 
-    @pytest.mark.parametrize("order,aperture,core", [(1.0, 1.0, True), (2.0, 0.4, False), (4.0, 1.0, True)])
+    @pytest.mark.parametrize("order", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("tol", [0.0, 1e-9])
-    def test_star_contains(self, name, order, aperture, core, tol):
-        spec = StarSpec(QUERY_SETS[name], order, aperture, core)
+    def test_star_contains(self, name, order, tol):
+        spec = StarSpec(QUERY_SETS[name], order)
         z = query_points(400)
         got = star_contains(spec, z, tol=tol)
         assert got.tolist() == [ref_star_contains(spec, complex(p), tol) for p in z]
         assert_scalar_calls_match(lambda p: star_contains(spec, complex(p), tol=tol), z, got)
 
-    @pytest.mark.parametrize("order,aperture,core", [(1.0, 1.0, True), (2.0, 0.4, False), (2.0, 1.0, True)])
-    def test_hyperbolic_dist_to_star(self, name, order, aperture, core):
-        spec = StarSpec(QUERY_SETS[name], order, aperture, core)
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_hyperbolic_dist_to_star(self, name, order):
+        spec = StarSpec(QUERY_SETS[name], order)
         z = query_points(41)[:-1]  # the open disk
         got = hyperbolic_dist_to_star(z, spec, n_samples=256)
         assert got.tolist() == [ref_hyperbolic_dist_to_star(complex(p), spec, 256) for p in z]
@@ -388,6 +383,21 @@ def points_outside(spec, n):
     return z[~star_contains(spec, z)][:n]
 
 
+def curve_samples(e, order, scale, n_samples):
+    """The samples with rho > 0 of the curve rho = 1 - scale * dist(phi, E)^order
+    at n_samples equally spaced angles; a star's boundary curve has scale 1."""
+    phis = np.arange(n_samples) * (TAU / n_samples)
+    rho = 1.0 - scale * dist_angle_to_set(phis, e) ** order
+    m = rho > 0.0
+    return rho[m] * np.exp(1j * phis[m])
+
+
+def assert_nearest_is_every_sample_min(z, curve):
+    got = bc_sets._nearest_sample_dist(z, curve)
+    assert got.tolist() == np.min(hyperbolic_dist(z[:, None], curve), axis=1).tolist()
+    return got
+
+
 # hyperbolic_dist's value wherever |z - c| / |1 - z conj(c)| reaches its clip
 CLIPPED = float(np.arctanh(1.0 - 1e-15))
 
@@ -397,28 +407,27 @@ class TestNearestSamples:
     near the best; the minimum still equals the scan over every sample."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 32])
-    @pytest.mark.parametrize("order,aperture", [(1.0, 1.0), (2.0, 0.4), (4.0, 1.0)])
-    def test_origin_over_equally_spaced_sets(self, n, order, aperture):
+    @pytest.mark.parametrize("order,scale", [(1.0, 1.0), (2.0, 0.4), (4.0, 1.0)])
+    def test_origin_over_equally_spaced_sets(self, n, order, scale):
         # from the origin, samples at one depth into a gap tie up to their last bits
-        spec = StarSpec(equally_spaced(n), order, aperture, include_core=False)
         for n_samples in (64, 256, 1000):
-            assert assert_matches_reference(np.zeros(1, complex), spec, n_samples)[0] > 0.0
+            curve = curve_samples(equally_spaced(n), order, scale, n_samples)
+            assert assert_nearest_is_every_sample_min(np.zeros(1, complex), curve)[0] > 0.0
 
-    @pytest.mark.parametrize("order,aperture", [(1.0, 1.0), (2.0, 1.0), (4.0, 0.5)])
-    def test_beside_a_set_point_near_the_rim(self, order, aperture):
+    @pytest.mark.parametrize("order,scale", [(1.0, 1.0), (2.0, 1.0), (4.0, 0.5)])
+    def test_beside_a_set_point_near_the_rim(self, order, scale):
         e = QUERY_SETS["wrapping"]
         offsets = np.array([1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3])
         angles = e.gaps[:, 0][:, None] + np.concatenate([offsets, -offsets])
         z = 0.999 * np.exp(1j * angles.ravel())
-        got = assert_matches_reference(z, StarSpec(e, order, aperture, include_core=False), 512)
-        assert (got > 0.0).any()
+        assert_nearest_is_every_sample_min(z, curve_samples(e, order, scale, 512))
 
     @pytest.mark.parametrize(
         "spec,n_samples",
         [
-            (StarSpec(QUERY_SETS["one-point"], 2.0, 1.0, False), 256),
+            (StarSpec(QUERY_SETS["one-point"], 2.0), 256),
             # d^1000 underflows: every sample with rho > 0 lies on the circle
-            (StarSpec(QUERY_SETS["one-point"], 1000.0, 1.0, False), 16),
+            (StarSpec(QUERY_SETS["one-point"], 1000.0), 16),
         ],
         ids=["to-the-rim", "curve-on-the-circle"],
     )
@@ -429,7 +438,7 @@ class TestNearestSamples:
         assert CLIPPED in got.tolist()
 
     def test_n_samples_2048(self):
-        spec = StarSpec(QUERY_SETS["seeded"], 4.0, 1.0, True)
+        spec = StarSpec(QUERY_SETS["seeded"], 4.0)
         assert_matches_reference(points_outside(spec, 32), spec, 2048)
 
     def test_more_probes_than_one_row_slice(self, monkeypatch):
@@ -441,7 +450,7 @@ class TestNearestSamples:
 
         nearest = bc_sets._nearest_sample_dist
         monkeypatch.setattr(bc_sets, "_nearest_sample_dist", counted)
-        spec = StarSpec(QUERY_SETS["wrapping"], 2.0, 1.0, False)
+        spec = StarSpec(QUERY_SETS["wrapping"], 2.0)
         z = points_outside(spec, 150)
         assert_matches_reference(z, spec, 2048)
         assert len(slices) > 1 and sum(slices) == z.size == 150

@@ -56,6 +56,11 @@ class TestNorms:
                 want = math.sqrt(2 * math.pi * math.exp(betaln(2.0 * n + 2.0, alpha + 1.0)))
                 assert monomial_norm(spec, n) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_rejects_alpha_not_above_minus_one_or_not_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and exceed -1"):
+            BergmanSpaceSpec(alpha=alpha)
+
     def test_monomials_orthogonal_on_nodes(self):
         # the uniform angular grid makes <z^j, z^k> vanish for 0 < |j - k| < n_theta
         spec = BergmanSpaceSpec(alpha=1.0, n_r=120, n_theta=64)

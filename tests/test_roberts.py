@@ -250,7 +250,7 @@ class TestStructure:
         d = decompose(om, p)
         acts = {e.action for e in d.audit}
         assert "H1" in acts
-        spec = StarSpec(d.cone_set, include_core=True)
+        spec = StarSpec(d.cone_set)
         for a, _ in d.cone.interior:
             assert star_contains(spec, a, tol=1e-9)
 
