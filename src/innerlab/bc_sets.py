@@ -189,6 +189,8 @@ def arc_gap_entropy(points, arc_start: float, arc_end: float) -> float:
     """
     if not -math.inf < arc_start < arc_end < math.inf:
         raise ValueError("need finite arc_start < arc_end")
+    if not all(math.isfinite(p) for p in points):
+        raise ValueError("points must be finite")
     pts = sorted(p for p in points if arc_start <= p <= arc_end)
     cuts = [arc_start] + pts + [arc_end]
     total = 0.0

@@ -6,15 +6,17 @@ so the factor (1-rho)^alpha folds into a polynomial) times a uniform
 angular grid.
 
 distance_to_one computes the exact A^2_alpha distance from the constant 1
-to span{I, zI, ..., z^m I} through Gram matrices; the angular reductions
-are DFTs, so the Gram assembly is O(n_r n_theta log n_theta + m^2 n_r).
+to span{I, zI, ..., z^m I}. Its Gram matrix is one product of the 2m + 1 radial
+powers with the angular DFTs at the 2m + 1 offsets, O(n_r n_theta log n_theta
++ m^2 n_r), and one Cholesky factor, O(m^3), gives every degree cap's distance.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky, solve_triangular
 
 from .bc_sets import dyadic_gauss
 from .inner import doubling_circle_mean
@@ -31,8 +33,9 @@ class BergmanSpaceSpec:
     def __post_init__(self):
         if not -1.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and exceed -1")
-        if self.n_r < 8 or self.n_theta < 16:
-            raise ValueError("resolution too small")
+        for n, low in ((self.n_r, 8), (self.n_theta, 16)):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
+                raise ValueError("n_r and n_theta must be integers of at least 8 and 16")
 
     def radial_rule(self):
         """(rho, W) with sum W_i g(rho_i) ~ int_0^1 g(r) (1-r)^alpha r dr."""
@@ -88,17 +91,14 @@ def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
     if not np.any(vals):
         raise FloatingPointError("the generator underflows to 0 at every quadrature node")
     dth = TAU / spec.n_theta
-    f_abs = np.fft.fft(np.abs(vals) ** 2, axis=1) * dth  # A_d = conj at -d
+    f_abs = np.fft.fft(np.abs(vals) ** 2, axis=1) * dth
     f_conj = np.fft.fft(np.conj(vals), axis=1) * dth
-    powers = rho[:, None] ** np.arange(2 * m + 1)[None, :]
-    gram = np.empty((m + 1, m + 1), dtype=np.complex128)
-    for j in range(m + 1):
-        for k in range(m + 1):
-            a_d = f_abs[:, (-(k - j)) % spec.n_theta]
-            gram[j, k] = np.dot(wr * powers[:, j + k], a_d)
-    b = np.array(
-        [np.dot(wr * powers[:, j], f_conj[:, j % spec.n_theta]) for j in range(m + 1)]
-    )
+    # moments[s, m + d] = sum_r W_r rho_r^s f_abs[r, d]; einsum, unlike @, stays off threaded BLAS
+    w_pow = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
+    moments = np.einsum("rs,rd->sd", w_pow, f_abs[:, np.arange(-m, m + 1) % spec.n_theta])
+    j = np.arange(m + 1)[:, None]
+    gram = moments[j + j.T, m + j - j.T]
+    b = np.einsum("rj,rj->j", w_pow[:, : m + 1], f_conj[:, : m + 1])
     one_sq = TAU * float(np.sum(wr))
     return gram, b, one_sq
 
@@ -107,27 +107,24 @@ def distance_to_one(generator, m: int, spec: BergmanSpaceSpec):
     """Distance in A^2_alpha from 1 to span{I, zI, ..., z^m I}, I = generator
     (evaluable on complex arrays) and m in [0, 60].
 
-    Hilbert-space projection through the Gram matrix; returns
-    (distance, report) where the report carries the nonincreasing trend
-    over nested degree caps and a conditioning flag.
+    Returns (distance, report). With one Cholesky factor G = L L^H of the Gram
+    matrix and y = L^-1 b, the squared distance at degree cap c is
+    ||1||^2 - sum_{i <= c} |y_i|^2, so the report's trend over the caps is
+    nonincreasing; `regularized` says that G took the ridge 1e-12 tr(G)/(m + 1).
     """
     if m < 0 or m > 60:
         raise ValueError("polynomial degree cap must lie in [0, 60]")
     gram, b, one_sq = _gram_pieces(generator, spec, m)
-    caps = sorted({m // 4, m // 2, (3 * m) // 4, m} - {0}) if m else [0]
-    trend = []
+    gram = 0.5 * (gram + gram.conj().T)
     regularized = False
-    for cap in caps:
-        g_sub = gram[: cap + 1, : cap + 1]
-        b_sub = b[: cap + 1]
-        g_sub = 0.5 * (g_sub + g_sub.conj().T)
-        try:
-            sol = cho_solve(cho_factor(g_sub), b_sub)
-        except np.linalg.LinAlgError:
-            regularized = True
-            eps = 1e-12 * float(np.trace(g_sub).real) / (cap + 1)
-            sol = np.linalg.solve(g_sub + eps * np.eye(cap + 1), b_sub)
-        d_sq = one_sq - float(np.real(np.vdot(b_sub, sol)))
-        trend.append((cap, math.sqrt(max(d_sq, 0.0))))
-    report = {"trend": trend, "regularized": regularized}
-    return trend[-1][1], report
+    try:
+        low = cholesky(gram, lower=True)
+    except np.linalg.LinAlgError:
+        regularized = True
+        ridge = 1e-12 * float(np.trace(gram).real) / (m + 1)
+        low = cholesky(gram + ridge * np.eye(m + 1), lower=True)
+    y = solve_triangular(low, b, lower=True)
+    d_sq = one_sq - np.cumsum(np.abs(y) ** 2)
+    caps = sorted({m // 4, m // 2, (3 * m) // 4, m} - {0}) if m else [0]
+    trend = [(cap, math.sqrt(max(d_sq[cap], 0.0))) for cap in caps]
+    return trend[-1][1], {"trend": trend, "regularized": regularized}

@@ -3,8 +3,9 @@ check innerlab against.
 
 None of these runs in a production path: the package evaluates potentials
 through `kernels`, solves the curvature equation by Newton-GMRES,
-applies the polar Laplacian as a stencil, never as a matrix, and measures
-the distance to a star only on the boundary samples nearest each point.
+applies the polar Laplacian as a stencil, never as a matrix, measures
+the distance to a star only on the boundary samples nearest each point,
+and projects in a Bergman space through a Gram matrix.
 """
 
 import math
@@ -52,6 +53,21 @@ def star_dist_every_sample(z, spec, n_samples):
         curve = rho[m] * np.exp(1j * phis[m])
         best = np.minimum(best, np.min(hyperbolic_dist(z[..., None], curve), axis=-1))
     return np.where(star_contains(spec, z), 0.0, np.maximum(best, 0.0))
+
+
+def bergman_distance_lstsq(gen, spec, caps):
+    """bergman.distance_to_one's distance at each degree cap, with no Gram
+    matrix: least squares for 1 against the columns z^k I(z), k <= cap, at
+    the rule's nodes, every row scaled by sqrt(W dtheta)."""
+    rho, wr, theta = spec.nodes()
+    z = (rho[:, None] * np.exp(1j * theta)).ravel()
+    scale = np.sqrt(np.repeat(wr, theta.size) * (TAU / theta.size))
+    cols = z[:, None] ** np.arange(max(caps) + 1) * (gen(z) * scale)[:, None]
+    out = []
+    for cap in caps:
+        coef = np.linalg.lstsq(cols[:, : cap + 1], scale, rcond=None)[0]
+        out.append(float(np.linalg.norm(scale - cols[:, : cap + 1] @ coef)))
+    return out
 
 
 def liouville_density(f):

@@ -97,6 +97,11 @@ class TestArcGapEntropy:
         with pytest.raises(ValueError, match="need finite arc_start < arc_end"):
             arc_gap_entropy([0.5], arc_start, arc_end)
 
+    @pytest.mark.parametrize("point", [math.nan, math.inf])
+    def test_rejects_point_not_finite(self, point):
+        with pytest.raises(ValueError, match="points must be finite"):
+            arc_gap_entropy([0.5, point], 0.0, 1.0)
+
 
 class TestDist:
     def test_point_in_set(self):

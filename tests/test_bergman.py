@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_blaschke
+from oracles import bergman_distance_lstsq
 from scipy.special import betaln
 
 from innerlab.bergman import (
@@ -60,6 +61,12 @@ class TestNorms:
     def test_rejects_alpha_not_above_minus_one_or_not_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite and exceed -1"):
             BergmanSpaceSpec(alpha=alpha)
+
+    @pytest.mark.parametrize("field", ["n_r", "n_theta"])
+    @pytest.mark.parametrize("value", [8.5, math.nan, True], ids=["fraction", "nan", "bool"])
+    def test_rejects_resolution_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match="must be integers"):
+            BergmanSpaceSpec(**{field: value})
 
     def test_monomials_orthogonal_on_nodes(self):
         # the uniform angular grid makes <z^j, z^k> vanish for 0 < |j - k| < n_theta
@@ -121,6 +128,34 @@ class TestDistanceToOne:
         moved = InnerFunctionRep(singular_atoms=[(2.2, 1.0)])
         d_mv, _ = distance_to_one(moved, 24, spec)
         assert d_mv == pytest.approx(d, rel=2e-3)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize(
+        "gen,m",
+        [
+            (InnerFunctionRep(singular_atoms=[(0.0, 1.0)]), 60),
+            (InnerFunctionRep([(0.5 + 0.2j, 1)], singular_atoms=[(1.0, 0.5)]), 24),
+            (InnerFunctionRep(singular_atoms=diffuse_family(64, 10.0).boundary), 20),
+        ],
+        ids=["singular", "blaschke-singular", "diffuse"],
+    )
+    def test_trend_matches_least_squares(self, gen, m, alpha):
+        spec = BergmanSpaceSpec(alpha=alpha, n_r=96, n_theta=128)
+        _, rep = distance_to_one(gen, m, spec)
+        caps, vals = zip(*rep["trend"])
+        want = bergman_distance_lstsq(gen, spec, caps)
+        assert vals == pytest.approx(want, rel=1e-11)
+
+    def test_rank_one_gram_takes_the_ridge(self):
+        # a generator that is nonzero at one node gives a rank-one Gram matrix
+        spec = BergmanSpaceSpec(n_r=16, n_theta=32)
+        rho, _, theta = spec.nodes()
+        node = rho[5] * np.exp(1j * theta[3])
+        d, rep = distance_to_one(lambda z: np.where(z == node, 1.0 + 0j, 0j), 4, spec)
+        assert rep["regularized"]
+        vals = [v for _, v in rep["trend"]]
+        assert vals == sorted(vals, reverse=True)
+        assert math.isfinite(d)
 
     def test_prototype_singular_floor_vs_diffuse_ladder(self):
         spec = BergmanSpaceSpec(n_r=160, n_theta=512)

@@ -172,6 +172,26 @@ class TestRunCommand:
         payload = json.loads((workdir / "o" / "bergman.json").read_text())
         assert payload["distance"] == pytest.approx(math.sqrt(math.pi), abs=1e-9)
 
+    def test_bergman_distance_bytes_independent_of_blas_threads(self, workdir):
+        # the Gram moments are einsum reductions and the factor is LAPACK
+        # Cholesky; 2 threads is the most this test asks for, so larger
+        # thread counts stay unchecked
+        generator = {"zeros": [{"position": [0.5, 0.0]}],
+                     "singular_atoms": [{"angle": 1.0, "mass": 0.5}]}
+        for m in (20, 60):
+            config = {"kind": "bergman-distance", "params": {"generator": generator, "m": m}}
+            (workdir / f"{m}.json").write_text(json.dumps(config))
+            out = {}
+            for threads in ("1", "2"):
+                env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+                res = subprocess.run(RUN + ["run", f"{m}.json", "--out", f"{m}-{threads}"],
+                                     capture_output=True, text=True, cwd=workdir, env=env)
+                assert res.returncode == 0, res.stderr
+                out[threads] = {p.name: p.read_bytes()
+                                for p in sorted((workdir / f"{m}-{threads}").iterdir())}
+            assert sorted(out["1"]) == ["bergman.csv", "bergman.json"]
+            assert out["1"] == out["2"], m
+
     def test_nearly_maximal_scenario(self, workdir):
         config = {
             "kind": "nearly-maximal",
