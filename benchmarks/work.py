@@ -2,10 +2,12 @@
 """Count the Newton-GMRES work of the curvature-equation solves.
 
 Counts from outside with perfbench's tracer (nothing in src/ is edited),
-then runs acceptance criteria 01, 03, 04, 07 and 08 and the two
-operations of perfbench's `ladder` workload at seed 0. Prints, per item,
-Newton steps / GMRES iterations / factorizations, summed over its solves;
-`ladder` is the sum of its two operations. The counts are deterministic, so
+then runs acceptance criteria 01, 03, 04, 07 and 08, the two operations
+of perfbench's `ladder` workload and one pass of its `scenarios` workload,
+both at seed 0. Prints, per item, Newton steps / GMRES iterations /
+factorizations, summed over its solves; `ladder` is the sum of its two
+operations and `scenarios` of its fourteen `innerlab run` cases, each of
+which must pass the workload's own check. The counts are deterministic, so
 two versions of the solver that do the same work print the same table.
 
     python3 benchmarks/work.py
@@ -56,18 +58,20 @@ def main():
         with counting() as counts:
             criterion()
         print(counts.row(number))
-    total = Counts()
-    with tempfile.TemporaryDirectory() as workdir:
-        for op in workloads.Ladder(0, workdir).operations():
-            with counting() as counts:
-                fails = op.run()
-            if fails:
-                raise SystemExit(f"ladder.{op.name} failed its checks: {fails}")
-            print(counts.row(f"ladder.{op.name}"))
-            total.newton += counts.newton
-            total.krylov += counts.krylov
-            total.factors += counts.factors
-    print(total.row("ladder"))
+    for workload in (workloads.Ladder, workloads.Scenarios):
+        total = Counts()
+        with tempfile.TemporaryDirectory() as workdir:
+            for op in workload(0, workdir).operations():
+                with counting() as counts:
+                    fails = op.run()
+                if fails:
+                    raise SystemExit(f"{workload.name}.{op.name} failed its checks: {fails}")
+                if workload is workloads.Ladder:
+                    print(counts.row(f"ladder.{op.name}"))
+                total.newton += counts.newton
+                total.krylov += counts.krylov
+                total.factors += counts.factors
+        print(total.row(workload.name))
 
 
 if __name__ == "__main__":

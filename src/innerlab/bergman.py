@@ -88,10 +88,11 @@ def _gram_pieces(gen, spec: BergmanSpaceSpec, m: int):
     vals = np.asarray(gen(z), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("the generator is not finite at the quadrature nodes")
-    if not np.any(vals):
-        raise FloatingPointError("the generator underflows to 0 at every quadrature node")
+    abs_sq = np.abs(vals) ** 2  # the Gram matrix sees only |I|^2, which underflows before I
+    if not np.any(abs_sq):
+        raise FloatingPointError("|generator|^2 underflows to 0 at every quadrature node")
     dth = TAU / spec.n_theta
-    f_abs = np.fft.fft(np.abs(vals) ** 2, axis=1) * dth
+    f_abs = np.fft.fft(abs_sq, axis=1) * dth
     f_conj = np.fft.fft(np.conj(vals), axis=1) * dth
     # moments[s, m + d] = sum_r W_r rho_r^s f_abs[r, d]; einsum, unlike @, stays off threaded BLAS
     w_pow = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)

@@ -450,7 +450,13 @@ NUMERICAL_FAILURES = {
     # the generator underflows to 0 on every node, so the Gram matrix would be singular
     "huge-singular-mass": (
         "bergman-distance", {"generator": {"singular_atoms": [{"angle": 0.0, "mass": 1e200}]}},
-        "the generator underflows to 0 at every quadrature node"),
+        "|generator|^2 underflows to 0 at every quadrature node"),
+    # the generator is about e^-400 at its largest node, its square 0 everywhere
+    "squared-generator-underflow": (
+        "bergman-distance",
+        {"generator": {"singular_atoms": [{"angle": 1.0, "mass": 2.848e7}]},
+         "n_r": 16, "n_theta": 32, "m": 4},
+        "|generator|^2 underflows to 0 at every quadrature node"),
     # the residual's entries are finite but its 2-norm overflows
     "huge-boundary-mass": (
         "nearly-maximal", {"measure": {"boundary": [{"angle": 1.0, "mass": 1e200}]}},

@@ -222,6 +222,25 @@ class TestNewtonKrylov:
         assert all(rtol >= 0.1 * gce.NEWTON_TOL / err for rtol, err in asked), asked
         assert all(info["residual"] <= gce.NEWTON_TOL for info in infos), infos
 
+    @pytest.mark.parametrize(
+        "om,budget", [(DiskMeasure(interior=[(0j, 1.0)]), 26), (diffuse_family(16, 2.0), 76)],
+        ids=["delta0", "diffuse16"],
+    )
+    def test_krylov_work_on_a_ladder(self, monkeypatch, om, budget):
+        # a guard on the forcing term: a whole ladder's corrections take at
+        # most this many GMRES iterations (24 and 69 with the factor 0.1 on
+        # sqrt(err); the factor 1e-3 took 29 and 95)
+        iters, gmres = [], gce._gmres
+
+        def counted(apply, b, rtol):
+            x, k = gmres(apply, b, rtol)
+            iters.append(k)
+            return x, k
+
+        monkeypatch.setattr(gce, "_gmres", counted)
+        nearly_maximal(om, ladder=(2, 3, 4, 5, 6), n_r=48, n_theta=96, stop_tol=0.0)
+        assert sum(iters) <= budget, iters
+
     def test_one_source_evaluation_per_trial_point(self, monkeypatch):
         # the source at an iterate serves its residual, its scaled error and
         # the Jacobian's diagonal: one evaluation at the start and one per
