@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .bc_sets import dyadic_gauss
 from .inner import doubling_circle_mean
@@ -113,6 +112,8 @@ def distance_to_one(generator, m: int, spec: BergmanSpaceSpec):
     ||1||^2 - sum_{i <= c} |y_i|^2, so the report's trend over the caps is
     nonincreasing; `regularized` says that G took the ridge 1e-12 tr(G)/(m + 1).
     """
+    from scipy.linalg import cholesky, solve_triangular
+
     if m < 0 or m > 60:
         raise ValueError("polynomial degree cap must lie in [0, 60]")
     gram, b, one_sq = _gram_pieces(generator, spec, m)

@@ -18,7 +18,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import eigvals
 
 from . import kernels
 from .bc_sets import _norm_angle
@@ -158,6 +157,8 @@ def critical_points(f: InnerFunctionRep):
     refined by one Newton step on F'/F. A zero of multiplicity m > 1 is the
     exact critical point (a, m - 1).
     """
+    from scipy.linalg import eigvals
+
     a, m = f._distinct_zeros("critical_points")
     if f.degree < 1:
         raise ValueError("need degree >= 1")

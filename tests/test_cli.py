@@ -539,14 +539,59 @@ def test_roberts_depth_past_machine_integers_exits_1(tmp_path, generations):
     assert not (tmp_path / "o").exists()
 
 
-def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # every innerlab process pays for what the import loads
-    probe = "import sys, innerlab, innerlab.cli; print('scipy.interpolate' in sys.modules)"
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # every innerlab process pays for what the import loads; the solvers
+    # import scipy at their first factorization, eigenvalue or Cholesky call
+    probe = f"import sys, innerlab, innerlab.cli; print({SCIPY_LOADED})"
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=child_env()
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    assert res.stdout == "[]\n"
+
+
+# in one fresh interpreter, innerlab.cli.main on each named scenario file;
+# prints the exit codes, then the scipy modules loaded
+NO_SOLVE_PROBE = f"""
+import sys
+from innerlab import cli
+codes = []
+for name in sys.argv[1:]:
+    try:
+        cli.main(["run", name + ".json", "--out", name], standalone_mode=False)
+        codes.append(0)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(codes, {SCIPY_LOADED})
+"""
+
+
+def test_cli_paths_without_linear_algebra_load_no_scipy(tmp_path):
+    # this process has imported scipy, so only a fresh interpreter can tell;
+    # the selftest subprocesses of test_criterion_12_selftest_determinism
+    # run the solver paths that import it
+    scenarios = {
+        "roberts": small_scenario("roberts"),
+        "outer": small_scenario("outer-eval"),
+        "bad": {"kind": "gce-dirichlet", "params": {"n_r": 4}},
+    }
+    for name, config in scenarios.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SOLVE_PROBE, *scenarios],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 1] []"
+    assert res.stderr == "validation error: gce-dirichlet: need at least 8 nodes in each direction\n"
+    assert os.listdir(tmp_path / "roberts" / "sub") and os.listdir(tmp_path / "outer" / "sub")
+    assert not (tmp_path / "bad").exists()
+
+
+RUNG_RANGE = "ladder rungs must lie in 1..51: beyond, points on |z| = 1 - 2^-k round onto the unit circle"
 
 
 @pytest.mark.parametrize(
@@ -554,26 +599,25 @@ def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
     [
         ("nearly-maximal", {"measure": {}, "ladder": [2, 10**400]}),
         ("nearly-maximal", {"measure": {}, "ladder": [2, 60], "n_r": 8, "n_theta": 8}),
+        ("nearly-maximal", {"measure": {}, "ladder": [2, 52], "n_r": 8, "n_theta": 256}),
         ("fund3-check",
          {"measure1": {}, "measure2": {}, "ladder": [2, 3, 10000, 10001], "n_r": 8, "n_theta": 8}),
     ],
-    ids=["rung-overflows-float", "rung-60", "fund3-rung-10000"],
+    ids=["rung-overflows-float", "rung-60", "rung-52", "fund3-rung-10000"],
 )
 def test_ladder_rung_out_of_range_exits_1(tmp_path, kind, params):
-    # beyond k = 53, r_k = 1 - 2^-k is no double below 1: no rung is solved
+    # from k = 52, some rim points of |z| = 1 - 2^-k round onto the unit
+    # circle, where u_D is infinite: no rung is solved
     (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": params}))
     res = run_cli(["run", "s.json", "--out", "o"], tmp_path)
     assert res.returncode == 1, res.stderr
-    assert res.stderr == (
-        f"validation error: {kind}: ladder rungs must lie in 1..53, "
-        "where r_k = 1 - 2^-k is a double in (0, 1)\n"
-    )
+    assert res.stderr == f"validation error: {kind}: {RUNG_RANGE}\n"
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
     "ladder,message",
-    [([5, 2, 100], "ladder rungs must lie in 1..53, where r_k = 1 - 2^-k is a double in (0, 1)"),
+    [([5, 2, 100], RUNG_RANGE),
      ([5, 2], "ladder rungs must strictly increase")],
     ids=["out-of-range", "decreasing"],
 )

@@ -829,6 +829,21 @@ class TestLadder:
         with pytest.raises(ValueError, match="ladder rungs must strictly increase"):
             run(ladder)
 
+    def test_last_rung_solves_and_the_next_is_rejected_before_any_solve(self, monkeypatch):
+        # at n_theta = 256 the rim data averages 256 x 512 samples, the most;
+        # at k = 51 all of them lie inside the unit circle in doubles, and
+        # from k = 52 some round onto it, where u_D is infinite
+        radii, hull = [], gce.perron_hull_r
+        monkeypatch.setattr(
+            gce, "perron_hull_r", lambda sub, r, *a, **k: radii.append(r) or hull(sub, r, *a, **k)
+        )
+        with pytest.raises(ValueError, match=r"ladder rungs must lie in 1\.\.51: "):
+            nearly_maximal(DiskMeasure(), ladder=[2, 52], n_r=8, n_theta=256, stop_tol=0.0)
+        assert radii == []
+        res = nearly_maximal(DiskMeasure(), ladder=[51], n_r=8, n_theta=256, stop_tol=0.0)
+        assert radii == [1.0 - 2.0**-51]
+        assert math.isfinite(res.solution.center) and np.isfinite(res.solution.rings).all()
+
 
 class TestRadial:
     def test_matches_maximal_profile(self):
